@@ -38,6 +38,7 @@ from .errors import DomainError
 from .hessians import ConcavityReport, alternating_minor_verdict
 from .quality import evaluate_quality
 from .separate import (
+    MAX_MAGNITUDE,
     OptimumSeparate,
     SeparateScenario,
     ServiceSpec,
@@ -63,7 +64,7 @@ SUBSTITUTE = "substitute"
 
 _ASCENT_TOL = 1e-13
 _ASCENT_SWEEPS = 600
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET_POINTS = 129
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,11 @@ class BundleSpec:
             raise DomainError(f"bundle kind must be '{COMPLEMENT}' or '{SUBSTITUTE}', got {self.kind!r}")
         if not math.isfinite(self.gamma):
             raise DomainError(f"contingency must be finite, got {self.gamma}")
-        if self.kind == COMPLEMENT and self.gamma < 0:
-            raise DomainError(f"complement bundles need contingency >= 0, got {self.gamma}")
+        if self.kind == COMPLEMENT and not 0 <= self.gamma <= MAX_MAGNITUDE:
+            raise DomainError(
+                f"complement bundles need contingency gamma in [0, {MAX_MAGNITUDE:g}], "
+                f"got {self.gamma}"
+            )
         if self.kind == SUBSTITUTE and not (-0.5 < self.gamma < 0):
             raise DomainError(f"substitute bundles need contingency in (-0.5, 0), got {self.gamma}")
         if self.s1.n != self.s2.n:
@@ -134,7 +138,7 @@ def _buy_probability(bundle: BundleSpec, p_b, u1, u2, demand_mode):
 
 
 def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM):
-    """Bundle revenue minus both services' data costs; arrays OK in paper mode."""
+    """Bundle revenue minus both services' data costs; arrays OK in both demand modes."""
     r1_arr = np.asarray(r1, dtype=float)
     r2_arr = np.asarray(r2, dtype=float)
     p_arr = np.asarray(p_b, dtype=float)
@@ -263,29 +267,30 @@ def _privacy_update(quality, cost, kappa, cap):
     return r, False
 
 
-def _golden_max(fn, lo, hi, tol=1e-12):
-    a, b = lo, hi
-    c = b - _GOLD * (b - a)
-    d = a + _GOLD * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLD * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLD * (b - a)
-            fc = fn(c)
-    return 0.5 * (a + b)
+def _bracket_max(fn, lo, hi, tol):
+    """Maximize a unimodal fn on [lo, hi] by shrinking lattice brackets.
+
+    Each round evaluates fn once on a _BRACKET_POINTS lattice (one array
+    call) and keeps the two cells around the argmax, which must contain
+    the maximizer of a unimodal function; rounds stop once the bracket is
+    narrower than tol and the bracket midpoint is returned.
+    """
+    while hi - lo > tol:
+        grid = np.linspace(lo, hi, _BRACKET_POINTS)
+        best = int(np.argmax(fn(grid)))
+        lo = grid[max(best - 1, 0)]
+        hi = grid[min(best + 1, _BRACKET_POINTS - 1)]
+    return float(0.5 * (lo + hi))
 
 
 def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     """Cyclic exact maximization over p, r1, r2 from a grid seed.
 
     In paper mode each coordinate maximizer is closed form; in exact mode
-    golden-section search runs on the clipped-geometry profit.  Concavity
-    of every slice makes the sweep converge to the joint optimum.
+    a batched bracket search (_bracket_max) runs on the exact-geometry
+    profit, evaluating each slice on a lattice in one array call per
+    round.  Concavity of every slice makes the sweep converge to the joint
+    optimum.
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     m, n = bundle.market.m, bundle.n
@@ -296,11 +301,11 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     r1, r2, p = start
     clamp1 = clamp2 = False
     # near the optimum the profit is flat to float resolution over a
-    # ~1e-6-wide plateau, so golden-section coordinates cannot be pinned
-    # tighter than that; the paper mode uses exact updates instead
+    # ~1e-6-wide plateau, so searched coordinates cannot be pinned tighter
+    # than that; the paper mode uses exact updates instead
     paper = demand_mode == PAPER_FORM
     sweep_tol = _ASCENT_TOL if paper else 1e-6
-    golden_tol = 1e-9
+    bracket_tol = 1e-9
     edge = 1e-9 if paper else 1e-5
     for _ in range(_ASCENT_SWEEPS):
         prev = (r1, r2, p)
@@ -314,14 +319,14 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
             kappa2 = sigma * m * p**3 * b.alpha3 / (k * u1)
             r2, clamp2 = _privacy_update(b, n * bundle.s2.c, kappa2, cap2)
         else:
-            p = _golden_max(
-                lambda t: gross_profit_bundle(bundle, r1, r2, t, demand_mode), 0.0, p_hi, golden_tol
+            p = _bracket_max(
+                lambda t: gross_profit_bundle(bundle, r1, r2, t, demand_mode), 0.0, p_hi, bracket_tol
             )
-            r1 = _golden_max(
-                lambda t: gross_profit_bundle(bundle, t, r2, p, demand_mode), 0.0, cap1, golden_tol
+            r1 = _bracket_max(
+                lambda t: gross_profit_bundle(bundle, t, r2, p, demand_mode), 0.0, cap1, bracket_tol
             )
-            r2 = _golden_max(
-                lambda t: gross_profit_bundle(bundle, r1, t, p, demand_mode), 0.0, cap2, golden_tol
+            r2 = _bracket_max(
+                lambda t: gross_profit_bundle(bundle, r1, t, p, demand_mode), 0.0, cap2, bracket_tol
             )
             clamp1 = r1 <= edge or r1 >= cap1 - edge
             clamp2 = r2 <= edge or r2 >= cap2 - edge

@@ -127,9 +127,8 @@ def _separate_optimum_row(loaded, name, verify):
 
 def _bundle_optimum_row(loaded, kind, args):
     bundle = _require_bundle(loaded, kind)
-    mode = PAPER_FORM if args.demand_mode == "paper" else EXACT_GEOMETRY
     verify = args.verify or bundle.kind == SUBSTITUTE
-    opt = optimize_bundle(bundle, demand_mode=mode, verify=verify)
+    opt = optimize_bundle(bundle, demand_mode=args.demand_mode, verify=verify)
     target = "+".join(loaded.bundle_members)
     row = [bundle.kind, target, opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit, opt.interior,
            opt.fallback, ";".join(opt.clamped_variables), opt.oracle_delta]
@@ -170,8 +169,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_decide(args) -> int:
     loaded = _load(args)
     bundle = _require_bundle(loaded)
-    mode = PAPER_FORM if args.demand_mode == "paper" else EXACT_GEOMETRY
-    decision = bundling_decision(bundle, demand_mode=mode)
+    decision = bundling_decision(bundle, demand_mode=args.demand_mode)
     target = "+".join(loaded.bundle_members)
     _emit("decide", [[target, decision.bundle_profit, decision.separate_profits[0],
                       decision.separate_profits[1], decision.recommend_bundle]], args.out)
@@ -219,8 +217,7 @@ def _cmd_share(args) -> int:
     else:
         loaded = _load(args)
         bundle = _require_bundle(loaded)
-        mode = PAPER_FORM if args.demand_mode == "paper" else EXACT_GEOMETRY
-        decision = bundling_decision(bundle, demand_mode=mode)
+        decision = bundling_decision(bundle, demand_mode=args.demand_mode)
         fallback = decision.bundle_optimum.fallback
         names = loaded.bundle_members
         cf = CharacteristicFunction.from_two_player(
@@ -260,13 +257,12 @@ def _cmd_simulate(args) -> int:
     loaded = _load(args)
     if loaded.bundle is not None and args.service is None:
         bundle = loaded.bundle
-        mode = PAPER_FORM if args.demand_mode == "paper" else EXACT_GEOMETRY
         if args.at:
             r1, r2, p = _parse_at(args.at, 3)
         else:
-            opt = optimize_bundle(bundle, demand_mode=mode)
+            opt = optimize_bundle(bundle, demand_mode=args.demand_mode)
             r1, r2, p = opt.r1_star, opt.r2_star, opt.p_b_star
-        analytic = gross_profit_bundle(bundle, r1, r2, p, mode)
+        analytic = gross_profit_bundle(bundle, r1, r2, p, args.demand_mode)
         result = oracles.simulate_market(bundle, (r1, r2, p), loaded.sim)
         target = "+".join(loaded.bundle_members)
         row = [target, r1, r2, p]
@@ -293,11 +289,10 @@ def _cmd_verify(args) -> int:
     fallback = False
     if loaded.bundle is not None and args.service is None:
         bundle = loaded.bundle
-        mode = PAPER_FORM if args.demand_mode == "paper" else EXACT_GEOMETRY
-        opt = optimize_bundle(bundle, demand_mode=mode, verify=True)
+        opt = optimize_bundle(bundle, demand_mode=args.demand_mode, verify=True)
         fallback = opt.fallback
-        grid = oracles.bundle_grid(bundle, demand_mode=mode)
-        best = oracles.grid_maximize(oracles.bundle_objective(bundle, mode), grid)
+        grid = oracles.bundle_grid(bundle, demand_mode=args.demand_mode)
+        best = oracles.grid_maximize(oracles.bundle_objective(bundle, args.demand_mode), grid)
         cells = [(hi - lo) / (count - 1) for lo, hi, count in grid.axes]
         coords = (opt.r1_star, opt.r2_star, opt.p_b_star)
         within = all(abs(c - g) <= cell + 1e-12 for c, g, cell in zip(coords, best.coords, cells))
@@ -402,8 +397,7 @@ def _sweep_row(loaded: LoadedScenario, args, param: str, value: float):
         return [param, value, value, "", fee, profit, cost, profit + cost, ""]
     sub = _apply_param(loaded, param, value)
     if sub.bundle is not None:
-        mode = PAPER_FORM if args.demand_mode == "paper" else EXACT_GEOMETRY
-        opt = optimize_bundle(sub.bundle, demand_mode=mode)
+        opt = optimize_bundle(sub.bundle, demand_mode=args.demand_mode)
         n = sub.bundle.n
         cost = (n * sub.bundle.s1.c * (1.0 - opt.r1_star)
                 + n * sub.bundle.s2.c * (1.0 - opt.r2_star))
@@ -443,8 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the [sim] seed")
         p.add_argument("--verify", action="store_true", help="cross-check against oracles")
         p.add_argument("--strict", action="store_true", help="exit 3 when a solver falls back")
-        p.add_argument("--demand-mode", dest="demand_mode", choices=["paper", "exact"],
-                       default="paper")
+        p.add_argument("--demand-mode", dest="demand_mode", choices=[PAPER_FORM, EXACT_GEOMETRY],
+                       default=PAPER_FORM)
         p.add_argument("--service", default=None, help="service name for standalone commands")
 
     p_fit = sub.add_parser("fit", help="fit quality curves from samples")

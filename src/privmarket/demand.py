@@ -9,11 +9,13 @@ fee p_b is bought iff the reservation pair lies in the buy region:
                              strips theta1 >= p_b/u1 and theta2 >= p_b/u2
 
 Each closed-form probability comes in two flavours: the published linear
-"paper" form and an "exact" mode that clips the buy region against the
-unit square and measures the polygon area.  The two agree on interior
-geometry and diverge once the fee pushes the boundary outside the square
-(and, for substitutes, by a (0.5+gamma^2) vs (0.5-gamma^2) factor; both
-are kept on purpose, see prob_buy_substitute).
+"paper" form and an "exact" mode that measures the non-buy region inside
+the unit square in closed form (inclusion-exclusion over the corners of
+the box the region lives in, see _nonbuy_area).  Both modes accept numpy
+arrays and broadcast.  The two agree on interior geometry and diverge
+once the fee pushes the boundary outside the square (and, for
+substitutes, by a (0.5+gamma^2) vs (0.5-gamma^2) factor; both are kept on
+purpose, see prob_buy_substitute).
 """
 from __future__ import annotations
 
@@ -38,8 +40,6 @@ __all__ = [
 PAPER_FORM = "paper"
 EXACT_GEOMETRY = "exact"
 _MODES = (PAPER_FORM, EXACT_GEOMETRY)
-
-_UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -104,102 +104,93 @@ def prob_buy_separate(fee, quality):
     return float(out) if out.ndim == 0 else out
 
 
-def _clip_halfplane(poly, a, b, c):
-    """Sutherland-Hodgman step: keep the region a*x + b*y <= c."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        px, py = poly[i]
-        qx, qy = poly[(i + 1) % n]
-        p_in = a * px + b * py <= c
-        q_in = a * qx + b * qy <= c
-        if p_in:
-            out.append((px, py))
-        if p_in != q_in:
-            denom = a * (qx - px) + b * (qy - py)
-            t = (c - a * px - b * py) / denom
-            out.append((px + t * (qx - px), py + t * (qy - py)))
-    return out
+def _linear_form(fee, u1, u2, gamma, factor):
+    """1 - factor*fee^2/((1+gamma)^2*u1*u2), clamped to [0, 1]."""
+    fee_arr = np.asarray(fee, dtype=float)
+    return np.clip(1.0 - factor * fee_arr**2 / ((1.0 + gamma) ** 2 * u1 * u2), 0.0, 1.0)
 
 
-def _polygon_area(poly):
-    if len(poly) < 3:
-        return 0.0
-    area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        area += x0 * y1 - x1 * y0
-    return abs(area) / 2.0
+def _nonbuy_area(q, u1, u2, width, height):
+    """Area of {u1*x + u2*y <= q} inside the box [0, width] x [0, height].
 
-
-def _nonbuy_area_line(fee, u1, u2, gamma):
-    """Area of [0,1]^2 below the line (1+gamma)(t1*u1 + t2*u2) = fee."""
-    q = fee / (1.0 + gamma)
-    poly = _clip_halfplane(_UNIT_SQUARE, u1, u2, q)
-    return _polygon_area(poly)
+    By inclusion-exclusion over the box corners the area is
+    T(q) - T(q - a) - T(q - b) + T(q - a - b), with a = u1*width,
+    b = u2*height and T(s) = max(s, 0)^2 / (2*u1*u2).  For q <= (a + b)/2
+    the terms of the far corner and of the longer of a, b vanish, and the
+    other two equal h*(2q - h)/(2*u1*u2) with h = min(q, a, b), which has
+    no cancellation.  For larger q the
+    box's point reflection maps the region above the line onto
+    {u1*x + u2*y <= a + b - q}, so the smaller piece is always the one
+    measured.  Broadcasts over arrays.
+    """
+    a = u1 * width
+    b = u2 * height
+    span = a + b
+    flip = q > 0.5 * span
+    q_low = np.maximum(np.where(flip, span - q, q), 0.0)
+    h = np.minimum(q_low, np.minimum(a, b))
+    low = h * (2.0 * q_low - h) / (2.0 * u1 * u2)
+    return np.where(flip, width * height - low, low)
 
 
 def _line_only_buy_probability(fee, u1, u2, gamma):
     """Exact buy probability when only the bundle line grants a purchase.
 
-    Valid for any gamma > -1; used directly by the complement mode and as
-    the comparison baseline for the substitute-superset property.
+    Valid for any gamma > -1; used by the complement mode and as the
+    comparison baseline for the substitute-superset property.
     """
-    return min(max(1.0 - _nonbuy_area_line(fee, u1, u2, gamma), 0.0), 1.0)
+    q = np.asarray(fee, dtype=float) / (1.0 + np.asarray(gamma, dtype=float))
+    out = np.clip(1.0 - _nonbuy_area(q, u1, u2, 1.0, 1.0), 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):
-    """Bundle buy probability for complementary services.
+    """Bundle buy probability for complementary services; arrays broadcast.
 
     paper mode: 1 - 0.5*fee^2/((1+gamma)^2*u1*u2), clamped to [0,1].
-    exact mode: one minus the clipped-polygon area below the bundle line.
-    Both modes evaluate the identical expression while the non-buy region
-    is the interior triangle (fee <= (1+gamma)*min(u1,u2)), so they are
-    bit-equal there.
+    exact mode: one minus the area of the unit square below the bundle
+    line.  Both modes evaluate the identical expression while the non-buy
+    region is the interior triangle (fee <= (1+gamma)*min(u1,u2)), so they
+    are bit-equal there.
     """
     _check_mode(mode)
     _check_fee(fee)
     _check_positive_quality(u1, u2)
     if np.any(np.asarray(gamma) < 0) or not np.all(np.isfinite(np.asarray(gamma))):
         raise DomainError(f"complement contingency must be >= 0, got {gamma}")
-    if mode == PAPER_FORM:
-        fee_arr = np.asarray(fee, dtype=float)
-        out = np.clip(1.0 - 0.5 * fee_arr**2 / ((1.0 + gamma) ** 2 * u1 * u2), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-    fee = float(fee)
-    if fee <= (1.0 + gamma) * min(u1, u2):
-        return float(np.clip(1.0 - 0.5 * fee**2 / ((1.0 + gamma) ** 2 * u1 * u2), 0.0, 1.0))
-    return _line_only_buy_probability(fee, u1, u2, gamma)
+    out = _linear_form(fee, u1, u2, gamma, 0.5)
+    if mode == EXACT_GEOMETRY:
+        triangle = np.asarray(fee) <= (1.0 + np.asarray(gamma)) * np.minimum(u1, u2)
+        out = np.where(triangle, out, _line_only_buy_probability(fee, u1, u2, gamma))
+    return float(out) if out.ndim == 0 else out
 
 
 def prob_buy_substitute(fee, u1, u2, gamma, mode=PAPER_FORM):
     """Bundle buy probability for substitute services, gamma in (-0.5, 0).
 
     paper mode: 1 - (0.5+gamma^2)*fee^2/((1+gamma)^2*u1*u2), clamped.
-    exact mode: one minus the area of the clipped corner region
-    {t1 < fee/u1} & {t2 < fee/u2} & below the bundle line.  Independent
-    polygon geometry yields a (0.5-gamma^2) factor where the published
-    expression carries (0.5+gamma^2); both are preserved so the gap can be
-    measured instead of silently resolved.
+    exact mode: one minus the area of the corner region
+    {t1 < fee/u1} & {t2 < fee/u2} & below the bundle line, measured in
+    closed form on the box [0, min(1, fee/u1)] x [0, min(1, fee/u2)];
+    arrays broadcast.  The exact geometry yields a (0.5-gamma^2) factor
+    where the published expression carries (0.5+gamma^2); both are
+    preserved so the gap can be measured instead of silently resolved.
     """
     _check_mode(mode)
     _check_fee(fee)
     _check_positive_quality(u1, u2)
-    g_arr = np.asarray(gamma)
+    g_arr = np.asarray(gamma, dtype=float)
     if np.any(g_arr <= -0.5) or np.any(g_arr >= 0) or not np.all(np.isfinite(g_arr)):
         raise DomainError(
             f"substitute contingency must lie in (-0.5, 0), got {gamma} "
             "(corner geometry breaks outside that window)"
         )
     if mode == PAPER_FORM:
+        out = _linear_form(fee, u1, u2, gamma, 0.5 + g_arr**2)
+    else:
         fee_arr = np.asarray(fee, dtype=float)
-        factor = 0.5 + np.asarray(gamma, dtype=float) ** 2
-        out = np.clip(1.0 - factor * fee_arr**2 / ((1.0 + gamma) ** 2 * u1 * u2), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-    fee = float(fee)
-    poly = _clip_halfplane(_UNIT_SQUARE, 1.0, 0.0, fee / u1)
-    poly = _clip_halfplane(poly, 0.0, 1.0, fee / u2)
-    poly = _clip_halfplane(poly, u1, u2, fee / (1.0 + gamma))
-    return min(max(1.0 - _polygon_area(poly), 0.0), 1.0)
+        width = np.minimum(1.0, fee_arr / u1)
+        height = np.minimum(1.0, fee_arr / u2)
+        nonbuy = _nonbuy_area(fee_arr / (1.0 + g_arr), u1, u2, width, height)
+        out = np.clip(1.0 - nonbuy, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out

@@ -103,10 +103,7 @@ def bundle_objective(bundle, demand_mode=None) -> Callable:
     from .demand import PAPER_FORM
 
     mode = demand_mode or PAPER_FORM
-    if mode == PAPER_FORM:
-        return lambda r1, r2, p: gross_profit_bundle(bundle, r1, r2, p, mode)
-    scalar = lambda r1, r2, p: gross_profit_bundle(bundle, float(r1), float(r2), float(p), mode)
-    return np.vectorize(scalar)
+    return lambda r1, r2, p: gross_profit_bundle(bundle, r1, r2, p, mode)
 
 
 def bundle_grid(bundle, points: int = 120, demand_mode=None) -> GridSpec:

@@ -39,6 +39,9 @@ __all__ = [
 
 # privacy stays a probability, and u must stay positive on the search box
 _CAP_MARGIN = 1e-9
+# ceiling on wages and contingencies: the closed forms square them and
+# multiply them by the market sizes, and the results must stay finite
+MAX_MAGNITUDE = 1e100
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,10 @@ class ServiceSpec:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise DomainError(f"participant count must be a positive integer, got {self.n!r}")
-        if not (math.isfinite(self.c) and self.c >= 0):
-            raise DomainError(f"reservation wage must be finite and >= 0, got {self.c}")
+        if not (math.isfinite(self.c) and 0 <= self.c <= MAX_MAGNITUDE):
+            raise DomainError(
+                f"reservation wage c must lie in [0, {MAX_MAGNITUDE:g}], got {self.c}"
+            )
 
 
 @dataclass(frozen=True)

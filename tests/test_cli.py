@@ -1,4 +1,6 @@
 import csv
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,3 +343,45 @@ def test_sweep_bundle_contingency(sb1_file, tmp_path):
     assert rows[0]["r2_star"] != ""  # bundles report both privacy levels
     profits = [float(r["profit"]) for r in rows]
     assert all(a < b for a, b in zip(profits, profits[1:]))
+
+
+@pytest.mark.parametrize("edit", [("gamma = 0.1", "gamma = 1e308"), ("c = 0.2", "c = 1e300")],
+                         ids=["gamma", "wage"])
+@pytest.mark.parametrize("command", [["optimize", "complement"], ["decide"], ["verify"],
+                                     ["simulate"], ["share"], ["demand"]],
+                         ids=lambda c: c[0])
+def test_overflowing_magnitudes_are_validation_errors(edit, command, tmp_path, capsys):
+    bad = tmp_path / "huge.cfg"
+    bad.write_text(SB1.replace(*edit))
+    assert main(command + [str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and "1e+100" in err
+    assert not (tmp_path / "run").exists()
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("command, scenario", [
+    (["verify"], "bundle_complements.cfg"),
+    (["verify"], "bundle_substitutes.cfg"),
+    (["decide"], "bundle_complements.cfg"),
+    (["decide"], "bundle_substitutes.cfg"),
+    (["optimize", "substitute"], "bundle_substitutes.cfg"),
+])
+def test_exact_mode_commands_on_shipped_scenarios(command, scenario, tmp_path, capsys):
+    out = tmp_path / "run"
+    args = command + [str(SHIPPED / scenario), "--demand-mode", "exact", "--out", str(out)]
+    assert main(args) == 0
+    written = (out / f"{command[0]}.csv").read_text()
+    assert capsys.readouterr().out == written
+    rows = _read(out / f"{command[0]}.csv")
+    assert len(rows) == 1
+    numbers = []
+    for cell in rows[0].values():
+        try:
+            numbers.append(float(cell))
+        except ValueError:  # names, flags and empty cells
+            pass
+    assert numbers and all(math.isfinite(v) for v in numbers)

@@ -17,6 +17,83 @@ from privmarket import (
 from privmarket.demand import _line_only_buy_probability
 
 
+def _clip_halfplane(poly, a, b, c):
+    """Sutherland-Hodgman step: keep the part of poly with a*x + b*y <= c."""
+    out = []
+    for i, (px, py) in enumerate(poly):
+        qx, qy = poly[(i + 1) % len(poly)]
+        p_in = a * px + b * py <= c
+        q_in = a * qx + b * qy <= c
+        if p_in:
+            out.append((px, py))
+        if p_in != q_in:
+            t = (c - a * px - b * py) / (a * (qx - px) + b * (qy - py))
+            out.append((px + t * (qx - px), py + t * (qy - py)))
+    return out
+
+
+def _polygon_area(poly):
+    """Shoelace area of a simple polygon."""
+    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(poly, poly[1:] + poly[:1]))
+    return abs(twice) / 2.0 if len(poly) >= 3 else 0.0
+
+
+def _polygon_buy_probability(kind, fee, u1, u2, gamma):
+    """Oracle: clip the unit square to the non-buy region and measure it."""
+    poly = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    if kind == "substitute":
+        poly = _clip_halfplane(poly, 1.0, 0.0, fee / u1)
+        poly = _clip_halfplane(poly, 0.0, 1.0, fee / u2)
+    poly = _clip_halfplane(poly, u1, u2, fee / (1.0 + gamma))
+    return min(max(1.0 - _polygon_area(poly), 0.0), 1.0)
+
+
+@st.composite
+def _bundle_regions(draw, kinds=("complement", "substitute")):
+    """(kind, fee, u1, u2, gamma) with fees at the geometry's break points.
+
+    The fee sits near the triangle edge (1+gamma)*min(u1, u2), between the
+    two strip edges min(u1, u2) and max(u1, u2), anywhere up to the far
+    corner (1+gamma)*(u1 + u2), or far past it.
+    """
+    kind = draw(st.sampled_from(kinds))
+    u1 = draw(st.floats(0.05, 1.0))
+    u2 = draw(st.floats(0.05, 1.0))
+    if kind == "complement":
+        gamma = draw(st.floats(0.0, 2.0))
+    else:
+        gamma = draw(st.floats(-0.49, -1e-6))
+    lo, hi = min(u1, u2), max(u1, u2)
+    corner = (1.0 + gamma) * (u1 + u2)
+    fee = draw(st.one_of(
+        st.floats(0.999, 1.001).map(lambda s: s * (1.0 + gamma) * lo),
+        st.floats(lo, hi),
+        st.floats(0.0, corner),
+        st.floats(1.0, 1e6).map(lambda s: s * corner),
+    ))
+    return kind, fee, u1, u2, gamma
+
+
+_EXACT = {"complement": prob_buy_complement, "substitute": prob_buy_substitute}
+
+
+@given(_bundle_regions())
+def test_exact_geometry_matches_polygon_oracle(region):
+    kind, fee, u1, u2, gamma = region
+    exact = _EXACT[kind](fee, u1, u2, gamma, EXACT_GEOMETRY)
+    assert abs(exact - _polygon_buy_probability(kind, fee, u1, u2, gamma)) <= 1e-12
+
+
+@given(st.sampled_from(sorted(_EXACT)).flatmap(
+    lambda kind: st.lists(_bundle_regions((kind,)), min_size=1, max_size=8)))
+def test_exact_geometry_array_call_matches_scalar_calls(regions):
+    kind = regions[0][0]
+    fee, u1, u2, gamma = (np.array(col) for col in list(zip(*regions))[1:])
+    batch = _EXACT[kind](fee, u1, u2, gamma, EXACT_GEOMETRY)
+    scalar = [_EXACT[kind](*r[1:], EXACT_GEOMETRY) for r in regions]
+    np.testing.assert_array_equal(batch, scalar)
+
+
 def test_market_spec_validates():
     MarketSpec(m=1)
     with pytest.raises(DomainError):
