@@ -23,7 +23,6 @@ from .bundle import (
     SUBSTITUTE,
     BundleSpec,
     bundling_decision,
-    gross_profit_bundle,
     optimize_bundle,
 )
 from .demand import (
@@ -37,7 +36,6 @@ from .errors import DomainError, ScenarioError
 from .quality import evaluate_quality, fit_quality_curve, load_samples
 from .scenario import LoadedScenario, SweepSpec, load_scenario, sweep_values
 from .separate import (
-    SeparateScenario,
     gross_profit_separate,
     optimal_fee_fixed_privacy,
     optimize_separate,
@@ -113,26 +111,38 @@ def _require_bundle(loaded: LoadedScenario, kind: str | None = None) -> BundleSp
     return loaded.bundle
 
 
-def _separate_optimum_row(loaded, name, verify):
-    scenario = loaded.separate(name)
-    opt = optimize_separate(scenario)
-    delta = None
-    if verify:
-        best = oracles.grid_maximize(oracles.separate_objective(scenario), oracles.separate_grid(scenario))
-        delta = opt.profit - best.value
-    row = ["separate", name, opt.r_star, "", opt.p_star, opt.profit, opt.interior, "",
-           ";".join(opt.clamped_variables), delta]
-    return row, opt
+def _market(loaded: LoadedScenario, args, kind: str | None = None):
+    """The command's market and its label.
+
+    That is the scenario's bundle unless --service names a service, or,
+    when `kind` is given (``optimize <kind>``), the market of that kind;
+    a bundle kind ignores --service.
+    """
+    if kind is None:
+        bundled = loaded.bundle is not None and args.service is None
+    else:
+        bundled = kind != "separate"
+    if bundled:
+        return _require_bundle(loaded, kind), "+".join(loaded.bundle_members)
+    name = _pick_service(loaded, args)
+    return loaded.separate(name), name
 
 
-def _bundle_optimum_row(loaded, kind, args):
-    bundle = _require_bundle(loaded, kind)
-    verify = args.verify or bundle.kind == SUBSTITUTE
-    opt = optimize_bundle(bundle, demand_mode=args.demand_mode, verify=verify)
-    target = "+".join(loaded.bundle_members)
-    row = [bundle.kind, target, opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit, opt.interior,
-           opt.fallback, ";".join(opt.clamped_variables), opt.oracle_delta]
-    return row, opt
+def _solve(target, demand_mode: str, verify: bool = False):
+    """Optimum of one market as (kind, (r1, r2-or-blank, p), optimum)."""
+    if isinstance(target, BundleSpec):
+        opt = optimize_bundle(target, demand_mode=demand_mode, verify=verify)
+        return target.kind, (opt.r1_star, opt.r2_star, opt.p_b_star), opt
+    opt = optimize_separate(target)
+    return "separate", (opt.r_star, "", opt.p_star), opt
+
+
+def _profit_grid(target, demand_mode: str):
+    """Profit surface of one market and the oracle lattice that certifies it."""
+    if isinstance(target, BundleSpec):
+        return (oracles.bundle_objective(target, demand_mode),
+                oracles.bundle_grid(target, demand_mode=demand_mode))
+    return oracles.separate_objective(target), oracles.separate_grid(target)
 
 
 def _cmd_fit(args) -> int:
@@ -154,16 +164,16 @@ def _cmd_fit(args) -> int:
 
 def _cmd_optimize(args) -> int:
     loaded = _load(args)
-    if args.kind == "separate":
-        row, _ = _separate_optimum_row(loaded, _pick_service(loaded, args), args.verify)
-        fallback = False
-    else:
-        row, opt = _bundle_optimum_row(loaded, args.kind, args)
-        fallback = opt.fallback
-    _emit("optimize", [row], args.out)
-    if args.strict and fallback:
-        return EXIT_FALLBACK
-    return EXIT_OK
+    target, label = _market(loaded, args, args.kind)
+    kind, cells, opt = _solve(target, args.demand_mode, args.verify or args.kind == SUBSTITUTE)
+    # a single service has no fallback path (blank cell) and is certified here
+    fallback = getattr(opt, "fallback", "")
+    delta = getattr(opt, "oracle_delta", None)
+    if args.verify and kind == "separate":
+        delta = opt.profit - oracles.grid_maximize(*_profit_grid(target, args.demand_mode)).value
+    _emit("optimize", [[kind, label, *cells, opt.profit, opt.interior, fallback,
+                        ";".join(opt.clamped_variables), delta]], args.out)
+    return EXIT_FALLBACK if args.strict and fallback else EXIT_OK
 
 
 def _cmd_decide(args) -> int:
@@ -255,103 +265,55 @@ def _parse_at(text, want):
 
 def _cmd_simulate(args) -> int:
     loaded = _load(args)
-    if loaded.bundle is not None and args.service is None:
-        bundle = loaded.bundle
-        if args.at:
-            r1, r2, p = _parse_at(args.at, 3)
-        else:
-            opt = optimize_bundle(bundle, demand_mode=args.demand_mode)
-            r1, r2, p = opt.r1_star, opt.r2_star, opt.p_b_star
-        analytic = gross_profit_bundle(bundle, r1, r2, p, args.demand_mode)
-        result = oracles.simulate_market(bundle, (r1, r2, p), loaded.sim)
-        target = "+".join(loaded.bundle_members)
-        row = [target, r1, r2, p]
+    target, label = _market(loaded, args)
+    if args.at:
+        point = _parse_at(args.at, 3 if isinstance(target, BundleSpec) else 2)
+        cells = (point[0], point[1] if len(point) == 3 else "", point[-1])
     else:
-        name = _pick_service(loaded, args)
-        scenario = loaded.separate(name)
-        if args.at:
-            r, p = _parse_at(args.at, 2)
-        else:
-            opt = optimize_separate(scenario)
-            r, p = opt.r_star, opt.p_star
-        analytic = gross_profit_separate(scenario, r, p)
-        result = oracles.simulate_market(scenario, (r, p), loaded.sim)
-        row = [name, r, "", p]
+        _, cells, _ = _solve(target, args.demand_mode)
+        point = [v for v in cells if v != ""]
+    analytic = _profit_grid(target, args.demand_mode)[0](*point)
+    result = oracles.simulate_market(target, point, loaded.sim)
     z = abs(result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0
-    row += [result.mean, result.std_error, result.draws, analytic, z]
+    row = [label, *cells, result.mean, result.std_error, result.draws, analytic, z]
     _emit("simulate", [row], args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     loaded = _load(args)
-    rows = []
-    fallback = False
-    if loaded.bundle is not None and args.service is None:
-        bundle = loaded.bundle
-        opt = optimize_bundle(bundle, demand_mode=args.demand_mode, verify=True)
-        fallback = opt.fallback
-        grid = oracles.bundle_grid(bundle, demand_mode=args.demand_mode)
-        best = oracles.grid_maximize(oracles.bundle_objective(bundle, args.demand_mode), grid)
-        cells = [(hi - lo) / (count - 1) for lo, hi, count in grid.axes]
-        coords = (opt.r1_star, opt.r2_star, opt.p_b_star)
-        within = all(abs(c - g) <= cell + 1e-12 for c, g, cell in zip(coords, best.coords, cells))
-        rows.append([bundle.kind, "+".join(loaded.bundle_members), opt.r1_star, opt.r2_star,
-                     opt.p_b_star, opt.profit, best.value, opt.profit - best.value, within])
-    else:
-        name = _pick_service(loaded, args)
-        scenario = loaded.separate(name)
-        opt = optimize_separate(scenario)
-        grid = oracles.separate_grid(scenario)
-        best = oracles.grid_maximize(oracles.separate_objective(scenario), grid)
-        cells = [(hi - lo) / (count - 1) for lo, hi, count in grid.axes]
-        within = (
-            abs(opt.r_star - best.coords[0]) <= cells[0] + 1e-12
-            and abs(opt.p_star - best.coords[1]) <= cells[1] + 1e-12
-        )
-        rows.append(["separate", name, opt.r_star, "", opt.p_star, opt.profit, best.value,
-                     opt.profit - best.value, within])
-    _emit("verify", rows, args.out)
-    if args.strict and fallback:
-        return EXIT_FALLBACK
-    return EXIT_OK
+    target, label = _market(loaded, args)
+    kind, cells, opt = _solve(target, args.demand_mode, verify=True)
+    objective, grid = _profit_grid(target, args.demand_mode)
+    best = oracles.grid_maximize(objective, grid)
+    steps = [(hi - lo) / (count - 1) for lo, hi, count in grid.axes]
+    coords = [v for v in cells if v != ""]
+    within = all(abs(c - g) <= step + 1e-12 for c, g, step in zip(coords, best.coords, steps))
+    _emit("verify", [[kind, label, *cells, opt.profit, best.value, opt.profit - best.value, within]],
+          args.out)
+    return EXIT_FALLBACK if args.strict and getattr(opt, "fallback", False) else EXIT_OK
 
 
 def _cmd_demand(args) -> int:
     loaded = _load(args)
-    rows = []
-    if loaded.bundle is not None and args.service is None:
-        bundle = loaded.bundle
-        opt = optimize_bundle(bundle)
-        fee = args.fee if args.fee is not None else opt.p_b_star
-        u1 = evaluate_quality(opt.r1_star, bundle.s1.quality)
-        u2 = evaluate_quality(opt.r2_star, bundle.s2.quality)
-        if bundle.kind == COMPLEMENT:
-            paper = prob_buy_complement(fee, u1, u2, bundle.gamma, PAPER_FORM)
-            exact = prob_buy_complement(fee, u1, u2, bundle.gamma, EXACT_GEOMETRY)
-        else:
-            paper = prob_buy_substitute(fee, u1, u2, bundle.gamma, PAPER_FORM)
-            exact = prob_buy_substitute(fee, u1, u2, bundle.gamma, EXACT_GEOMETRY)
-        mc_mean = mc_se = None
-        if args.verify:
-            region = oracles.DemandRegion(kind=bundle.kind, fee=fee, u1=u1, u2=u2, gamma=bundle.gamma)
-            est = oracles.estimate_buy_probability(region, loaded.sim)
-            mc_mean, mc_se = est.mean, est.std_error
-        rows.append([bundle.kind, fee, u1, u2, bundle.gamma, paper, exact, mc_mean, mc_se])
+    target, _ = _market(loaded, args)
+    kind, (r1, r2, p), _ = _solve(target, PAPER_FORM)
+    fee = args.fee if args.fee is not None else p
+    if kind == "separate":
+        u1, u2, gamma = evaluate_quality(r1, target.service.quality), "", ""
+        paper = exact = prob_buy_separate(fee, u1)
     else:
-        name = _pick_service(loaded, args)
-        scenario = loaded.separate(name)
-        opt = optimize_separate(scenario)
-        fee = args.fee if args.fee is not None else opt.p_star
-        u = evaluate_quality(opt.r_star, scenario.service.quality)
-        prob = prob_buy_separate(fee, u)
-        mc_mean = mc_se = None
-        if args.verify:
-            region = oracles.DemandRegion(kind="separate", fee=fee, u1=u)
-            est = oracles.estimate_buy_probability(region, loaded.sim)
-            mc_mean, mc_se = est.mean, est.std_error
-        rows.append(["separate", fee, u, "", "", prob, prob, mc_mean, mc_se])
-    _emit("demand", rows, args.out)
+        u1 = evaluate_quality(r1, target.s1.quality)
+        u2 = evaluate_quality(r2, target.s2.quality)
+        gamma = target.gamma
+        rule = prob_buy_complement if kind == COMPLEMENT else prob_buy_substitute
+        paper, exact = (rule(fee, u1, u2, gamma, mode) for mode in (PAPER_FORM, EXACT_GEOMETRY))
+    mc_mean = mc_se = None
+    if args.verify:
+        shape = (u1,) if kind == "separate" else (u1, u2, gamma)
+        est = oracles.estimate_buy_probability(oracles.DemandRegion(kind, fee, *shape), loaded.sim)
+        mc_mean, mc_se = est.mean, est.std_error
+    _emit("demand", [[kind, fee, u1, u2, gamma, paper, exact, mc_mean, mc_se]], args.out)
     return EXIT_OK
 
 

@@ -195,56 +195,60 @@ def participant_reports(rng: np.random.Generator, count: int, r: float, sigma_z:
     return emitted, true_mask
 
 
+def _bought(region: DemandRegion, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Buy mask of `count` customers drawn from rng: the one buy rule of every market.
+
+    theta1 >= fee/u1 for a service; (1+gamma)(theta1*u1 + theta2*u2) > fee
+    for a bundle, plus the corner strips theta_i >= fee/u_i for substitutes.
+    """
+    theta1 = rng.random(count)
+    if region.kind == "separate":
+        return theta1 >= region.fee / region.u1
+    theta2 = rng.random(count)
+    bought = (1.0 + region.gamma) * (theta1 * region.u1 + theta2 * region.u2) > region.fee
+    if region.kind == "substitute":
+        bought |= (theta1 >= region.fee / region.u1) | (theta2 >= region.fee / region.u2)
+    return bought
+
+
 def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     """Monte-Carlo estimate of the expected gross profit at one decision point.
 
-    One draw pairs a customer reservation sample with a participant
-    true/noisy flip and contributes m*fee*bought - n*wage*true per
-    service; the mean over draws is an unbiased estimate of the analytic
-    profit.  Participant reports (including the additive-noise trace) are
-    generated per draw even though only the true-data mask enters the
-    realized cost.
+    The target (a single-service scenario or a bundle) is resolved once
+    into its kind, services, contingency and the DemandRegion at the
+    point.  One chunk function then replays each draw: a customer
+    reservation sample through the shared buy rule, then one participant
+    true/noisy flip per service, contributing m*fee*bought - n*wage*true
+    per service; the mean over draws is an unbiased estimate of the
+    analytic profit.  Participant reports (including the additive-noise
+    trace) are generated per draw even though only the true-data mask
+    enters the realized cost.
     """
-    from .bundle import BundleSpec, SUBSTITUTE
+    from .bundle import BundleSpec
     from .quality import evaluate_quality
     from .separate import SeparateScenario
 
     if isinstance(target, SeparateScenario):
-        r, p = float(point[0]), float(point[1])
-        u = evaluate_quality(r, target.service.quality)
-        if not (0.0 <= r <= 1.0) or p < 0 or u <= 0:
-            raise DomainError(f"invalid decision point (r={r}, p={p})")
-        m, n, c = target.market.m, target.service.n, target.service.c
-
-        def chunk_values(rng, k):
-            theta = rng.random(k)
-            bought = theta >= p / u
-            _, true_mask = participant_reports(rng, k, r, sim.sigma_z)
-            return m * p * bought - n * c * true_mask
-
+        kind, services, gamma, names = "separate", (target.service,), None, ("r", "p")
     elif isinstance(target, BundleSpec):
-        r1, r2, p_b = float(point[0]), float(point[1]), float(point[2])
-        u1 = evaluate_quality(r1, target.s1.quality)
-        u2 = evaluate_quality(r2, target.s2.quality)
-        if not (0.0 <= r1 <= 1.0 and 0.0 <= r2 <= 1.0) or p_b < 0 or u1 <= 0 or u2 <= 0:
-            raise DomainError(f"invalid decision point (r1={r1}, r2={r2}, p_b={p_b})")
-        m, n = target.market.m, target.n
-        c1, c2 = target.s1.c, target.s2.c
-        gamma = target.gamma
-        substitute = target.kind == SUBSTITUTE
-
-        def chunk_values(rng, k):
-            theta1 = rng.random(k)
-            theta2 = rng.random(k)
-            bought = (1.0 + gamma) * (theta1 * u1 + theta2 * u2) > p_b
-            if substitute:
-                bought |= (theta1 >= p_b / u1) | (theta2 >= p_b / u2)
-            _, true1 = participant_reports(rng, k, r1, sim.sigma_z)
-            _, true2 = participant_reports(rng, k, r2, sim.sigma_z)
-            return m * p_b * bought - n * c1 * true1 - n * c2 * true2
-
+        kind, services, gamma = target.kind, (target.s1, target.s2), target.gamma
+        names = ("r1", "r2", "p_b")
     else:
         raise DomainError(f"cannot simulate target of type {type(target).__name__}")
+    *levels, fee = (float(v) for v in point[: len(names)])
+    qualities = [evaluate_quality(r, service.quality) for r, service in zip(levels, services)]
+    if not all(0.0 <= r <= 1.0 for r in levels) or fee < 0 or min(qualities) <= 0:
+        shown = ", ".join(f"{name}={v}" for name, v in zip(names, (*levels, fee)))
+        raise DomainError(f"invalid decision point ({shown})")
+    region = DemandRegion(kind, fee, *qualities, gamma=gamma)
+    m, n = target.market.m, services[0].n
+
+    def chunk_values(rng, k):
+        vals = m * fee * _bought(region, rng, k)
+        for r, service in zip(levels, services):
+            _, true_mask = participant_reports(rng, k, r, sim.sigma_z)
+            vals = vals - n * service.c * true_mask
+        return vals
 
     total = 0.0
     total_sq = 0.0
@@ -265,16 +269,7 @@ def estimate_buy_probability(region: DemandRegion, sim: SimulationSpec) -> SimRe
     """Direct Monte-Carlo estimate of one buy probability from the raw rule."""
     hits = 0
     for index, k in _chunks(sim.draws):
-        rng = _chunk_rng(sim.seed, index)
-        if region.kind == "separate":
-            bought = rng.random(k) >= region.fee / region.u1
-        else:
-            theta1 = rng.random(k)
-            theta2 = rng.random(k)
-            bought = (1.0 + region.gamma) * (theta1 * region.u1 + theta2 * region.u2) > region.fee
-            if region.kind == "substitute":
-                bought |= (theta1 >= region.fee / region.u1) | (theta2 >= region.fee / region.u2)
-        hits += int(bought.sum())
+        hits += int(_bought(region, _chunk_rng(sim.seed, index), k).sum())
     p_hat = hits / sim.draws
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / sim.draws)
     return SimResult(mean=p_hat, std_error=std_error, draws=sim.draws)

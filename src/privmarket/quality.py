@@ -32,13 +32,19 @@ __all__ = [
     "load_samples",
 ]
 
+# ceiling on the curve's alpha1 and alpha3 and on wages and contingencies:
+# the closed forms raise these to small powers and multiply them by the
+# market sizes, and the results must stay finite
+MAX_MAGNITUDE = 1e100
+
 
 @dataclass(frozen=True)
 class QualityParams:
     """Parameters of the quality curve u(r) = alpha1 - alpha2*exp(alpha3*r).
 
     All three parameters must be positive and alpha1 > alpha2 so that the
-    zero-privacy quality u(0) is positive.
+    zero-privacy quality u(0) is positive; alpha1 and alpha3 are at most
+    MAX_MAGNITUDE.
     """
 
     alpha1: float
@@ -52,6 +58,8 @@ class QualityParams:
                 raise DomainError(f"{name} must be a finite number, got {v!r}")
             if v <= 0:
                 raise DomainError(f"{name} must be positive, got {v}")
+            if name != "alpha2" and v > MAX_MAGNITUDE:
+                raise DomainError(f"{name} must lie in (0, {MAX_MAGNITUDE:g}], got {v}")
         if self.alpha1 <= self.alpha2:
             raise DomainError(
                 f"alpha1 must exceed alpha2 so u(0) > 0, got "

@@ -24,7 +24,7 @@ import numpy as np
 from .demand import MarketSpec, prob_buy_separate
 from .errors import DomainError
 from .hessians import ConcavityReport, alternating_minor_verdict
-from .quality import QualityParams, evaluate_quality, max_privacy
+from .quality import MAX_MAGNITUDE, QualityParams, evaluate_quality, max_privacy
 
 __all__ = [
     "ServiceSpec",
@@ -39,9 +39,6 @@ __all__ = [
 
 # privacy stays a probability, and u must stay positive on the search box
 _CAP_MARGIN = 1e-9
-# ceiling on wages and contingencies: the closed forms square them and
-# multiply them by the market sizes, and the results must stay finite
-MAX_MAGNITUDE = 1e100
 
 
 @dataclass(frozen=True)

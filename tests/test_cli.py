@@ -345,10 +345,14 @@ def test_sweep_bundle_contingency(sb1_file, tmp_path):
     assert all(a < b for a, b in zip(profits, profits[1:]))
 
 
-@pytest.mark.parametrize("edit", [("gamma = 0.1", "gamma = 1e308"), ("c = 0.2", "c = 1e300")],
-                         ids=["gamma", "wage"])
+@pytest.mark.parametrize("edit", [("gamma = 0.1", "gamma = 1e308"), ("c = 0.2", "c = 1e300"),
+                                  ("alpha3 = 2.813", "alpha3 = 1e200"),
+                                  ("alpha1 = 0.822", "alpha1 = 1e300")],
+                         ids=["gamma", "wage", "alpha3", "alpha1"])
 @pytest.mark.parametrize("command", [["optimize", "complement"], ["decide"], ["verify"],
-                                     ["simulate"], ["share"], ["demand"]],
+                                     ["simulate"], ["share"], ["demand"],
+                                     ["sweep", "--param", "market.M", "--start", "500",
+                                      "--stop", "1000", "--steps", "2"]],
                          ids=lambda c: c[0])
 def test_overflowing_magnitudes_are_validation_errors(edit, command, tmp_path, capsys):
     bad = tmp_path / "huge.cfg"

@@ -107,6 +107,35 @@ class TestSimulateMarket:
             simulate_market("not a scenario", (0.1, 0.1), SimulationSpec(draws=10, seed=0))
 
 
+
+# float.hex of (simulate_market mean, std_error, estimate_buy_probability
+# mean, std_error) recorded from an earlier release; 300,001 draws span
+# three Philox chunks, so a change in draw order or chunking shows here
+PINNED_DRAWS = {
+    "separate": ("s1_scenario", (0.3, 0.35), DemandRegion(kind="separate", fee=0.4, u1=0.8),
+                 ("0x1.732795cc4337fp+7", "0x1.445c13a0cb28ep-2",
+                  "0x1.00bac6e7fdd60p-1", "0x1.de9ac2a1186cap-11")),
+    "complement": ("sb1_bundle", (0.5, 0.6, 0.9),
+                   DemandRegion(kind="complement", fee=0.9, u1=0.7, u2=0.8, gamma=0.1),
+                   ("0x1.c14bc4a01156fp+8", "0x1.a492f70ef9435p-1",
+                    "0x1.a98bb158c9569p-2", "0x1.d7bbe94b907c4p-11")),
+    "substitute": ("sb2_bundle", (0.5, 0.6, 0.6),
+                   DemandRegion(kind="substitute", fee=0.58, u1=0.811, u2=0.793, gamma=-0.1),
+                   ("0x1.806489364e1afp+8", "0x1.07ec86f4df4d3p-1",
+                    "0x1.5ed69aa54ab4ep-1", "0x1.bc8d6e97fac36p-11")),
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_DRAWS))
+def test_seeded_results_match_recorded_bits(kind, request):
+    fixture, point, region, expected = PINNED_DRAWS[kind]
+    sim = SimulationSpec(draws=300_001, seed=11)
+    profit = simulate_market(request.getfixturevalue(fixture), point, sim)
+    buy = estimate_buy_probability(region, sim)
+    got = (profit.mean, profit.std_error, buy.mean, buy.std_error)
+    assert tuple(v.hex() for v in got) == expected
+    assert profit.draws == buy.draws == 300_001
+
 class TestParticipantReports:
     def test_full_privacy_all_noisy(self):
         rng = np.random.default_rng(0)
