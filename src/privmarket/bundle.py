@@ -259,6 +259,11 @@ def _privacy_update(quality, cost, kappa, cap):
     a1 = quality.alpha1
     b_term = 2.0 * cost * a1 + kappa
     x = 2.0 * cost * a1 * a1 / (b_term + math.sqrt(kappa * kappa + 4.0 * cost * a1 * kappa))
+    if not x > 0.0:  # the root is positive; 0 or nan means the terms left float range
+        raise DomainError(
+            f"privacy update out of floating-point range (n*c = {cost:g}, kappa = {kappa:g}); "
+            "the scenario's magnitudes overflow together"
+        )
     r = math.log(x / quality.alpha2) / quality.alpha3
     if r < 0.0:
         return 0.0, True
@@ -313,10 +318,17 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
         u2 = evaluate_quality(r2, b)
         if paper:
             p = math.sqrt(k * u1 * u2 / (3.0 * sigma))
-            kappa1 = sigma * m * p**3 * a.alpha3 / (k * u2)
+            try:
+                cube = p**3
+            except OverflowError:
+                raise DomainError(
+                    f"bundle fee {p:g} overflows the coordinate ascent; "
+                    "the scenario's magnitudes overflow together"
+                ) from None
+            kappa1 = sigma * m * cube * a.alpha3 / (k * u2)
             r1, clamp1 = _privacy_update(a, n * bundle.s1.c, kappa1, cap1)
             u1 = evaluate_quality(r1, a)
-            kappa2 = sigma * m * p**3 * b.alpha3 / (k * u1)
+            kappa2 = sigma * m * cube * b.alpha3 / (k * u1)
             r2, clamp2 = _privacy_update(b, n * bundle.s2.c, kappa2, cap2)
         else:
             p = _bracket_max(

@@ -6,13 +6,21 @@ replays the market mechanics directly from their defining inequalities
 (reservation-price draws, participant true/noisy coin flips) rather than
 from any derived probability formula, so agreement is meaningful.
 
+Both oracles run their parts on one thread per usable core (`_map_parts`);
+numpy releases the interpreter lock inside its array kernels.  The grid
+is evaluated in slabs of at most `_SLAB` points along its first axis, so
+memory stays bounded however large the grid.
+
 Randomness uses counter-based Philox streams, one per fixed-size chunk of
-draws, combined in chunk order.  Any partitioning of chunks over workers
-reproduces the same bits, which is what makes seeded results stable.
+draws; chunk sums are added in chunk order, so seeded bits do not depend
+on the core count.  Only the true/noisy flips enter the profit, so no
+noisy trace is formed; a bundle still draws its first service's trace
+normals, because its second service's flips follow them in the stream.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,6 +45,28 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
+_SLAB = 1 << 17
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_parts(fn, parts) -> list:
+    """[fn(part) for part in parts] on min(usable cores, len(parts)) threads,
+    in part order; a part's exception is re-raised; one part runs inline."""
+    parts = list(parts)
+    workers = min(_usable_cores(), len(parts))
+    if workers <= 1:
+        return [fn(part) for part in parts]
+    # imported here: at module level it would add to every CLI start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, parts))
 
 
 @dataclass(frozen=True)
@@ -65,23 +95,35 @@ class GridMaxResult:
 def grid_maximize(objective: Callable, grid: GridSpec) -> GridMaxResult:
     """Exhaustive lattice maximization with a deterministic tie-break.
 
-    The objective must broadcast over numpy arrays.  Ties resolve to the
+    The objective must broadcast over numpy arrays and be safe to call
+    from several threads at once.  Ties resolve to the
     lexicographically smallest index tuple (numpy's first flat argmax in C
-    order), so the result does not depend on evaluation order.
+    order), so the result does not depend on evaluation order.  The
+    lattice is evaluated in slabs of whole rows along the first axis, at
+    most `_SLAB` points each (one row when a row is larger), and the slab
+    maxima are combined in slab order, keeping the earlier one on a tie.
     """
     axes = [np.linspace(lo, hi, count) for lo, hi, count in grid.axes]
-    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    values = np.broadcast_to(
-        np.asarray(objective(*mesh), dtype=float), tuple(len(ax) for ax in axes)
-    )
-    if np.isnan(values).any():
-        raise DomainError("objective produced NaN on the grid; domain is not valid")
-    flat = int(np.argmax(values))
-    index = np.unravel_index(flat, values.shape)
+    first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True)
+    row_shape = tuple(len(ax) for ax in axes[1:])
+    rows = max(1, _SLAB // math.prod(row_shape))
+
+    def slab_max(start):
+        values = np.broadcast_to(
+            np.asarray(objective(first[start : start + rows], *rest), dtype=float),
+            (min(rows, len(axes[0]) - start), *row_shape),
+        )
+        if np.isnan(values).any():
+            raise DomainError("objective produced NaN on the grid; domain is not valid")
+        index = np.unravel_index(int(np.argmax(values)), values.shape)
+        return float(values[index]), (start + int(index[0]), *(int(i) for i in index[1:]))
+
+    # max keeps the first of equal values: the earliest slab wins a tie
+    value, index = max(_map_parts(slab_max, range(0, len(axes[0]), rows)), key=lambda s: s[0])
     return GridMaxResult(
         coords=tuple(float(axes[d][i]) for d, i in enumerate(index)),
-        value=float(values[index]),
-        index=tuple(int(i) for i in index),
+        value=value,
+        index=index,
     )
 
 
@@ -120,7 +162,10 @@ def bundle_grid(bundle, points: int = 120, demand_mode=None) -> GridSpec:
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Monte-Carlo controls: draw count, stream seed, trace noise scale."""
+    """Monte-Carlo controls: draw count, stream seed, trace noise scale.
+
+    sigma_z is validated but reaches no output of `simulate_market`.
+    """
 
     draws: int
     seed: int = 0
@@ -220,9 +265,13 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     reservation sample through the shared buy rule, then one participant
     true/noisy flip per service, contributing m*fee*bought - n*wage*true
     per service; the mean over draws is an unbiased estimate of the
-    analytic profit.  Participant reports (including the additive-noise
-    trace) are generated per draw even though only the true-data mask
-    enters the realized cost.
+    analytic profit.  Only the true-data mask enters the realized cost, so
+    the noisy trace of `participant_reports` is not formed and
+    `sim.sigma_z` reaches no output; a bundle still draws its first
+    service's two trace normals per participant, because the second
+    service's flips follow them in the chunk's stream.  Chunks run on one
+    thread per usable core and their sums are added in chunk order, so
+    the result does not depend on the core count.
     """
     from .bundle import BundleSpec
     from .quality import evaluate_quality
@@ -243,19 +292,21 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     region = DemandRegion(kind, fee, *qualities, gamma=gamma)
     m, n = target.market.m, services[0].n
 
-    def chunk_values(rng, k):
+    def chunk_sums(chunk):
+        index, k = chunk
+        rng = _chunk_rng(sim.seed, index)
         vals = m * fee * _bought(region, rng, k)
-        for r, service in zip(levels, services):
-            _, true_mask = participant_reports(rng, k, r, sim.sigma_z)
-            vals = vals - n * service.c * true_mask
-        return vals
+        for j, (r, service) in enumerate(zip(levels, services)):
+            if j:
+                rng.standard_normal(2 * k)  # the first service's trace, which these flips follow
+            vals = vals - n * service.c * (rng.random(k) >= r)
+        return float(vals.sum()), float((vals * vals).sum())
 
     total = 0.0
     total_sq = 0.0
-    for index, k in _chunks(sim.draws):
-        vals = chunk_values(_chunk_rng(sim.seed, index), k)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+    for chunk_total, chunk_sq in _map_parts(chunk_sums, _chunks(sim.draws)):
+        total += chunk_total
+        total_sq += chunk_sq
     mean = total / sim.draws
     if sim.draws > 1:
         var = max(total_sq - sim.draws * mean * mean, 0.0) / (sim.draws - 1)
@@ -267,9 +318,11 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
 
 def estimate_buy_probability(region: DemandRegion, sim: SimulationSpec) -> SimResult:
     """Direct Monte-Carlo estimate of one buy probability from the raw rule."""
-    hits = 0
-    for index, k in _chunks(sim.draws):
-        hits += int(_bought(region, _chunk_rng(sim.seed, index), k).sum())
+    def chunk_hits(chunk):
+        index, k = chunk
+        return int(_bought(region, _chunk_rng(sim.seed, index), k).sum())
+
+    hits = sum(_map_parts(chunk_hits, _chunks(sim.draws)))
     p_hat = hits / sim.draws
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / sim.draws)
     return SimResult(mean=p_hat, std_error=std_error, draws=sim.draws)

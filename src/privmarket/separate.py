@@ -149,16 +149,22 @@ def concavity_report_separate(scenario: SeparateScenario, r: float, p_s: float) 
     u = evaluate_quality(r, q)
     if u <= 0:
         raise DomainError(f"quality is not positive at r={r}")
-    e = math.exp(q.alpha3 * r)
     h_pp = -2.0 * m / u
-    h_pr = -2.0 * m * q.alpha2 * q.alpha3 * p_s * e / u**2
-    h_rr = (
-        -2.0 * m * q.alpha2**2 * q.alpha3**2 * p_s**2 * e**2 / u**3
-        - m * q.alpha2 * q.alpha3**2 * p_s**2 * e / u**2
-    )
+    try:
+        e = math.exp(q.alpha3 * r)
+        h_pr = -2.0 * m * q.alpha2 * q.alpha3 * p_s * e / u**2
+        h_rr = (
+            -2.0 * m * q.alpha2**2 * q.alpha3**2 * p_s**2 * e**2 / u**3
+            - m * q.alpha2 * q.alpha3**2 * p_s**2 * e / u**2
+        )
+        d2 = 2.0 * m**2 * q.alpha2 * q.alpha3**2 * p_s**2 * e / u**3
+    except OverflowError:
+        raise DomainError(
+            f"concavity report overflows at r={r}, fee {p_s}; "
+            "the scenario's magnitudes overflow together"
+        ) from None
     hessian = np.array([[h_pp, h_pr], [h_pr, h_rr]])
     d1 = h_pp
-    d2 = 2.0 * m**2 * q.alpha2 * q.alpha3**2 * p_s**2 * e / u**3
     minors = (d1, d2)
     return ConcavityReport(
         hessian=hessian,

@@ -364,6 +364,55 @@ def test_overflowing_magnitudes_are_validation_errors(edit, command, tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+# pairs of inputs that are each in range but overflow together, with the
+# commands whose solve runs into the overflow; every other command exits 0
+JOINT_OVERFLOW = {
+    "alpha1-wage": ([("alpha1 = 0.822", "alpha1 = 1e100"), ("c = 0.2", "c = 1e100")],
+                    {"optimize complement", "decide", "verify", "simulate", "share", "demand"}),
+    "alpha1-gamma": ([("alpha1 = 0.822", "alpha1 = 1e100"), ("gamma = 0.1", "gamma = 1e100")],
+                     {"optimize complement", "decide", "verify", "simulate", "share", "demand"}),
+    "alpha2-alpha3": ([("alpha2 = 0.004", "alpha2 = 1e-300"), ("alpha3 = 2.813", "alpha3 = 1e3")],
+                      {"optimize separate", "decide", "share"}),
+}
+
+
+@pytest.mark.parametrize("pair", list(JOINT_OVERFLOW))
+@pytest.mark.parametrize("command", [["optimize", "complement"], ["optimize", "separate"],
+                                     ["decide"], ["verify"], ["simulate"], ["share"], ["demand"],
+                                     ["sweep", "--param", "market.M", "--start", "500",
+                                      "--stop", "1000", "--steps", "2"]],
+                         ids=lambda c: "-".join(c[:2]) if c[0] == "optimize" else c[0])
+def test_joint_overflow_is_a_validation_error(pair, command, tmp_path, capsys):
+    edits, overflowing = JOINT_OVERFLOW[pair]
+    text = SB1
+    for old, new in edits:
+        text = text.replace(old, new, 1)
+    bad = tmp_path / "joint.cfg"
+    bad.write_text(text)
+    out = tmp_path / "run"
+    extra = ["--service", "S1"] if command == ["optimize", "separate"] else []
+    code = main(command + [str(bad), "--out", str(out)] + extra)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if " ".join(command[:2]) in overflowing:
+        assert code == 2
+        assert captured.err.startswith("error:") and "overflow together" in captured.err
+        assert not out.exists()
+        return
+    assert code == 0
+    rows = _read(out / f"{command[0]}.csv")
+    if command[0] == "sweep" and pair != "alpha2-alpha3":
+        # sweep reports a failed solve in the row, as for any validation error
+        assert all("overflow together" in row["error"] for row in rows)
+        return
+    for row in rows:
+        for cell in row.values():
+            try:
+                assert math.isfinite(float(cell))
+            except ValueError:  # names, flags and empty cells
+                pass
+
+
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"
 
 

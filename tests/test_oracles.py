@@ -1,11 +1,16 @@
+import concurrent.futures
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from privmarket import oracles
 from privmarket import (
     DemandRegion,
     DomainError,
     EXACT_GEOMETRY,
     GridSpec,
+    SimResult,
     SimulationSpec,
     estimate_buy_probability,
     grid_maximize,
@@ -135,6 +140,101 @@ def test_seeded_results_match_recorded_bits(kind, request):
     got = (profit.mean, profit.std_error, buy.mean, buy.std_error)
     assert tuple(v.hex() for v in got) == expected
     assert profit.draws == buy.draws == 300_001
+
+
+def _cores(monkeypatch, count):
+    monkeypatch.setattr(oracles, "_usable_cores", lambda: count)
+
+
+@pytest.mark.parametrize("draws", [3 * oracles._CHUNK + 17, oracles._CHUNK, 1_000],
+                         ids=["ragged-chunks", "one-chunk", "under-one-chunk"])
+def test_results_do_not_depend_on_worker_count(draws, monkeypatch, request):
+    sim = SimulationSpec(draws=draws, seed=23)
+    results = []
+    for cores in (1, 3):
+        _cores(monkeypatch, cores)
+        got = []
+        for fixture, point, region, _ in PINNED_DRAWS.values():
+            got.append(simulate_market(request.getfixturevalue(fixture), point, sim))
+            got.append(estimate_buy_probability(region, sim))
+        results.append(got)
+    assert results[0] == results[1]
+    assert all(isinstance(r, SimResult) and r.draws == draws for r in results[0])
+
+
+def test_thread_pool_never_exceeds_parts(monkeypatch, s1_scenario):
+    sizes = []
+
+    class SpyExecutor(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyExecutor)
+    _cores(monkeypatch, 64)
+    simulate_market(s1_scenario, (0.3, 0.35), SimulationSpec(draws=2 * oracles._CHUNK + 1, seed=1))
+    estimate_buy_probability(DemandRegion(kind="separate", fee=0.4, u1=0.8),
+                             SimulationSpec(draws=oracles._CHUNK, seed=1))  # one chunk: inline
+    rows = oracles._SLAB // 400
+    grid_maximize(lambda x, y: x * y, GridSpec(axes=((0.0, 1.0, 2 * rows + 1), (0.0, 1.0, 400))))
+    assert sizes == [3, 3]
+
+
+class TestGridSlabs:
+    """grid_maximize against one np.argmax over the whole lattice."""
+
+    # 121 x 120 x 120 splits along the first axis into slabs of 9 rows, the last of 4
+    GRID = GridSpec(axes=((0.0, 1.0, 121), (0.0, 2.0, 120), (-1.0, 1.0, 120)))
+    ROWS = oracles._SLAB // (120 * 120)
+    AXES = [np.linspace(lo, hi, count) for lo, hi, count in GRID.axes]
+
+    def _full_argmax(self, objective):
+        mesh = np.meshgrid(*self.AXES, indexing="ij", sparse=True)
+        values = np.broadcast_to(np.asarray(objective(*mesh), dtype=float), (121, 120, 120))
+        index = np.unravel_index(int(np.argmax(values)), values.shape)
+        return tuple(int(i) for i in index), float(values[index])
+
+    def _check(self, objective, expected_index):
+        best = grid_maximize(objective, self.GRID)
+        assert (best.index, best.value) == self._full_argmax(objective)
+        assert best.index == expected_index
+        assert best.coords == tuple(float(ax[i]) for ax, i in zip(self.AXES, best.index))
+
+    def test_grid_splits_with_ragged_last_slab(self):
+        assert self.ROWS == 9 and 121 % self.ROWS == 4
+
+    def test_constant_objective(self):
+        self._check(lambda x, y, z: np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape)),
+                    (0, 0, 0))
+
+    def test_plateau_across_slab_boundary_keeps_earlier_index(self):
+        lo, hi = self.AXES[0][self.ROWS - 1], self.AXES[0][self.ROWS]
+        self._check(lambda x, y, z: ((x >= lo) & (x <= hi) & (y >= 1.0)) + 0.0 * z,
+                    (self.ROWS - 1, 60, 0))
+
+    def test_maximum_in_last_slab(self):
+        x0, y0, z0 = self.AXES[0][119], self.AXES[1][37], self.AXES[2][90]
+        self._check(lambda x, y, z: -((x - x0) ** 2) - (y - y0) ** 2 - (z - z0) ** 2,
+                    (119, 37, 90))
+
+    def test_nan_in_last_slab_only(self):
+        edge = self.AXES[0][-2]
+        with pytest.raises(DomainError):
+            grid_maximize(lambda x, y, z: np.where(x > edge, np.nan, 0.0) + 0.0 * y * z,
+                          self.GRID)
+
+    def test_bundle_grid_memory_stays_below_one_full_array(self, monkeypatch, sb1_bundle):
+        _cores(monkeypatch, 2)  # a fixed worker count, so the bound does not follow the host
+        grid = bundle_grid(sb1_bundle, points=120)
+        objective = bundle_objective(sb1_bundle)
+        tracemalloc.start()
+        try:
+            grid_maximize(objective, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 120**3 * 8  # 13.8 MB: one float array over the whole lattice
+
 
 class TestParticipantReports:
     def test_full_privacy_all_noisy(self):
