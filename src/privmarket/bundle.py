@@ -14,11 +14,11 @@ Stationarity reduces to one quadratic in the fee,
 
 whose positive root gives p*; the privacy levels follow from
 X = alpha2*exp(alpha3*r1) = 3*n*c1*alpha1/(m*p*alpha3 + 3*n*c1) and the
-symmetric expression for r2.  For complements this is evaluated directly;
-for substitutes the tabulated closed-form candidate is sign-inconsistent
-(its fee is negative on the whole valid domain), so the optimizer records
-it and falls back to grid-seeded coordinate ascent, which is exact here
-because G is concave in each coordinate wherever u1, u2 > 0.
+symmetric expression for r2.  For complements this is evaluated directly.
+Substitutes go straight to grid-seeded coordinate ascent, which is exact
+here because G is concave in each coordinate wherever u1, u2 > 0; their
+`fee_root` is the same quadratic's root with sigma = 0.5 + gamma^2, which
+reproduces the ascent's fee on the shipped substitute bundle.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracles
 from .demand import (
     EXACT_GEOMETRY,
     PAPER_FORM,
@@ -107,6 +108,25 @@ class BundleSpec:
         """sigma in the linear demand form: 0.5 +- the substitute correction."""
         return 0.5 if self.kind == COMPLEMENT else 0.5 + self.gamma**2
 
+    # the market interface shared with SeparateScenario
+    point_names = ("r1", "r2", "p_b")
+
+    @property
+    def services(self) -> tuple[ServiceSpec, ServiceSpec]:
+        return (self.s1, self.s2)
+
+    def optimize(self, demand_mode: str = PAPER_FORM, verify: bool = False) -> "OptimumBundle":
+        return optimize_bundle(self, demand_mode=demand_mode, verify=verify)
+
+    def profit_surface(self, demand_mode: str = PAPER_FORM):
+        """The profit as a function of (r1, r2, p_b) and the oracle lattice that certifies it."""
+        return (oracles.bundle_objective(self, demand_mode),
+                oracles.bundle_grid(self, demand_mode=demand_mode))
+
+    def buy_probability(self, fee, qualities, demand_mode: str = PAPER_FORM):
+        rule = prob_buy_complement if self.kind == COMPLEMENT else prob_buy_substitute
+        return rule(fee, *qualities, self.gamma, demand_mode)
+
 
 @dataclass(frozen=True)
 class OptimumBundle:
@@ -119,7 +139,15 @@ class OptimumBundle:
     fee_root: float
     demand_mode: str
     fallback: bool
-    oracle_delta: float | None = None
+    grid: oracles.GridMaxResult | None = None  # the certifying grid maximum, when verified
+
+    @property
+    def point(self) -> tuple[float, float, float]:
+        return (self.r1_star, self.r2_star, self.p_b_star)
+
+    @property
+    def oracle_delta(self) -> float | None:
+        return None if self.grid is None else self.profit - self.grid.value
 
 
 @dataclass(frozen=True)
@@ -129,12 +157,6 @@ class BundlingDecision:
     recommend_bundle: bool
     bundle_optimum: OptimumBundle
     separate_optima: tuple[OptimumSeparate, OptimumSeparate]
-
-
-def _buy_probability(bundle: BundleSpec, p_b, u1, u2, demand_mode):
-    if bundle.kind == COMPLEMENT:
-        return prob_buy_complement(p_b, u1, u2, bundle.gamma, demand_mode)
-    return prob_buy_substitute(p_b, u1, u2, bundle.gamma, demand_mode)
 
 
 def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM):
@@ -148,7 +170,7 @@ def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM)
         raise DomainError("bundle fee must be nonnegative")
     u1 = evaluate_quality(r1_arr, bundle.s1.quality)
     u2 = evaluate_quality(r2_arr, bundle.s2.quality)
-    prob = _buy_probability(bundle, p_arr, u1, u2, demand_mode)
+    prob = bundle.buy_probability(p_arr, (u1, u2), demand_mode)
     n = bundle.n
     out = (
         bundle.market.m * p_arr * prob
@@ -165,21 +187,25 @@ def _fee_root(bundle: BundleSpec, sigma: float) -> float:
     m, n = bundle.market.m, bundle.n
     c1, c2 = bundle.s1.c, bundle.s2.c
     k = (1.0 + bundle.gamma) ** 2
-    radical = math.sqrt(
-        (4.0 / 3.0) * k * m * m * a.alpha1 * b.alpha1 * a.alpha3**2 * b.alpha3**2 / sigma
-        + 9.0 * n * n * (a.alpha3 * c2 - b.alpha3 * c1) ** 2
-    )
+    try:
+        radical = math.sqrt(
+            (4.0 / 3.0) * k * m * m * a.alpha1 * b.alpha1 * a.alpha3**2 * b.alpha3**2 / sigma
+            + 9.0 * n * n * (a.alpha3 * c2 - b.alpha3 * c1) ** 2
+        )
+    except OverflowError:
+        raise DomainError(
+            "bundle fee root overflows; the scenario's magnitudes overflow together"
+        ) from None
     return radical - 3.0 * n * a.alpha3 * c2 - 3.0 * n * b.alpha3 * c1
 
 
-def _complement_candidate(bundle: BundleSpec):
-    """Closed-form stationary point for complements; returns (r1, r2, p, root)."""
+def _complement_candidate(bundle: BundleSpec, root: float):
+    """Closed-form stationary point (r1, r2, p) for complements from the fee root."""
     a = bundle.s1.quality
     b = bundle.s2.quality
     m, n = bundle.market.m, bundle.n
     c1, c2 = bundle.s1.c, bundle.s2.c
     k = (1.0 + bundle.gamma) ** 2
-    root = _fee_root(bundle, 0.5)
     p = 0.5 * root / (m * a.alpha3 * b.alpha3)
     arg1 = (
         13.5 * n * n * c1 * c2 / (m * m * a.alpha2 * a.alpha3 * b.alpha1 * b.alpha3 * k)
@@ -191,50 +217,7 @@ def _complement_candidate(bundle: BundleSpec):
     )
     r1 = math.log(arg1) / a.alpha3 if arg1 > 0 else -math.inf
     r2 = math.log(arg2) / b.alpha3 if arg2 > 0 else -math.inf
-    return r1, r2, p, root
-
-
-def _substitute_candidate(bundle: BundleSpec):
-    """Tabulated closed-form candidate for substitutes, kept for diagnostics.
-
-    The tabulated fee root carries an overall sign that makes the fee
-    negative on the whole valid domain, so the candidate never passes
-    validation; optimize_bundle certifies the optimum through the
-    coordinate-ascent path instead.
-    """
-    a = bundle.s1.quality
-    b = bundle.s2.quality
-    m, n = bundle.market.m, bundle.n
-    c1, c2 = bundle.s1.c, bundle.s2.c
-    g = bundle.gamma
-    g2 = g * g
-    k = g2 + 2.0 * g + 1.0
-    q = a.alpha1 * b.alpha1 * m * m * a.alpha3**2 * b.alpha3**2
-    bracket = (
-        8.0 * q * g2
-        + 16.0 * q * g
-        + 8.0 * q
-        + 27.0 * n * n * a.alpha3**2 * c2 * c2 * (g2 + 1.0)
-        - 54.0 * n * n * a.alpha3 * c1 * c2 * b.alpha3 * (g2 + 1.0)
-        + 27.0 * n * n * c1 * c1 * b.alpha3**2 * (g2 + 1.0)
-    )
-    root = math.sqrt(bracket) / (9.0 * (g2 + 1.0) ** 2)
-    p = -0.5 * root / (m * a.alpha3 * b.alpha3)
-    arg1 = (
-        13.5 * (c1 * c2 * n * n * g2 + c1 * c2 * n * n)
-        / (m * m * a.alpha2 * a.alpha3 * b.alpha1 * b.alpha3 * k)
-        - 2.25 * (n * c1 * g2 + n * c1) * root
-        / (m * m * a.alpha2 * a.alpha3**2 * b.alpha1 * b.alpha3 * k)
-    )
-    arg2 = (
-        13.5 * n * c2 * (n * c1 * g2 + n * c1)
-        / (m * m * a.alpha1 * a.alpha3 * b.alpha2 * b.alpha3 * k)
-        - 2.25 * n * c2 * (g2 + 1.0) * root
-        / (m * m * a.alpha1 * a.alpha3 * b.alpha2 * b.alpha3**2 * k)
-    )
-    r1 = math.log(arg1) / a.alpha3 if arg1 > 0 else -math.inf
-    r2 = math.log(arg2) / b.alpha3 if arg2 > 0 else -math.inf
-    return r1, r2, p, root
+    return r1, r2, p
 
 
 def _fee_upper_bound(bundle: BundleSpec, demand_mode: str) -> float:
@@ -278,13 +261,16 @@ def _bracket_max(fn, lo, hi, tol):
     Each round evaluates fn once on a _BRACKET_POINTS lattice (one array
     call) and keeps the two cells around the argmax, which must contain
     the maximizer of a unimodal function; rounds stop once the bracket is
-    narrower than tol and the bracket midpoint is returned.
+    narrower than tol, or once a round leaves it unchanged (float spacing
+    wider than tol), and the bracket midpoint is returned.
     """
     while hi - lo > tol:
         grid = np.linspace(lo, hi, _BRACKET_POINTS)
         best = int(np.argmax(fn(grid)))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, _BRACKET_POINTS - 1)]
+        bracket = grid[max(best - 1, 0)], grid[min(best + 1, _BRACKET_POINTS - 1)]
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     return float(0.5 * (lo + hi))
 
 
@@ -363,56 +349,44 @@ def optimize_bundle(
 ) -> OptimumBundle:
     """Maximize the bundle profit over (r1, r2, p_b).
 
-    The kind-matching closed-form candidate is evaluated first and
-    accepted when it is feasible (nonnegative fee, privacy levels inside
-    their boxes).  Infeasible or distrusted candidates trigger the
-    fallback: a dense-grid seed refined by coordinate ascent.  With
-    ``verify`` the result is certified against an independent grid
-    maximization and re-solved through the fallback if it loses to the
-    grid by more than rounding.
+    For complements in paper mode the closed-form stationary point is
+    evaluated first and accepted when it is feasible (nonnegative fee,
+    privacy levels inside their boxes).  Substitutes, the exact demand
+    mode and infeasible or distrusted candidates take the fallback: a
+    dense-grid seed refined by coordinate ascent.  With ``verify`` the
+    result keeps an independent grid maximization (evaluated once) as
+    its certificate, and a candidate that loses to that grid by more than
+    rounding is re-solved through the fallback.
     """
-    from . import oracles  # runtime import: oracles builds on this module
-
     cap1, cap2 = privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality)
+    root = _fee_root(bundle, bundle.demand_factor)
+    fallback = True
     if bundle.kind == COMPLEMENT:
-        c_r1, c_r2, c_p, root = _complement_candidate(bundle)
-    else:
-        c_r1, c_r2, c_p, root = _substitute_candidate(bundle)
-    candidate_ok = (
-        demand_mode == PAPER_FORM
-        and math.isfinite(c_r1)
-        and math.isfinite(c_r2)
-        and math.isfinite(c_p)
-        and 0.0 <= c_r1 <= cap1
-        and 0.0 <= c_r2 <= cap2
-        and c_p >= 0.0
-    )
-    fallback = not candidate_ok
-    oracle_delta = None
-    if candidate_ok:
-        r1, r2, p = c_r1, c_r2, c_p
-        clamped: tuple[str, ...] = ()
-        if verify:
-            grid_best = oracles.grid_maximize(
-                oracles.bundle_objective(bundle, demand_mode),
-                oracles.bundle_grid(bundle, points=verify_points, demand_mode=demand_mode),
-            )
-            profit = gross_profit_bundle(bundle, r1, r2, p, demand_mode)
-            oracle_delta = profit - grid_best.value
-            if oracle_delta < -1e-7 * (1.0 + abs(grid_best.value)):
-                fallback = True
-    if fallback:
-        seed = oracles.grid_maximize(
-            oracles.bundle_objective(bundle, demand_mode),
-            oracles.bundle_grid(bundle, points=seed_points, demand_mode=demand_mode),
+        r1, r2, p = _complement_candidate(bundle, root)
+        fallback = not (
+            demand_mode == PAPER_FORM
+            and 0.0 <= r1 <= cap1
+            and 0.0 <= r2 <= cap2
+            and math.isfinite(p)
+            and p >= 0.0
         )
-        r1, r2, p, clamped = _coordinate_ascent(bundle, demand_mode, seed.coords)
-        if verify:
-            grid_best = oracles.grid_maximize(
-                oracles.bundle_objective(bundle, demand_mode),
-                oracles.bundle_grid(bundle, points=verify_points, demand_mode=demand_mode),
-            )
-            oracle_delta = gross_profit_bundle(bundle, r1, r2, p, demand_mode) - grid_best.value
+    clamped: tuple[str, ...] = ()
+
+    def lattice_max(points):
+        return oracles.grid_maximize(
+            oracles.bundle_objective(bundle, demand_mode),
+            oracles.bundle_grid(bundle, points=points, demand_mode=demand_mode),
+        )
+
+    grid = None
+    if verify and not fallback:
+        grid = lattice_max(verify_points)
+        profit = gross_profit_bundle(bundle, r1, r2, p, demand_mode)
+        fallback = profit - grid.value < -1e-7 * (1.0 + abs(grid.value))
+    if fallback:
+        r1, r2, p, clamped = _coordinate_ascent(bundle, demand_mode, lattice_max(seed_points).coords)
+        if verify and grid is None:
+            grid = lattice_max(verify_points)
     profit = gross_profit_bundle(bundle, r1, r2, p, demand_mode)
     return OptimumBundle(
         r1_star=r1,
@@ -424,7 +398,7 @@ def optimize_bundle(
         fee_root=root,
         demand_mode=demand_mode,
         fallback=fallback,
-        oracle_delta=oracle_delta,
+        grid=grid,
     )
 
 

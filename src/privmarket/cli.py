@@ -18,28 +18,12 @@ import sys
 from dataclasses import replace
 
 from . import oracles
-from .bundle import (
-    COMPLEMENT,
-    SUBSTITUTE,
-    BundleSpec,
-    bundling_decision,
-    optimize_bundle,
-)
-from .demand import (
-    EXACT_GEOMETRY,
-    PAPER_FORM,
-    prob_buy_complement,
-    prob_buy_separate,
-    prob_buy_substitute,
-)
+from .bundle import SUBSTITUTE, BundleSpec, bundling_decision
+from .demand import EXACT_GEOMETRY, PAPER_FORM
 from .errors import DomainError, ScenarioError
 from .quality import evaluate_quality, fit_quality_curve, load_samples
 from .scenario import LoadedScenario, SweepSpec, load_scenario, sweep_values
-from .separate import (
-    gross_profit_separate,
-    optimal_fee_fixed_privacy,
-    optimize_separate,
-)
+from .separate import gross_profit_separate, optimal_fee_fixed_privacy
 from .sharing import CharacteristicFunction, core_check, core_interval_two, shapley_allocation
 
 EXIT_OK = 0
@@ -128,21 +112,9 @@ def _market(loaded: LoadedScenario, args, kind: str | None = None):
     return loaded.separate(name), name
 
 
-def _solve(target, demand_mode: str, verify: bool = False):
-    """Optimum of one market as (kind, (r1, r2-or-blank, p), optimum)."""
-    if isinstance(target, BundleSpec):
-        opt = optimize_bundle(target, demand_mode=demand_mode, verify=verify)
-        return target.kind, (opt.r1_star, opt.r2_star, opt.p_b_star), opt
-    opt = optimize_separate(target)
-    return "separate", (opt.r_star, "", opt.p_star), opt
-
-
-def _profit_grid(target, demand_mode: str):
-    """Profit surface of one market and the oracle lattice that certifies it."""
-    if isinstance(target, BundleSpec):
-        return (oracles.bundle_objective(target, demand_mode),
-                oracles.bundle_grid(target, demand_mode=demand_mode))
-    return oracles.separate_objective(target), oracles.separate_grid(target)
+def _cells(point):
+    """A market point (r, p) or (r1, r2, p_b) as the (r1, r2-or-blank, p) cells."""
+    return (point[0], point[1] if len(point) == 3 else "", point[-1])
 
 
 def _cmd_fit(args) -> int:
@@ -165,14 +137,12 @@ def _cmd_fit(args) -> int:
 def _cmd_optimize(args) -> int:
     loaded = _load(args)
     target, label = _market(loaded, args, args.kind)
-    kind, cells, opt = _solve(target, args.demand_mode, args.verify or args.kind == SUBSTITUTE)
-    # a single service has no fallback path (blank cell) and is certified here
+    # substitutes are always certified: their optimum comes from the search path
+    opt = target.optimize(args.demand_mode, verify=args.verify or args.kind == SUBSTITUTE)
+    # a single service has no fallback path (blank cell)
     fallback = getattr(opt, "fallback", "")
-    delta = getattr(opt, "oracle_delta", None)
-    if args.verify and kind == "separate":
-        delta = opt.profit - oracles.grid_maximize(*_profit_grid(target, args.demand_mode)).value
-    _emit("optimize", [[kind, label, *cells, opt.profit, opt.interior, fallback,
-                        ";".join(opt.clamped_variables), delta]], args.out)
+    _emit("optimize", [[target.kind, label, *_cells(opt.point), opt.profit, opt.interior,
+                        fallback, ";".join(opt.clamped_variables), opt.oracle_delta]], args.out)
     return EXIT_FALLBACK if args.strict and fallback else EXIT_OK
 
 
@@ -267,15 +237,13 @@ def _cmd_simulate(args) -> int:
     loaded = _load(args)
     target, label = _market(loaded, args)
     if args.at:
-        point = _parse_at(args.at, 3 if isinstance(target, BundleSpec) else 2)
-        cells = (point[0], point[1] if len(point) == 3 else "", point[-1])
+        point = _parse_at(args.at, len(target.point_names))
     else:
-        _, cells, _ = _solve(target, args.demand_mode)
-        point = [v for v in cells if v != ""]
-    analytic = _profit_grid(target, args.demand_mode)[0](*point)
+        point = target.optimize(args.demand_mode).point
+    analytic = target.profit_surface(args.demand_mode)[0](*point)
     result = oracles.simulate_market(target, point, loaded.sim)
     z = abs(result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0
-    row = [label, *cells, result.mean, result.std_error, result.draws, analytic, z]
+    row = [label, *_cells(point), result.mean, result.std_error, result.draws, analytic, z]
     _emit("simulate", [row], args.out)
     return EXIT_OK
 
@@ -283,37 +251,32 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     loaded = _load(args)
     target, label = _market(loaded, args)
-    kind, cells, opt = _solve(target, args.demand_mode, verify=True)
-    objective, grid = _profit_grid(target, args.demand_mode)
-    best = oracles.grid_maximize(objective, grid)
-    steps = [(hi - lo) / (count - 1) for lo, hi, count in grid.axes]
-    coords = [v for v in cells if v != ""]
-    within = all(abs(c - g) <= step + 1e-12 for c, g, step in zip(coords, best.coords, steps))
-    _emit("verify", [[kind, label, *cells, opt.profit, best.value, opt.profit - best.value, within]],
-          args.out)
+    opt = target.optimize(args.demand_mode, verify=True)
+    best = opt.grid  # the certificate; verify evaluates no grid of its own
+    axes = target.profit_surface(args.demand_mode)[1].axes
+    steps = [(hi - lo) / (count - 1) for lo, hi, count in axes]
+    within = all(abs(c - g) <= step + 1e-12 for c, g, step in zip(opt.point, best.coords, steps))
+    _emit("verify", [[target.kind, label, *_cells(opt.point), opt.profit, best.value,
+                      opt.oracle_delta, within]], args.out)
     return EXIT_FALLBACK if args.strict and getattr(opt, "fallback", False) else EXIT_OK
 
 
 def _cmd_demand(args) -> int:
     loaded = _load(args)
     target, _ = _market(loaded, args)
-    kind, (r1, r2, p), _ = _solve(target, PAPER_FORM)
+    *levels, p = target.optimize(PAPER_FORM).point
     fee = args.fee if args.fee is not None else p
-    if kind == "separate":
-        u1, u2, gamma = evaluate_quality(r1, target.service.quality), "", ""
-        paper = exact = prob_buy_separate(fee, u1)
-    else:
-        u1 = evaluate_quality(r1, target.s1.quality)
-        u2 = evaluate_quality(r2, target.s2.quality)
-        gamma = target.gamma
-        rule = prob_buy_complement if kind == COMPLEMENT else prob_buy_substitute
-        paper, exact = (rule(fee, u1, u2, gamma, mode) for mode in (PAPER_FORM, EXACT_GEOMETRY))
+    qualities = [evaluate_quality(r, svc.quality) for r, svc in zip(levels, target.services)]
+    paper, exact = (target.buy_probability(fee, qualities, mode)
+                    for mode in (PAPER_FORM, EXACT_GEOMETRY))
     mc_mean = mc_se = None
     if args.verify:
-        shape = (u1,) if kind == "separate" else (u1, u2, gamma)
-        est = oracles.estimate_buy_probability(oracles.DemandRegion(kind, fee, *shape), loaded.sim)
+        region = oracles.DemandRegion(target.kind, fee, *qualities, gamma=target.gamma)
+        est = oracles.estimate_buy_probability(region, loaded.sim)
         mc_mean, mc_se = est.mean, est.std_error
-    _emit("demand", [[kind, fee, u1, u2, gamma, paper, exact, mc_mean, mc_se]], args.out)
+    u1, u2, _ = _cells((*qualities, fee))
+    _emit("demand", [[target.kind, fee, u1, u2, target.gamma, paper, exact, mc_mean, mc_se]],
+          args.out)
     return EXIT_OK
 
 
@@ -358,18 +321,15 @@ def _sweep_row(loaded: LoadedScenario, args, param: str, value: float):
         cost = scenario.service.n * scenario.service.c * (1.0 - value)
         return [param, value, value, "", fee, profit, cost, profit + cost, ""]
     sub = _apply_param(loaded, param, value)
+    # the bundle whenever the scenario has one, whatever --service names
     if sub.bundle is not None:
-        opt = optimize_bundle(sub.bundle, demand_mode=args.demand_mode)
-        n = sub.bundle.n
-        cost = (n * sub.bundle.s1.c * (1.0 - opt.r1_star)
-                + n * sub.bundle.s2.c * (1.0 - opt.r2_star))
-        return [param, value, opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit, cost,
-                opt.profit + cost, ""]
-    name = parts[1] if parts[0] == "service" else _pick_service(sub, args)
-    scenario = sub.separate(name)
-    opt = optimize_separate(scenario)
-    cost = scenario.service.n * scenario.service.c * (1.0 - opt.r_star)
-    return [param, value, opt.r_star, "", opt.p_star, opt.profit, cost, opt.profit + cost, ""]
+        target = sub.bundle
+    else:
+        target = sub.separate(parts[1] if parts[0] == "service" else _pick_service(sub, args))
+    opt = target.optimize(args.demand_mode)
+    # the privacy levels lead the point; zip leaves out the fee
+    cost = sum(svc.n * svc.c * (1.0 - r) for svc, r in zip(target.services, opt.point))
+    return [param, value, *_cells(opt.point), opt.profit, cost, opt.profit + cost, ""]
 
 
 def _cmd_sweep(args) -> int:

@@ -259,9 +259,9 @@ def _bought(region: DemandRegion, rng: np.random.Generator, count: int) -> np.nd
 def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     """Monte-Carlo estimate of the expected gross profit at one decision point.
 
-    The target (a single-service scenario or a bundle) is resolved once
-    into its kind, services, contingency and the DemandRegion at the
-    point.  One chunk function then replays each draw: a customer
+    The target is a market (a single-service scenario or a bundle); its
+    kind, services, contingency and point names give the DemandRegion at
+    the point.  One chunk function then replays each draw: a customer
     reservation sample through the shared buy rule, then one participant
     true/noisy flip per service, contributing m*fee*bought - n*wage*true
     per service; the mean over draws is an unbiased estimate of the
@@ -277,19 +277,15 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     from .quality import evaluate_quality
     from .separate import SeparateScenario
 
-    if isinstance(target, SeparateScenario):
-        kind, services, gamma, names = "separate", (target.service,), None, ("r", "p")
-    elif isinstance(target, BundleSpec):
-        kind, services, gamma = target.kind, (target.s1, target.s2), target.gamma
-        names = ("r1", "r2", "p_b")
-    else:
+    if not isinstance(target, (SeparateScenario, BundleSpec)):
         raise DomainError(f"cannot simulate target of type {type(target).__name__}")
+    names, services = target.point_names, target.services
     *levels, fee = (float(v) for v in point[: len(names)])
     qualities = [evaluate_quality(r, service.quality) for r, service in zip(levels, services)]
     if not all(0.0 <= r <= 1.0 for r in levels) or fee < 0 or min(qualities) <= 0:
         shown = ", ".join(f"{name}={v}" for name, v in zip(names, (*levels, fee)))
         raise DomainError(f"invalid decision point ({shown})")
-    region = DemandRegion(kind, fee, *qualities, gamma=gamma)
+    region = DemandRegion(target.kind, fee, *qualities, gamma=target.gamma)
     m, n = target.market.m, services[0].n
 
     def chunk_sums(chunk):

@@ -17,11 +17,12 @@ re-optimizes the remaining variable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .demand import MarketSpec, prob_buy_separate
+from . import oracles
+from .demand import PAPER_FORM, MarketSpec, prob_buy_separate
 from .errors import DomainError
 from .hessians import ConcavityReport, alternating_minor_verdict
 from .quality import MAX_MAGNITUDE, QualityParams, evaluate_quality, max_privacy
@@ -60,8 +61,35 @@ class ServiceSpec:
 
 @dataclass(frozen=True)
 class SeparateScenario:
+    """One service sold alone; it has the market members of `BundleSpec`."""
+
     service: ServiceSpec
     market: MarketSpec
+
+    kind = "separate"
+    gamma = None
+    point_names = ("r", "p")
+
+    @property
+    def services(self) -> tuple[ServiceSpec]:
+        return (self.service,)
+
+    def optimize(self, demand_mode: str = PAPER_FORM, verify: bool = False) -> "OptimumSeparate":
+        """optimize_separate, keeping the grid oracle's maximum with ``verify``.
+
+        One service has one demand form, so demand_mode changes nothing.
+        """
+        opt = optimize_separate(self)
+        if verify:
+            opt = replace(opt, grid=oracles.grid_maximize(*self.profit_surface(demand_mode)))
+        return opt
+
+    def profit_surface(self, demand_mode: str = PAPER_FORM):
+        """The profit as a function of (r, p) and the oracle lattice that certifies it."""
+        return oracles.separate_objective(self), oracles.separate_grid(self)
+
+    def buy_probability(self, fee, qualities, demand_mode: str = PAPER_FORM):
+        return prob_buy_separate(fee, *qualities)
 
 
 @dataclass(frozen=True)
@@ -73,6 +101,15 @@ class OptimumSeparate:
     clamped_variables: tuple[str, ...]
     concave_at_optimum: bool
     negative_profit: bool
+    grid: oracles.GridMaxResult | None = None  # the certifying grid maximum, when verified
+
+    @property
+    def point(self) -> tuple[float, float]:
+        return (self.r_star, self.p_star)
+
+    @property
+    def oracle_delta(self) -> float | None:
+        return None if self.grid is None else self.profit - self.grid.value
 
 
 def privacy_cap(params: QualityParams) -> float:

@@ -21,6 +21,8 @@ from privmarket import (
     optimize_bundle,
 )
 
+from privmarket.bundle import _bracket_max
+
 from conftest import assert_grid_agreement, fd_gradient, fd_hessian, hessians_close, random_bundle
 
 
@@ -162,8 +164,11 @@ class TestOptimizeComplement:
 class TestOptimizeSubstitute:
     def test_reference_optimum_via_fallback(self, sb2_bundle):
         opt = optimize_bundle(sb2_bundle)
-        assert opt.fallback  # the tabulated closed-form fee is negative
-        assert opt.fee_root == pytest.approx(1217.610323, abs=1e-4)
+        assert opt.fallback  # substitutes are solved by grid-seeded ascent
+        # the stationarity quadratic's root with sigma = 0.5 + gamma^2 gives the ascent's fee
+        a3, b3 = sb2_bundle.s1.quality.alpha3, sb2_bundle.s2.quality.alpha3
+        fee = 0.5 * opt.fee_root / (sb2_bundle.market.m * a3 * b3)
+        assert fee == pytest.approx(opt.p_b_star, rel=1e-12)
         assert opt.r1_star == pytest.approx(0.704040742, abs=1e-7)
         assert opt.r2_star == pytest.approx(0.665019913, abs=1e-7)
         assert opt.p_b_star == pytest.approx(0.583576087, abs=1e-7)
@@ -351,3 +356,17 @@ class TestDecision:
 
         monkeypatch.setattr(bundle_mod, "optimize_bundle", tied_optimize)
         assert not bundle_mod.bundling_decision(sb1_bundle).recommend_bundle
+
+
+def test_bracket_max_ends_where_float_spacing_exceeds_the_tolerance():
+    # on [0, 3e8] neighbouring floats are ~6e-8 apart, wider than tol = 1e-9
+    calls = []
+
+    def fn(t):
+        calls.append(1)
+        if len(calls) > 200:
+            raise RuntimeError("bracket search does not terminate")
+        return -((t - 1.234e8) ** 2)
+
+    best = _bracket_max(fn, 0.0, 3e8, 1e-9)
+    assert best == pytest.approx(1.234e8, rel=1e-15)

@@ -371,6 +371,8 @@ JOINT_OVERFLOW = {
                     {"optimize complement", "decide", "verify", "simulate", "share", "demand"}),
     "alpha1-gamma": ([("alpha1 = 0.822", "alpha1 = 1e100"), ("gamma = 0.1", "gamma = 1e100")],
                      {"optimize complement", "decide", "verify", "simulate", "share", "demand"}),
+    "alpha3-wage": ([("alpha3 = 2.813", "alpha3 = 1e100"), ("c = 0.1", "c = 1e100")],
+                    {"optimize complement", "decide", "verify", "simulate", "share", "demand"}),
     "alpha2-alpha3": ([("alpha2 = 0.004", "alpha2 = 1e-300"), ("alpha3 = 2.813", "alpha3 = 1e3")],
                       {"optimize separate", "decide", "share"}),
 }
@@ -438,3 +440,45 @@ def test_exact_mode_commands_on_shipped_scenarios(command, scenario, tmp_path, c
         except ValueError:  # names, flags and empty cells
             pass
     assert numbers and all(math.isfinite(v) for v in numbers)
+
+
+@pytest.mark.parametrize("command", [["optimize", "substitute"], ["decide"], ["verify"]],
+                         ids=lambda c: c[0])
+def test_substitute_with_vanishing_alpha3_solves(command, tmp_path, capsys):
+    # in range, but a3^2*b3^2 underflows to 0: no closed-form candidate may divide by it
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(SB2.replace("alpha3 = 1.861", "alpha3 = 1e-300"))
+    out = tmp_path / "run"
+    assert main(command + [str(tiny), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = _read(out / f"{command[0]}.csv")
+    if command == ["verify"]:
+        assert rows[0]["within_one_cell"] == "true"
+    if command[0] == "optimize":
+        assert rows[0]["fallback"] == "true"
+        assert main(command + [str(tiny), "--out", str(out), "--strict"]) == 3
+
+
+def test_exact_solve_ends_at_a_huge_contingency(tmp_path):
+    # gamma = 1e8 puts the fee bracket where float spacing is wider than the tolerance
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(SB1.replace("gamma = 0.1", "gamma = 1e8"))
+    out = tmp_path / "run"
+    assert main(["decide", str(wide), "--demand-mode", "exact", "--out", str(out)]) == 0
+    row = _read(out / "decide.csv")[0]
+    assert math.isfinite(float(row["bundle_profit"]))
+
+
+def test_bundle_verify_maximizes_the_grid_once(sb1_file, tmp_path, monkeypatch):
+    from privmarket import oracles
+
+    calls = []
+    real = oracles.grid_maximize
+
+    def spy(objective, grid):
+        calls.append(tuple(count for _, _, count in grid.axes))
+        return real(objective, grid)
+
+    monkeypatch.setattr(oracles, "grid_maximize", spy)
+    assert main(["verify", str(sb1_file), "--out", str(tmp_path / "run")]) == 0
+    assert calls == [(120, 120, 120)]
