@@ -29,15 +29,20 @@ import numpy as np
 
 from . import oracles
 from .demand import (
-    EXACT_GEOMETRY,
     PAPER_FORM,
     MarketSpec,
+    _buy_complement,
+    _buy_substitute,
+    _check_fee,
+    _check_mode,
+    _check_positive_quality,
+    _output,
     prob_buy_complement,
     prob_buy_substitute,
 )
-from .errors import DomainError
-from .hessians import ConcavityReport, alternating_minor_verdict
-from .quality import evaluate_quality
+from .errors import DomainError, _as_input, _extremes
+from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
+from .quality import _quality, evaluate_quality
 from .separate import (
     MAX_MAGNITUDE,
     OptimumSeparate,
@@ -159,25 +164,37 @@ class BundlingDecision:
     separate_optima: tuple[OptimumSeparate, OptimumSeparate]
 
 
-def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM):
-    """Bundle revenue minus both services' data costs; arrays OK in both demand modes."""
-    r1_arr = np.asarray(r1, dtype=float)
-    r2_arr = np.asarray(r2, dtype=float)
-    p_arr = np.asarray(p_b, dtype=float)
-    if np.any(r1_arr < 0) or np.any(r1_arr > 1) or np.any(r2_arr < 0) or np.any(r2_arr > 1):
-        raise DomainError("privacy levels must lie in [0, 1]")
-    if np.any(p_arr < 0):
-        raise DomainError("bundle fee must be nonnegative")
-    u1 = evaluate_quality(r1_arr, bundle.s1.quality)
-    u2 = evaluate_quality(r2_arr, bundle.s2.quality)
-    prob = bundle.buy_probability(p_arr, (u1, u2), demand_mode)
+def _profit(bundle: BundleSpec, r1, r2, p_b, demand_mode):
+    """gross_profit_bundle without checks, for (r1, r2, p_b) in the feasible box."""
+    u1 = _quality(r1, bundle.s1.quality)
+    u2 = _quality(r2, bundle.s2.quality)
+    buy = _buy_complement if bundle.kind == COMPLEMENT else _buy_substitute
     n = bundle.n
-    out = (
-        bundle.market.m * p_arr * prob
-        - n * bundle.s1.c * (1.0 - r1_arr)
-        - n * bundle.s2.c * (1.0 - r2_arr)
+    return (
+        bundle.market.m * p_b * buy(p_b, u1, u2, bundle.gamma, demand_mode)
+        - n * bundle.s1.c * (1.0 - r1)
+        - n * bundle.s2.c * (1.0 - r2)
     )
-    return float(out) if np.ndim(out) == 0 else out
+
+
+def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM):
+    """Bundle revenue minus both services' data costs; arrays OK in both demand modes.
+
+    Validates its inputs once, then evaluates the unchecked `_profit`.
+    """
+    r1, r2, p_b = (_as_input(v) for v in (r1, r2, p_b))
+    for r in (r1, r2):
+        lo, hi = _extremes(r, skip_nan=True)
+        if lo < 0 or hi > 1:
+            raise DomainError("privacy levels must lie in [0, 1]")
+    if _extremes(p_b, skip_nan=True)[0] < 0:
+        raise DomainError("bundle fee must be nonnegative")
+    u1 = evaluate_quality(r1, bundle.s1.quality)
+    u2 = evaluate_quality(r2, bundle.s2.quality)
+    _check_mode(demand_mode)
+    _check_fee(p_b)
+    _check_positive_quality(u1, u2)
+    return _output(_profit(bundle, r1, r2, p_b, demand_mode))
 
 
 def _fee_root(bundle: BundleSpec, sigma: float) -> float:
@@ -200,21 +217,27 @@ def _fee_root(bundle: BundleSpec, sigma: float) -> float:
 
 
 def _complement_candidate(bundle: BundleSpec, root: float):
-    """Closed-form stationary point (r1, r2, p) for complements from the fee root."""
+    """Closed-form stationary point (r1, r2, p) for complements from the fee root.
+
+    A denominator out of float range (0 or inf) gives nan: infeasible, so the solve falls back.
+    """
     a = bundle.s1.quality
     b = bundle.s2.quality
     m, n = bundle.market.m, bundle.n
     c1, c2 = bundle.s1.c, bundle.s2.c
     k = (1.0 + bundle.gamma) ** 2
-    p = 0.5 * root / (m * a.alpha3 * b.alpha3)
-    arg1 = (
-        13.5 * n * n * c1 * c2 / (m * m * a.alpha2 * a.alpha3 * b.alpha1 * b.alpha3 * k)
-        + 2.25 * n * c1 * root / (m * m * a.alpha2 * a.alpha3**2 * b.alpha1 * b.alpha3 * k)
+    dens = (
+        m * a.alpha3 * b.alpha3,
+        m * m * a.alpha2 * a.alpha3 * b.alpha1 * b.alpha3 * k,
+        m * m * a.alpha2 * a.alpha3**2 * b.alpha1 * b.alpha3 * k,
+        m * m * a.alpha1 * a.alpha3 * b.alpha2 * b.alpha3 * k,
+        m * m * a.alpha1 * a.alpha3 * b.alpha2 * b.alpha3**2 * k,
     )
-    arg2 = (
-        13.5 * n * n * c1 * c2 / (m * m * a.alpha1 * a.alpha3 * b.alpha2 * b.alpha3 * k)
-        + 2.25 * n * c2 * root / (m * m * a.alpha1 * a.alpha3 * b.alpha2 * b.alpha3**2 * k)
-    )
+    if not all(0.0 < d < math.inf for d in dens):
+        return math.nan, math.nan, math.nan
+    p = 0.5 * root / dens[0]
+    arg1 = 13.5 * n * n * c1 * c2 / dens[1] + 2.25 * n * c1 * root / dens[2]
+    arg2 = 13.5 * n * n * c1 * c2 / dens[3] + 2.25 * n * c2 * root / dens[4]
     r1 = math.log(arg1) / a.alpha3 if arg1 > 0 else -math.inf
     r2 = math.log(arg2) / b.alpha3 if arg2 > 0 else -math.inf
     return r1, r2, p
@@ -281,7 +304,9 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     a batched bracket search (_bracket_max) runs on the exact-geometry
     profit, evaluating each slice on a lattice in one array call per
     round.  Concavity of every slice makes the sweep converge to the joint
-    optimum.
+    optimum.  Every point lies in the box [0, cap1] x [0, cap2] x [0, p_hi]
+    that the seed grid has already validated, so the slices and qualities
+    are evaluated by the unchecked kernels (_profit, _quality).
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     m, n = bundle.market.m, bundle.n
@@ -300,8 +325,8 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     edge = 1e-9 if paper else 1e-5
     for _ in range(_ASCENT_SWEEPS):
         prev = (r1, r2, p)
-        u1 = evaluate_quality(r1, a)
-        u2 = evaluate_quality(r2, b)
+        u1 = float(_quality(r1, a))
+        u2 = float(_quality(r2, b))
         if paper:
             p = math.sqrt(k * u1 * u2 / (3.0 * sigma))
             try:
@@ -313,18 +338,18 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
                 ) from None
             kappa1 = sigma * m * cube * a.alpha3 / (k * u2)
             r1, clamp1 = _privacy_update(a, n * bundle.s1.c, kappa1, cap1)
-            u1 = evaluate_quality(r1, a)
+            u1 = float(_quality(r1, a))
             kappa2 = sigma * m * cube * b.alpha3 / (k * u1)
             r2, clamp2 = _privacy_update(b, n * bundle.s2.c, kappa2, cap2)
         else:
             p = _bracket_max(
-                lambda t: gross_profit_bundle(bundle, r1, r2, t, demand_mode), 0.0, p_hi, bracket_tol
+                lambda t: _profit(bundle, r1, r2, t, demand_mode), 0.0, p_hi, bracket_tol
             )
             r1 = _bracket_max(
-                lambda t: gross_profit_bundle(bundle, t, r2, p, demand_mode), 0.0, cap1, bracket_tol
+                lambda t: _profit(bundle, t, r2, p, demand_mode), 0.0, cap1, bracket_tol
             )
             r2 = _bracket_max(
-                lambda t: gross_profit_bundle(bundle, r1, t, p, demand_mode), 0.0, cap2, bracket_tol
+                lambda t: _profit(bundle, r1, t, p, demand_mode), 0.0, cap2, bracket_tol
             )
             clamp1 = r1 <= edge or r1 >= cap1 - edge
             clamp2 = r2 <= edge or r2 >= cap2 - edge
@@ -381,13 +406,13 @@ def optimize_bundle(
     grid = None
     if verify and not fallback:
         grid = lattice_max(verify_points)
-        profit = gross_profit_bundle(bundle, r1, r2, p, demand_mode)
+        profit = float(_profit(bundle, r1, r2, p, demand_mode))
         fallback = profit - grid.value < -1e-7 * (1.0 + abs(grid.value))
     if fallback:
         r1, r2, p, clamped = _coordinate_ascent(bundle, demand_mode, lattice_max(seed_points).coords)
         if verify and grid is None:
             grid = lattice_max(verify_points)
-    profit = gross_profit_bundle(bundle, r1, r2, p, demand_mode)
+    profit = float(_profit(bundle, r1, r2, p, demand_mode))
     return OptimumBundle(
         r1_star=r1,
         r2_star=r2,
@@ -433,24 +458,27 @@ def concavity_report_bundle(bundle: BundleSpec, r1: float, r2: float, p_b: float
     k = (1.0 + bundle.gamma) ** 2
     x = a.alpha2 * math.exp(a.alpha3 * r1)
     y = b.alpha2 * math.exp(b.alpha3 * r2)
-    h00 = -0.5 * m * a.alpha3**2 * x * (a.alpha1 + x) * p_b**3 / (k * u1**3 * u2)
-    h01 = -0.5 * m * a.alpha3 * b.alpha3 * x * y * p_b**3 / (k * u1**2 * u2**2)
-    h02 = -1.5 * m * a.alpha3 * x * p_b**2 / (k * u1**2 * u2)
-    h11 = -0.5 * m * b.alpha3**2 * y * (b.alpha1 + y) * p_b**3 / (k * u1 * u2**3)
-    h12 = -1.5 * m * b.alpha3 * y * p_b**2 / (k * u1 * u2**2)
-    h22 = -3.0 * m * p_b / (k * u1 * u2)
+    try:
+        h00 = -0.5 * m * a.alpha3**2 * x * (a.alpha1 + x) * p_b**3 / (k * u1**3 * u2)
+        h01 = -0.5 * m * a.alpha3 * b.alpha3 * x * y * p_b**3 / (k * u1**2 * u2**2)
+        h02 = -1.5 * m * a.alpha3 * x * p_b**2 / (k * u1**2 * u2)
+        h11 = -0.5 * m * b.alpha3**2 * y * (b.alpha1 + y) * p_b**3 / (k * u1 * u2**3)
+        h12 = -1.5 * m * b.alpha3 * y * p_b**2 / (k * u1 * u2**2)
+        h22 = -3.0 * m * p_b / (k * u1 * u2)
+        d2 = (
+            0.25 * m**2 * a.alpha3**2 * b.alpha3**2 * x * y * p_b**6
+            * (a.alpha1 * b.alpha1 + x * b.alpha1 + a.alpha1 * y)
+            / (k**2 * u1**4 * u2**4)
+        )
+        a2_cubic = (
+            m**3 * p_b**7 * a.alpha3**2 * b.alpha3**2 * x * y
+            * (a.alpha1 * y + x * b.alpha1 - 2.0 * a.alpha1 * b.alpha1)
+        )
+        d3 = 0.375 * a2_cubic / (k**3 * u1**5 * u2**5)
+    except (OverflowError, ZeroDivisionError) as exc:  # powers of u, p_b and k at 1e100
+        raise _out_of_range(f"at r1={r1}, r2={r2}, fee {p_b}", exc) from None
     hessian = np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])
     d1 = h00
-    d2 = (
-        0.25 * m**2 * a.alpha3**2 * b.alpha3**2 * x * y * p_b**6
-        * (a.alpha1 * b.alpha1 + x * b.alpha1 + a.alpha1 * y)
-        / (k**2 * u1**4 * u2**4)
-    )
-    a2_cubic = (
-        m**3 * p_b**7 * a.alpha3**2 * b.alpha3**2 * x * y
-        * (a.alpha1 * y + x * b.alpha1 - 2.0 * a.alpha1 * b.alpha1)
-    )
-    d3 = 0.375 * a2_cubic / (k**3 * u1**5 * u2**5)
     minors = (d1, d2, d3)
     return ConcavityReport(
         hessian=hessian,

@@ -16,6 +16,11 @@ arrays and broadcast.  The two agree on interior geometry and diverge
 once the fee pushes the boundary outside the square (and, for
 substitutes, by a (0.5+gamma^2) vs (0.5-gamma^2) factor; both are kept on
 purpose, see prob_buy_substitute).
+
+Each public function validates its inputs once (floats by comparison,
+arrays by one min/max reduction) and then calls its unchecked kernel
+(_buy_separate, _buy_complement, _buy_substitute); the profit kernels
+call those directly on points the solvers built inside the feasible box.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_input, _extremes
 
 __all__ = [
     "PAPER_FORM",
@@ -87,27 +92,44 @@ def _check_mode(mode):
 
 def _check_positive_quality(*qualities):
     for u in qualities:
-        if np.any(np.asarray(u) <= 0) or not np.all(np.isfinite(np.asarray(u))):
+        lo, hi = _extremes(u)
+        if not (0.0 < lo and hi < math.inf):
             raise DomainError(f"service quality must be positive and finite, got {u}")
 
 
 def _check_fee(fee):
-    if np.any(np.asarray(fee) < 0) or not np.all(np.isfinite(np.asarray(fee))):
+    lo, hi = _extremes(fee)
+    if not (0.0 <= lo and hi < math.inf):
         raise DomainError(f"fee must be nonnegative and finite, got {fee}")
+
+
+def _output(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _unit(x):
+    """x clamped to [0, 1] (np.clip's value, at a third of its cost on floats)."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
+
+
+def _buy_separate(fee, u):
+    """prob_buy_separate without checks."""
+    return _unit(1.0 - fee / u)
 
 
 def prob_buy_separate(fee, quality):
     """P(theta >= fee/quality) under Uniform[0,1], clamped to [0, 1]."""
     _check_fee(fee)
     _check_positive_quality(quality)
-    out = np.clip(1.0 - np.asarray(fee, dtype=float) / quality, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _output(_buy_separate(_as_input(fee), _as_input(quality)))
 
 
 def _linear_form(fee, u1, u2, gamma, factor):
-    """1 - factor*fee^2/((1+gamma)^2*u1*u2), clamped to [0, 1]."""
-    fee_arr = np.asarray(fee, dtype=float)
-    return np.clip(1.0 - factor * fee_arr**2 / ((1.0 + gamma) ** 2 * u1 * u2), 0.0, 1.0)
+    """1 - factor*fee^2/((1+gamma)^2*u1*u2), clamped to [0, 1].
+
+    fee*fee, not fee**2: on a float, ** is pow(), which can differ in the last bit.
+    """
+    return _unit(1.0 - factor * (fee * fee) / ((1.0 + gamma) ** 2 * u1 * u2))
 
 
 def _nonbuy_area(q, u1, u2, width, height):
@@ -139,9 +161,16 @@ def _line_only_buy_probability(fee, u1, u2, gamma):
     Valid for any gamma > -1; used by the complement mode and as the
     comparison baseline for the substitute-superset property.
     """
-    q = np.asarray(fee, dtype=float) / (1.0 + np.asarray(gamma, dtype=float))
-    out = np.clip(1.0 - _nonbuy_area(q, u1, u2, 1.0, 1.0), 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _unit(1.0 - _nonbuy_area(fee / (1.0 + gamma), u1, u2, 1.0, 1.0))
+
+
+def _buy_complement(fee, u1, u2, gamma, mode):
+    """prob_buy_complement without checks."""
+    out = _linear_form(fee, u1, u2, gamma, 0.5)
+    if mode == EXACT_GEOMETRY:
+        triangle = fee <= (1.0 + gamma) * np.minimum(u1, u2)
+        out = np.where(triangle, out, _line_only_buy_probability(fee, u1, u2, gamma))
+    return out
 
 
 def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):
@@ -156,13 +185,19 @@ def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):
     _check_mode(mode)
     _check_fee(fee)
     _check_positive_quality(u1, u2)
-    if np.any(np.asarray(gamma) < 0) or not np.all(np.isfinite(np.asarray(gamma))):
+    lo, hi = _extremes(gamma)
+    if not (0.0 <= lo and hi < math.inf):
         raise DomainError(f"complement contingency must be >= 0, got {gamma}")
-    out = _linear_form(fee, u1, u2, gamma, 0.5)
-    if mode == EXACT_GEOMETRY:
-        triangle = np.asarray(fee) <= (1.0 + np.asarray(gamma)) * np.minimum(u1, u2)
-        out = np.where(triangle, out, _line_only_buy_probability(fee, u1, u2, gamma))
-    return float(out) if out.ndim == 0 else out
+    return _output(_buy_complement(*map(_as_input, (fee, u1, u2, gamma)), mode))
+
+
+def _buy_substitute(fee, u1, u2, gamma, mode):
+    """prob_buy_substitute without checks."""
+    if mode == PAPER_FORM:
+        return _linear_form(fee, u1, u2, gamma, 0.5 + gamma * gamma)
+    width = np.minimum(1.0, fee / u1)
+    height = np.minimum(1.0, fee / u2)
+    return _unit(1.0 - _nonbuy_area(fee / (1.0 + gamma), u1, u2, width, height))
 
 
 def prob_buy_substitute(fee, u1, u2, gamma, mode=PAPER_FORM):
@@ -179,18 +214,11 @@ def prob_buy_substitute(fee, u1, u2, gamma, mode=PAPER_FORM):
     _check_mode(mode)
     _check_fee(fee)
     _check_positive_quality(u1, u2)
-    g_arr = np.asarray(gamma, dtype=float)
-    if np.any(g_arr <= -0.5) or np.any(g_arr >= 0) or not np.all(np.isfinite(g_arr)):
+    lo, hi = _extremes(gamma)
+    if not (-0.5 < lo and hi < 0.0):
         raise DomainError(
             f"substitute contingency must lie in (-0.5, 0), got {gamma} "
             "(corner geometry breaks outside that window)"
         )
-    if mode == PAPER_FORM:
-        out = _linear_form(fee, u1, u2, gamma, 0.5 + g_arr**2)
-    else:
-        fee_arr = np.asarray(fee, dtype=float)
-        width = np.minimum(1.0, fee_arr / u1)
-        height = np.minimum(1.0, fee_arr / u2)
-        nonbuy = _nonbuy_area(fee_arr / (1.0 + g_arr), u1, u2, width, height)
-        out = np.clip(1.0 - nonbuy, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _output(_buy_substitute(*map(_as_input, (fee, u1, u2, gamma)), mode))
+

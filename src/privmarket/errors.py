@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and input-range helpers shared across the package."""
+import math
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -21,3 +24,25 @@ class ScenarioError(ValueError):
             parts.append(f"line {line}")
         ctx = ", ".join(parts)
         super().__init__(f"{message} ({ctx})" if ctx else message)
+
+
+def _as_input(x):
+    """x as a float when it is a number or a 0-d array, else as a float array."""
+    if isinstance(x, (int, float)):
+        return float(x)
+    arr = np.asarray(x, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _extremes(x, skip_nan=False):
+    """(min, max) of a number or an array, as floats.
+
+    A nan element makes both nan unless skip_nan ignores it; an empty array
+    gives (inf, -inf), so a test ``lower <= lo and hi < upper`` passes it.
+    """
+    if isinstance(x, (int, float)):
+        return float(x), float(x)
+    arr = np.asarray(x, dtype=float)
+    low, high = (np.fmin, np.fmax) if skip_nan else (np.minimum, np.maximum)
+    return (float(low.reduce(arr, axis=None, initial=math.inf)),
+            float(high.reduce(arr, axis=None, initial=-math.inf)))

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["ConcavityReport", "alternating_minor_verdict"]
 
 _SIGN_SLACK = 1e-9
@@ -17,6 +19,12 @@ def alternating_minor_verdict(minors, slack=_SIGN_SLACK) -> bool:
     negative semidefinite Hessian on the region where it holds.
     """
     return all(((-1.0) ** k) * d >= -slack for k, d in enumerate(minors, start=1))
+
+
+def _out_of_range(where: str, exc: ArithmeticError) -> DomainError:
+    """The validation error for a report whose terms leave float range."""
+    flow = "underflow" if isinstance(exc, ZeroDivisionError) else "overflow"
+    return DomainError(f"concavity report {flow}s {where}; the scenario's magnitudes {flow} together")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _as_input, _extremes
 
 __all__ = [
     "QualityParams",
@@ -108,12 +108,19 @@ class FitResult:
 
 
 def _check_privacy_arg(r):
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    lo, hi = _extremes(r)
+    if not (-math.inf < lo and hi < math.inf):
         raise DomainError("privacy level must be finite")
-    if np.any(arr < 0):
+    if lo < 0:
         raise DomainError("privacy level must be nonnegative")
-    return arr
+
+
+def _quality(r, params: QualityParams):
+    """u(r) without checks, for a float or an array r.
+
+    np.exp on floats too: math.exp differs in the last bit, which can flip a Monte-Carlo buy.
+    """
+    return params.alpha1 - params.alpha2 * np.exp(params.alpha3 * r)
 
 
 def evaluate_quality(r, params: QualityParams):
@@ -122,15 +129,16 @@ def evaluate_quality(r, params: QualityParams):
     The raw value is returned even when negative (beyond the validity
     domain); callers that need u > 0 enforce it themselves.
     """
-    arr = _check_privacy_arg(r)
-    out = params.alpha1 - params.alpha2 * np.exp(params.alpha3 * arr)
-    return float(out) if np.isscalar(r) or arr.ndim == 0 else out
+    r = _as_input(r)
+    _check_privacy_arg(r)
+    out = _quality(r, params)
+    return float(out) if isinstance(r, float) else out
 
 
 def quality_derivatives(r: float, params: QualityParams) -> QualityDerivatives:
     """First/second derivative in r plus the gradient in the parameters."""
-    arr = _check_privacy_arg(r)
-    rr = float(arr)
+    _check_privacy_arg(r)
+    rr = float(_as_input(r))
     e = math.exp(params.alpha3 * rr)
     return QualityDerivatives(
         du_dr=-params.alpha2 * params.alpha3 * e,

@@ -22,10 +22,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracles
-from .demand import PAPER_FORM, MarketSpec, prob_buy_separate
-from .errors import DomainError
-from .hessians import ConcavityReport, alternating_minor_verdict
-from .quality import MAX_MAGNITUDE, QualityParams, evaluate_quality, max_privacy
+from .demand import PAPER_FORM, MarketSpec, _buy_separate, _check_fee, _output, prob_buy_separate
+from .errors import DomainError, _as_input, _extremes
+from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
+from .quality import MAX_MAGNITUDE, QualityParams, _quality, evaluate_quality, max_privacy
 
 __all__ = [
     "ServiceSpec",
@@ -117,20 +117,29 @@ def privacy_cap(params: QualityParams) -> float:
     return min(1.0, max_privacy(params) - _CAP_MARGIN)
 
 
-def gross_profit_separate(scenario: SeparateScenario, r, p_s):
-    """Subscription revenue minus realized data cost; accepts arrays."""
-    r_arr = np.asarray(r, dtype=float)
-    p_arr = np.asarray(p_s, dtype=float)
-    if np.any(r_arr < 0) or np.any(r_arr > 1):
-        raise DomainError("privacy level must lie in [0, 1]")
-    if np.any(p_arr < 0):
-        raise DomainError("fee must be nonnegative")
-    u = evaluate_quality(r_arr, scenario.service.quality)
-    if np.any(np.asarray(u) <= 0):
-        raise DomainError("quality must be positive over the evaluated points")
+def _profit(scenario: SeparateScenario, r, p_s):
+    """gross_profit_separate without checks, for (r, p_s) in the feasible box."""
     svc = scenario.service
-    out = scenario.market.m * p_arr * prob_buy_separate(p_arr, u) - svc.n * svc.c * (1.0 - r_arr)
-    return float(out) if out.ndim == 0 else out
+    u = _quality(r, svc.quality)
+    return scenario.market.m * p_s * _buy_separate(p_s, u) - svc.n * svc.c * (1.0 - r)
+
+
+def gross_profit_separate(scenario: SeparateScenario, r, p_s):
+    """Subscription revenue minus realized data cost; accepts arrays.
+
+    Validates its inputs once, then evaluates the unchecked `_profit`.
+    """
+    r, p_s = _as_input(r), _as_input(p_s)
+    lo, hi = _extremes(r, skip_nan=True)
+    if lo < 0 or hi > 1:
+        raise DomainError("privacy level must lie in [0, 1]")
+    if _extremes(p_s, skip_nan=True)[0] < 0:
+        raise DomainError("fee must be nonnegative")
+    u = evaluate_quality(r, scenario.service.quality)
+    if _extremes(u, skip_nan=True)[0] <= 0:
+        raise DomainError("quality must be positive over the evaluated points")
+    _check_fee(p_s)
+    return _output(_profit(scenario, r, p_s))
 
 
 def optimal_fee_fixed_privacy(scenario: SeparateScenario, r: float) -> float:
@@ -166,7 +175,7 @@ def optimize_separate(scenario: SeparateScenario) -> OptimumSeparate:
         p_star = max(optimal_fee_fixed_privacy(scenario, r_star), 0.0)
         interior = False
         clamped = ("r",)
-    profit = gross_profit_separate(scenario, r_star, p_star)
+    profit = float(_profit(scenario, r_star, p_star))
     report = concavity_report_separate(scenario, r_star, p_star)
     return OptimumSeparate(
         r_star=r_star,
@@ -195,11 +204,8 @@ def concavity_report_separate(scenario: SeparateScenario, r: float, p_s: float) 
             - m * q.alpha2 * q.alpha3**2 * p_s**2 * e / u**2
         )
         d2 = 2.0 * m**2 * q.alpha2 * q.alpha3**2 * p_s**2 * e / u**3
-    except OverflowError:
-        raise DomainError(
-            f"concavity report overflows at r={r}, fee {p_s}; "
-            "the scenario's magnitudes overflow together"
-        ) from None
+    except (OverflowError, ZeroDivisionError) as exc:  # u**2 underflows for u < 1e-162
+        raise _out_of_range(f"at r={r}, fee {p_s}", exc) from None
     hessian = np.array([[h_pp, h_pr], [h_pr, h_rr]])
     d1 = h_pp
     minors = (d1, d2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,6 +327,17 @@ class TestConcavity:
     def test_substitute_unsupported(self, sb2_bundle):
         with pytest.raises(DomainError):
             concavity_report_bundle(sb2_bundle, 0.3, 0.3, 0.5)
+
+    @pytest.mark.parametrize("edit", ["alpha1", "gamma"])
+    def test_magnitude_ceiling_is_a_validation_error(self, sb1_bundle, edit):
+        # u1**5 and k**3 overflow at the 1e100 ceiling
+        if edit == "alpha1":
+            s1 = replace(sb1_bundle.s1, quality=replace(sb1_bundle.s1.quality, alpha1=1e100))
+            huge = replace(sb1_bundle, s1=s1)
+        else:
+            huge = replace(sb1_bundle, gamma=1e100)
+        with pytest.raises(DomainError, match="overflow together"):
+            concavity_report_bundle(huge, 0.5, 0.5, 0.9)
 
 
 class TestDecision:

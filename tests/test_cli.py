@@ -482,3 +482,32 @@ def test_bundle_verify_maximizes_the_grid_once(sb1_file, tmp_path, monkeypatch):
     monkeypatch.setattr(oracles, "grid_maximize", spy)
     assert main(["verify", str(sb1_file), "--out", str(tmp_path / "run")]) == 0
     assert calls == [(120, 120, 120)]
+
+
+@pytest.mark.parametrize("command", [["optimize", "complement"], ["decide"]], ids=lambda c: c[0])
+def test_complement_with_vanishing_alpha3_falls_back(command, tmp_path, capsys):
+    # in range, but S3's alpha3**2 underflows to 0 in the closed-form candidate's denominators
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text((SHIPPED / "bundle_complements.cfg").read_text()
+                    .replace("alpha3 = 4.2", "alpha3 = 1e-300"))
+    out = tmp_path / "run"
+    assert main(command + [str(tiny), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    if command[0] == "optimize":
+        assert _read(out / "optimize.csv")[0]["fallback"] == "true"
+        assert main(command + [str(tiny), "--out", str(out), "--strict"]) == 3
+
+
+@pytest.mark.parametrize("command", [["optimize", "separate"], ["verify"]], ids=lambda c: c[0])
+def test_vanishing_quality_is_a_validation_error(command, tmp_path, capsys):
+    # in range, but u ~ 1e-300 and u**2 underflows to 0 in the concavity report
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text((SHIPPED / "s1.cfg").read_text()
+                    .replace("alpha1 = 0.822", "alpha1 = 1e-300")
+                    .replace("alpha2 = 0.004", "alpha2 = 1e-303"))
+    out = tmp_path / "run"
+    assert main(command + [str(tiny), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "underflow together" in err
+    assert not out.exists()

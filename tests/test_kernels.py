@@ -1,0 +1,300 @@
+"""Bits of the public formulas and optima, and their unchecked kernels.
+
+Each formula has one private kernel that the solvers call on points they
+built inside the feasible box; the public function validates its inputs
+once and calls the same kernel.  The recorded float.hex values pin the
+bits of both layers.
+"""
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from privmarket import (
+    COMPLEMENT,
+    EXACT_GEOMETRY,
+    PAPER_FORM,
+    SUBSTITUTE,
+    DomainError,
+    MarketSpec,
+    QualityParams,
+    SeparateScenario,
+    ServiceSpec,
+    bundle,
+    demand,
+    evaluate_quality,
+    gross_profit_bundle,
+    gross_profit_separate,
+    load_scenario,
+    optimize_bundle,
+    prob_buy_complement,
+    prob_buy_separate,
+    prob_buy_substitute,
+    quality,
+    separate,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _shipped(kind):
+    return load_scenario(str(SCENARIOS / f"bundle_{kind}s.cfg")).bundle
+
+
+def _with_wage(b, c):
+    return dataclasses.replace(b, s1=dataclasses.replace(b.s1, c=c),
+                               s2=dataclasses.replace(b.s2, c=c))
+
+
+# float.hex of (r1, r2, p_b, profit), recorded before the solvers moved onto
+# the kernels: the shipped bundles and variants with every wage 0 or 5
+PINNED_OPTIMA = {
+    ("complement", "shipped", "paper"): (
+        "0x1.3da687e314dacp-1", "0x1.0129b61871d33p-1", "0x1.7cef2bab05072p-1", "0x1.e370680eb2405p+8"),
+    ("complement", "shipped", "exact"): (
+        "0x1.3da6871c00000p-1", "0x1.0129b52c00000p-1", "0x1.7cef2c520fc6ap-1", "0x1.e370680eb2400p+8"),
+    ("complement", "c=0", "paper"): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.f7f45f32c9ea8p+8"),
+    ("complement", "c=0", "exact"): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.83098075c7eacp-1", "0x1.f7f45f32c99f8p+8"),
+    ("complement", "c=5", "paper"): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1", "0x1.d18bea752da50p+8"),
+    ("complement", "c=5", "exact"): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.658a2cacd1b3cp-1", "0x1.d18bea74f7d89p+8"),
+    ("substitute", "shipped", "paper"): (
+        "0x1.687807341fef7p-1", "0x1.547d7d73086f7p-1", "0x1.2aca7c1e765ecp-1", "0x1.786e937631b67p+8"),
+    ("substitute", "shipped", "exact"): (
+        "0x1.64cbc06000000p-1", "0x1.4f09253000000p-1", "0x1.311ab53b22169p-1", "0x1.804bc232c3272p+8"),
+    ("substitute", "c=0", "paper"): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.92ce58a3a3defp+8"),
+    ("substitute", "c=0", "exact"): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af28d91695p-1", "0x1.9af1c170ccbeap+8"),
+    ("substitute", "c=5", "paper"): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1c8e42a0c8ac7p-1", "0x1.7283e6c15aa09p+8"),
+    ("substitute", "c=5", "exact"): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.224e0cc970261p-1", "0x1.7a004b8593589p+8"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_OPTIMA), ids="-".join)
+def test_optimum_matches_recorded_bits(case):
+    kind, variant, mode = case
+    b = _shipped(kind)
+    if variant != "shipped":
+        b = _with_wage(b, float(variant[2:]))
+    opt = optimize_bundle(b, demand_mode=mode)
+    got = (opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit)
+    assert all(type(v) is float for v in got)
+    assert tuple(v.hex() for v in got) == PINNED_OPTIMA[case]
+
+
+def _function_cases():
+    sb1, sb2 = _shipped(COMPLEMENT), _shipped(SUBSTITUTE)
+    s1 = load_scenario(str(SCENARIOS / "s1.cfg"))
+    sc = s1.separate(s1.single_service_name())
+    a = np.array
+    cases = {
+        "evaluate_quality": (lambda *x: evaluate_quality(*x, sb1.s2.quality),
+                             (0.37,), (a([0.0, 0.37, 1.0]),)),
+        "prob_buy_separate": (prob_buy_separate, (0.31, 0.77),
+                              (a([0.0, 0.31, 0.9]), a([0.77, 0.5, 0.6]))),
+        "gross_profit_separate": (lambda *x: gross_profit_separate(sc, *x), (0.37, 0.31),
+                                  (a([0.0, 0.37, 0.9]), a([0.1, 0.31, 0.5]))),
+    }
+    for mode in (PAPER_FORM, EXACT_GEOMETRY):
+        for name, rule, fee, top, gamma in (("complement", prob_buy_complement, 0.93, 1.7, 0.1),
+                                            ("substitute", prob_buy_substitute, 0.61, 0.95, -0.1)):
+            cases[f"prob_buy_{name}-{mode}"] = (
+                lambda *x, rule=rule, gamma=gamma, mode=mode: rule(*x, gamma, mode),
+                (fee, 0.71, 0.83), (a([0.2, fee, top]), 0.71, a([0.83, 0.5, 0.9])))
+        for name, b, p in (("complement", sb1, 0.93), ("substitute", sb2, 0.61)):
+            cases[f"gross_profit_bundle-{name}-{mode}"] = (
+                lambda *x, b=b, mode=mode: gross_profit_bundle(b, *x, mode),
+                (0.41, 0.53, p), (a([0.0, 0.41, 0.9]), 0.53, a([0.2, p, 1.3])))
+    return cases
+
+
+# float.hex of each function at one scalar point and at a 3-element array
+# point (mixed with scalars that broadcast), recorded before the refactor
+PINNED_VALUES = {
+    "evaluate_quality": ("0x1.b97b68357a8bbp-1", (
+        "0x1.bb645a1cac083p-1", "0x1.b97b68357a8bbp-1", "0x1.99c2b69571268p-1")),
+    "prob_buy_separate": ("0x1.31dec0d4c77b0p-1", (
+        "0x1.0000000000000p+0", "0x1.851eb851eb852p-2", "0x0.0p+0")),
+    "prob_buy_complement-paper": ("0x1.92f7c87a7453cp-2", (
+        "0x1.f1a3a3ab930b1p-1", "0x0.0p+0", "0x0.0p+0")),
+    "prob_buy_complement-exact": ("0x1.a31dd9c6726f0p-2", (
+        "0x1.f1a3a3ab930b1p-1", "0x1.7f54f85e33a94p-3", "0x1.ab47227662a00p-9")),
+    "prob_buy_substitute-paper": ("0x1.347254ccff8b7p-1", (
+        "0x1.ea1e50cdddf6ep-1", "0x1.5c33e656ac91ap-2", "0x1.c59165c61a260p-4")),
+    "prob_buy_substitute-exact": ("0x1.3c6dd90131c23p-1", (
+        "0x1.eaf9fd5257c51p-1", "0x1.9da9554146f04p-2", "0x1.ec9fa11186910p-3")),
+    "gross_profit_separate": ("0x1.65b69bfc9af91p+7", (
+        "0x1.0f19a99f9bda7p+6", "0x1.65b69bfc9af91p+7", "0x1.5c148cfd282a8p+7")),
+    "gross_profit_bundle-complement-paper": ("0x1.b2b29e8c588fap+8", (
+        "0x1.552d44b70c80cp+7", "0x1.b2b29e8c588fap+8", "-0x1.accccccccccccp+2")),
+    "gross_profit_bundle-substitute-paper": ("0x1.75c0c67d9c034p+8", (
+        "0x1.4633b5e90785cp+7", "0x1.75c0c67d9c034p+8", "-0x1.6ccccccccccccp+3")),
+    "gross_profit_bundle-complement-exact": ("0x1.b39275afc5279p+8", (
+        "0x1.552d44b70c80cp+7", "0x1.b39275afc5279p+8", "0x1.7c1cca8873ab3p+7")),
+    "gross_profit_bundle-substitute-exact": ("0x1.7e2fada3da294p+8", (
+        "0x1.46ca475f6396ap+7", "0x1.7e2fada3da294p+8", "0x1.660f13a3dced0p+3")),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_VALUES))
+def test_function_matches_recorded_bits(name):
+    fn, scalar_args, array_args = _function_cases()[name]
+    scalar = fn(*scalar_args)
+    array = fn(*array_args)
+    assert type(scalar) is float
+    assert isinstance(array, np.ndarray) and array.shape == (3,)
+    assert (scalar.hex(), tuple(float(v).hex() for v in array)) == PINNED_VALUES[name]
+
+
+S1 = QualityParams(0.822, 0.004, 2.813)
+S2 = QualityParams(0.856, 0.013, 1.861)
+S3 = QualityParams(0.867, 0.001, 4.2)
+MARKET = MarketSpec(m=1000)
+SCENARIO = SeparateScenario(service=ServiceSpec(S1, n=100, c=0.2), market=MARKET)
+BUNDLES = {
+    COMPLEMENT: bundle.BundleSpec(ServiceSpec(S1, 100, 0.2), ServiceSpec(S3, 100, 0.1), MARKET,
+                                  gamma=0.1, kind=COMPLEMENT),
+    SUBSTITUTE: bundle.BundleSpec(ServiceSpec(S1, 100, 0.2), ServiceSpec(S2, 100, 0.2), MARKET,
+                                  gamma=-0.1, kind=SUBSTITUTE),
+}
+_KERNEL_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def _values(lo, hi):
+    """A float in [lo, hi], or a 3-element array of them."""
+    floats = st.floats(lo, hi)
+    return st.one_of(floats, st.lists(floats, min_size=3, max_size=3).map(np.array))
+
+
+def _same_bits(public, kernel):
+    assert type(public) is float or isinstance(public, np.ndarray)
+    assert np.asarray(public, dtype=float).tobytes() == np.asarray(kernel, dtype=float).tobytes()
+
+
+@_KERNEL_SETTINGS
+@given(st.sampled_from([S1, S2, S3]), _values(0.0, 1.0))
+def test_evaluate_quality_is_its_kernel(params, r):
+    _same_bits(evaluate_quality(r, params), quality._quality(r, params))
+
+
+@_KERNEL_SETTINGS
+@given(_values(0.0, 3.0), _values(0.05, 1.0))
+def test_prob_buy_separate_is_its_kernel(fee, u):
+    _same_bits(prob_buy_separate(fee, u), demand._buy_separate(fee, u))
+
+
+@pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
+@pytest.mark.parametrize("rule, kernel, gammas", [
+    (prob_buy_complement, demand._buy_complement, _values(0.0, 2.0)),
+    (prob_buy_substitute, demand._buy_substitute, _values(-0.49, -1e-6)),
+], ids=[COMPLEMENT, SUBSTITUTE])
+@_KERNEL_SETTINGS
+@given(data=st.data())
+def test_prob_buy_bundle_is_its_kernel(rule, kernel, gammas, mode, data):
+    fee, u1, u2 = data.draw(_values(0.0, 3.0)), data.draw(_values(0.05, 1.0)), data.draw(_values(0.05, 1.0))
+    gamma = data.draw(gammas)
+    _same_bits(rule(fee, u1, u2, gamma, mode), kernel(fee, u1, u2, gamma, mode))
+
+
+@_KERNEL_SETTINGS
+@given(_values(0.0, 1.0), _values(0.0, 1.0))
+def test_gross_profit_separate_is_its_kernel(r, p):
+    _same_bits(gross_profit_separate(SCENARIO, r, p), separate._profit(SCENARIO, r, p))
+
+
+@pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
+@pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+@_KERNEL_SETTINGS
+@given(_values(0.0, 1.0), _values(0.0, 1.0), _values(0.0, 2.0))
+def test_gross_profit_bundle_is_its_kernel(kind, mode, r1, r2, p):
+    b = BUNDLES[kind]
+    _same_bits(gross_profit_bundle(b, r1, r2, p, mode), bundle._profit(b, r1, r2, p, mode))
+
+
+# a service whose quality is negative past r = 0.11
+LOW = ServiceSpec(QualityParams(0.5, 0.4, 2.0), n=100, c=0.2)
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+_LOW_SCENARIO = SeparateScenario(service=LOW, market=MARKET)
+_LOW_BUNDLES = {kind: dataclasses.replace(b, s2=LOW) for kind, b in BUNDLES.items()}
+
+
+def _invalid_calls():
+    """(function, valid arguments, position, invalid values) per input class."""
+    cases = [
+        ("evaluate_quality", lambda r: evaluate_quality(r, S1), (0.3,), 0, (*NON_FINITE, -0.1)),
+        ("gross_profit_separate-r", lambda r, p: gross_profit_separate(SCENARIO, r, p),
+         (0.3, 0.4), 0, (*NON_FINITE, -0.1, 1.1)),
+        ("gross_profit_separate-fee", lambda r, p: gross_profit_separate(SCENARIO, r, p),
+         (0.3, 0.4), 1, (*NON_FINITE, -0.1)),
+        ("gross_profit_separate-u", lambda r, p: gross_profit_separate(_LOW_SCENARIO, r, p),
+         (0.05, 0.1), 0, (0.5,)),
+        ("prob_buy_separate-fee", prob_buy_separate, (0.3, 0.7), 0, (*NON_FINITE, -0.1)),
+        ("prob_buy_separate-u", prob_buy_separate, (0.3, 0.7), 1, (*NON_FINITE, 0.0, -0.2)),
+    ]
+    for mode in (PAPER_FORM, EXACT_GEOMETRY):
+        for kind, rule, gamma, bad_gammas in (
+            (COMPLEMENT, prob_buy_complement, 0.1, (*NON_FINITE, -0.1)),
+            (SUBSTITUTE, prob_buy_substitute, -0.1, (*NON_FINITE, -0.5, -0.6, 0.0, 0.1)),
+        ):
+            call = (lambda rule, mode: lambda *x: rule(*x, mode))(rule, mode)
+            valid = (0.6, 0.7, 0.8, gamma)
+            cases += [
+                (f"prob_buy_{kind}-{mode}-fee", call, valid, 0, (*NON_FINITE, -0.1)),
+                (f"prob_buy_{kind}-{mode}-u1", call, valid, 1, (*NON_FINITE, 0.0, -0.2)),
+                (f"prob_buy_{kind}-{mode}-u2", call, valid, 2, (*NON_FINITE, 0.0, -0.2)),
+                (f"prob_buy_{kind}-{mode}-gamma", call, valid, 3, bad_gammas),
+            ]
+            profit = (lambda b, mode: lambda *x: gross_profit_bundle(b, *x, mode))(BUNDLES[kind], mode)
+            low = (lambda b, mode: lambda *x: gross_profit_bundle(b, *x, mode))(_LOW_BUNDLES[kind], mode)
+            valid = (0.3, 0.05, 0.6)
+            cases += [
+                (f"gross_profit_bundle-{kind}-{mode}-r1", profit, valid, 0, (*NON_FINITE, -0.1, 1.1)),
+                (f"gross_profit_bundle-{kind}-{mode}-r2", profit, valid, 1, (*NON_FINITE, -0.1, 1.1)),
+                (f"gross_profit_bundle-{kind}-{mode}-fee", profit, valid, 2, (*NON_FINITE, -0.1)),
+                (f"gross_profit_bundle-{kind}-{mode}-u", low, valid, 1, (0.5,)),
+            ]
+    return cases
+
+
+@pytest.mark.parametrize("fn, valid, position, bad_values",
+                         [pytest.param(*case[1:], id=case[0]) for case in _invalid_calls()])
+def test_every_invalid_class_raises_through_both_branches(fn, valid, position, bad_values):
+    for bad in bad_values:
+        scalar = list(valid)
+        scalar[position] = bad
+        array = list(valid)
+        array[position] = np.array([valid[position], bad, valid[position]])
+        for args in (scalar, array):
+            with pytest.raises(DomainError):
+                fn(*args)
+
+
+def test_unknown_demand_mode_raises():
+    for call in (lambda mode: prob_buy_complement(0.6, 0.7, 0.8, 0.1, mode),
+                 lambda mode: prob_buy_substitute(0.6, 0.7, 0.8, -0.1, mode),
+                 lambda mode: gross_profit_bundle(BUNDLES[COMPLEMENT], 0.3, 0.4, 0.5, mode)):
+        with pytest.raises(DomainError, match="demand mode"):
+            call("bogus")
+
+
+def test_exact_solve_validates_once(monkeypatch):
+    # the seed grid is the one validated call; the ascent's ~80 slices run on the kernel
+    calls = []
+    real = bundle.gross_profit_bundle
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bundle, "gross_profit_bundle", spy)
+    optimize_bundle(_shipped(SUBSTITUTE), demand_mode=EXACT_GEOMETRY)
+    assert len(calls) <= 1
