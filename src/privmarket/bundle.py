@@ -18,7 +18,9 @@ symmetric expression for r2.  For complements this is evaluated directly.
 Substitutes go straight to grid-seeded coordinate ascent, which is exact
 here because G is concave in each coordinate wherever u1, u2 > 0; their
 `fee_root` is the same quadratic's root with sigma = 0.5 + gamma^2, which
-reproduces the ascent's fee on the shipped substitute bundle.
+reproduces the ascent's fee on the shipped substitute bundle.  Exact
+demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
+geometry, so its ascent starts from closed forms, not a grid.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import numpy as np
 
 from . import oracles
 from .demand import (
+    EXACT_GEOMETRY,
     PAPER_FORM,
     MarketSpec,
     _buy_complement,
@@ -48,6 +51,7 @@ from .separate import (
     OptimumSeparate,
     SeparateScenario,
     ServiceSpec,
+    _stationary_privacy,
     optimize_separate,
     privacy_cap,
 )
@@ -71,6 +75,7 @@ SUBSTITUTE = "substitute"
 _ASCENT_TOL = 1e-13
 _ASCENT_SWEEPS = 600
 _BRACKET_POINTS = 129
+_EXACT_EDGE = 1e-5  # an exact-mode coordinate this close to a bound is clamped
 
 
 @dataclass(frozen=True)
@@ -216,10 +221,11 @@ def _fee_root(bundle: BundleSpec, sigma: float) -> float:
     return radical - 3.0 * n * a.alpha3 * c2 - 3.0 * n * b.alpha3 * c1
 
 
-def _complement_candidate(bundle: BundleSpec, root: float):
-    """Closed-form stationary point (r1, r2, p) for complements from the fee root.
+def _stationary_point(bundle: BundleSpec, root: float, sigma: float):
+    """Closed-form stationary point (r1, r2, p) of the linear form with factor sigma.
 
-    A denominator out of float range (0 or inf) gives nan: infeasible, so the solve falls back.
+    root is `_fee_root(bundle, sigma)`.  A denominator out of float range
+    (0 or inf) gives nan: no candidate, so the solve falls back.
     """
     a = bundle.s1.quality
     b = bundle.s2.quality
@@ -236,8 +242,8 @@ def _complement_candidate(bundle: BundleSpec, root: float):
     if not all(0.0 < d < math.inf for d in dens):
         return math.nan, math.nan, math.nan
     p = 0.5 * root / dens[0]
-    arg1 = 13.5 * n * n * c1 * c2 / dens[1] + 2.25 * n * c1 * root / dens[2]
-    arg2 = 13.5 * n * n * c1 * c2 / dens[3] + 2.25 * n * c2 * root / dens[4]
+    arg1 = 27.0 * sigma * n * n * c1 * c2 / dens[1] + 4.5 * sigma * n * c1 * root / dens[2]
+    arg2 = 27.0 * sigma * n * n * c1 * c2 / dens[3] + 4.5 * sigma * n * c2 * root / dens[4]
     r1 = math.log(arg1) / a.alpha3 if arg1 > 0 else -math.inf
     r2 = math.log(arg2) / b.alpha3 if arg2 > 0 else -math.inf
     return r1, r2, p
@@ -298,15 +304,16 @@ def _bracket_max(fn, lo, hi, tol):
 
 
 def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
-    """Cyclic exact maximization over p, r1, r2 from a grid seed.
+    """Cyclic exact maximization over p, r1, r2 from a start in the box.
 
     In paper mode each coordinate maximizer is closed form; in exact mode
     a batched bracket search (_bracket_max) runs on the exact-geometry
     profit, evaluating each slice on a lattice in one array call per
-    round.  Concavity of every slice makes the sweep converge to the joint
-    optimum.  Every point lies in the box [0, cap1] x [0, cap2] x [0, p_hi]
-    that the seed grid has already validated, so the slices and qualities
-    are evaluated by the unchecked kernels (_profit, _quality).
+    round.  Concavity of every slice makes the sweep converge to a joint
+    maximum (in exact mode a local one).  Every point lies in the box
+    [0, cap1] x [0, cap2] x [0, p_hi] that the caller has validated, so
+    the slices and qualities are evaluated by the unchecked kernels
+    (_profit, _quality).
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     m, n = bundle.market.m, bundle.n
@@ -322,7 +329,7 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     paper = demand_mode == PAPER_FORM
     sweep_tol = _ASCENT_TOL if paper else 1e-6
     bracket_tol = 1e-9
-    edge = 1e-9 if paper else 1e-5
+    edge = 1e-9 if paper else _EXACT_EDGE
     for _ in range(_ASCENT_SWEEPS):
         prev = (r1, r2, p)
         u1 = float(_quality(r1, a))
@@ -365,6 +372,44 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     return r1, r2, p, tuple(clamped)
 
 
+def _exact_ascent(bundle: BundleSpec, root: float, cap1: float, cap2: float):
+    """Exact-mode coordinate ascent from closed-form starts, one per set of active services.
+
+    Both services: the stationary point of the linear form at the exact
+    interior factor sigma (left out when nan).  One service, the other's
+    privacy at its cap: its standalone optimum, quality scaled by 1 + gamma
+    for complements.  The ascent runs from the most profitable start;
+    ending at a cap below 1, where a service's quality vanishes, it also
+    runs from the others and keeps the best end.  Far from the paper's
+    services local maxima that no start reaches can exist (README).
+    """
+    # the one validated call: the box's eight corners, with the seed grid's
+    # checks of its axes and of nan values
+    box = oracles.bundle_grid(bundle, points=2, demand_mode=EXACT_GEOMETRY)
+    corners = np.meshgrid(*(axis[:2] for axis in box.axes), indexing="ij", sparse=True)
+    oracles._check_no_nan(gross_profit_bundle(bundle, *corners, EXACT_GEOMETRY))
+    if bundle.kind == COMPLEMENT:
+        sigma, scale = 0.5, 1.0 + bundle.gamma
+    else:
+        sigma, scale = 0.5 - bundle.gamma**2, 1.0
+        root = _fee_root(bundle, sigma)
+    m, n = bundle.market.m * scale, bundle.n
+    r1, r2 = (min(max(_stationary_privacy(svc.quality, m, n, svc.c), 0.0), cap)
+              for svc, cap in ((bundle.s1, cap1), (bundle.s2, cap2)))
+    starts = [(r1, cap2, 0.5 * scale * _quality(r1, bundle.s1.quality)),
+              (cap1, r2, 0.5 * scale * _quality(r2, bundle.s2.quality))]
+    point = _stationary_point(bundle, root, sigma)
+    if not any(map(math.isnan, point)):
+        starts.insert(0, point)
+    axes = [np.clip(axis, 0.0, hi) for axis, hi in zip(zip(*starts), (cap1, cap2, box.axes[2][1]))]
+    order = np.argsort(-_profit(bundle, *axes, EXACT_GEOMETRY), kind="stable")
+    first, *others = [tuple(float(axis[i]) for axis in axes) for i in order]
+    ends = [_coordinate_ascent(bundle, EXACT_GEOMETRY, first)]
+    if any(r >= cap - _EXACT_EDGE and cap < 1.0 for r, cap in zip(ends[0][:2], (cap1, cap2))):
+        ends += [_coordinate_ascent(bundle, EXACT_GEOMETRY, start) for start in others]
+    return max(ends, key=lambda end: _profit(bundle, *end[:3], EXACT_GEOMETRY))
+
+
 def optimize_bundle(
     bundle: BundleSpec,
     demand_mode: str = PAPER_FORM,
@@ -376,18 +421,19 @@ def optimize_bundle(
 
     For complements in paper mode the closed-form stationary point is
     evaluated first and accepted when it is feasible (nonnegative fee,
-    privacy levels inside their boxes).  Substitutes, the exact demand
-    mode and infeasible or distrusted candidates take the fallback: a
-    dense-grid seed refined by coordinate ascent.  With ``verify`` the
-    result keeps an independent grid maximization (evaluated once) as
-    its certificate, and a candidate that loses to that grid by more than
-    rounding is re-solved through the fallback.
+    privacy levels inside their boxes).  Paper-mode substitutes and
+    infeasible or distrusted candidates take the fallback: a dense-grid
+    seed refined by coordinate ascent; the exact mode ascends from closed
+    forms (_exact_ascent).  With ``verify`` the result keeps an independent
+    grid maximization (evaluated once) as its certificate, and a candidate
+    that loses to that grid by more than rounding is re-solved through the
+    fallback.
     """
     cap1, cap2 = privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality)
     root = _fee_root(bundle, bundle.demand_factor)
     fallback = True
     if bundle.kind == COMPLEMENT:
-        r1, r2, p = _complement_candidate(bundle, root)
+        r1, r2, p = _stationary_point(bundle, root, 0.5)
         fallback = not (
             demand_mode == PAPER_FORM
             and 0.0 <= r1 <= cap1
@@ -408,10 +454,12 @@ def optimize_bundle(
         grid = lattice_max(verify_points)
         profit = float(_profit(bundle, r1, r2, p, demand_mode))
         fallback = profit - grid.value < -1e-7 * (1.0 + abs(grid.value))
-    if fallback:
+    if fallback and demand_mode == PAPER_FORM:
         r1, r2, p, clamped = _coordinate_ascent(bundle, demand_mode, lattice_max(seed_points).coords)
-        if verify and grid is None:
-            grid = lattice_max(verify_points)
+    elif fallback:
+        r1, r2, p, clamped = _exact_ascent(bundle, root, cap1, cap2)
+    if fallback and verify and grid is None:
+        grid = lattice_max(verify_points)
     profit = float(_profit(bundle, r1, r2, p, demand_mode))
     return OptimumBundle(
         r1_star=r1,

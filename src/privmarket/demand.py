@@ -15,7 +15,9 @@ the box the region lives in, see _nonbuy_area).  Both modes accept numpy
 arrays and broadcast.  The two agree on interior geometry and diverge
 once the fee pushes the boundary outside the square (and, for
 substitutes, by a (0.5+gamma^2) vs (0.5-gamma^2) factor; both are kept on
-purpose, see prob_buy_substitute).
+purpose, see prob_buy_substitute).  On interior geometry the exact mode
+is the linear form with factor 0.5 or 0.5-gamma^2, whose stationary point
+starts the exact bundle solve (bundle._exact_ascent).
 
 Each public function validates its inputs once (floats by comparison,
 arrays by one min/max reduction) and then calls its unchecked kernel

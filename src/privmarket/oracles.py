@@ -92,6 +92,12 @@ class GridMaxResult:
     index: tuple[int, ...]
 
 
+def _check_no_nan(values):
+    """A NaN among an objective's lattice values marks inputs outside its domain."""
+    if np.isnan(values).any():
+        raise DomainError("objective produced NaN on the grid; domain is not valid")
+
+
 def grid_maximize(objective: Callable, grid: GridSpec) -> GridMaxResult:
     """Exhaustive lattice maximization with a deterministic tie-break.
 
@@ -113,8 +119,7 @@ def grid_maximize(objective: Callable, grid: GridSpec) -> GridMaxResult:
             np.asarray(objective(first[start : start + rows], *rest), dtype=float),
             (min(rows, len(axes[0]) - start), *row_shape),
         )
-        if np.isnan(values).any():
-            raise DomainError("objective produced NaN on the grid; domain is not valid")
+        _check_no_nan(values)
         index = np.unravel_index(int(np.argmax(values)), values.shape)
         return float(values[index]), (start + int(index[0]), *(int(i) for i in index[1:]))
 

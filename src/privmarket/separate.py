@@ -114,7 +114,10 @@ class OptimumSeparate:
 
 def privacy_cap(params: QualityParams) -> float:
     """Upper end of the feasible privacy interval: min(1, zero-quality point)."""
-    return min(1.0, max_privacy(params) - _CAP_MARGIN)
+    cap, step = min(1.0, max_privacy(params) - _CAP_MARGIN), _CAP_MARGIN
+    while _quality(cap, params) <= 0.0:  # the margin rounded away; u(0) > 0 ends this
+        cap, step = max(cap - step, 0.0), 2.0 * step
+    return cap
 
 
 def _profit(scenario: SeparateScenario, r, p_s):
@@ -150,6 +153,13 @@ def optimal_fee_fixed_privacy(scenario: SeparateScenario, r: float) -> float:
     return u / 2.0
 
 
+def _stationary_privacy(q: QualityParams, m: float, n: int, c: float) -> float:
+    """r* = log(4*n*c/(m*alpha2*alpha3))/alpha3, unclamped; +inf if the denominator underflows."""
+    denominator = m * q.alpha2 * q.alpha3
+    log_arg = 4.0 * n * c / denominator if denominator > 0 else (math.inf if c > 0 else 0.0)
+    return math.log(log_arg) / q.alpha3 if log_arg > 0 else -math.inf
+
+
 def optimize_separate(scenario: SeparateScenario) -> OptimumSeparate:
     """Closed-form maximizer with boundary projection.
 
@@ -161,8 +171,7 @@ def optimize_separate(scenario: SeparateScenario) -> OptimumSeparate:
     q = scenario.service.quality
     m, n, c = scenario.market.m, scenario.service.n, scenario.service.c
     cap = privacy_cap(q)
-    log_arg = 4.0 * n * c / (m * q.alpha2 * q.alpha3)
-    r_raw = math.log(log_arg) / q.alpha3 if log_arg > 0 else -math.inf
+    r_raw = _stationary_privacy(q, m, n, c)
     if 0.0 <= r_raw <= cap:
         r_star = r_raw
         p_star = (m * q.alpha1 * q.alpha3 - 4.0 * n * c) / (2.0 * m * q.alpha3)

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmarket import (
     BundleSpec,
@@ -10,6 +12,7 @@ from privmarket import (
     DomainError,
     EXACT_GEOMETRY,
     MarketSpec,
+    QualityParams,
     SUBSTITUTE,
     ServiceSpec,
     bundle_grid,
@@ -20,9 +23,10 @@ from privmarket import (
     gross_profit_bundle,
     optimal_bundle_fee_fixed_privacy,
     optimize_bundle,
+    prob_buy_substitute,
 )
 
-from privmarket.bundle import _bracket_max
+from privmarket.bundle import _bracket_max, _coordinate_ascent
 
 from conftest import assert_grid_agreement, fd_gradient, fd_hessian, hessians_close, random_bundle
 
@@ -241,6 +245,79 @@ class TestOptimizeSubstitute:
         # clipped-geometry demand is higher, so the optimum cannot be worse
         paper = optimize_bundle(sb2_bundle)
         assert opt.profit >= paper.profit - 1e-6
+
+
+def _paper_like_bundle(rng, kind):
+    """The paper's services (S1 with S3, or S1 with S2) with perturbed curves, wages and M."""
+    def service(a1, a2, a3, lo, hi):
+        quality = QualityParams(a1 * rng.uniform(0.97, 1.03), a2 * rng.uniform(0.8, 1.25),
+                                a3 * rng.uniform(0.9, 1.1))
+        return ServiceSpec(quality, n=100, c=float(rng.uniform(lo, hi)))
+
+    s1 = service(0.822, 0.004, 2.813, 0.1, 0.3)
+    if kind == COMPLEMENT:
+        s2, gamma = service(0.867, 0.001, 4.2, 0.05, 0.2), rng.uniform(0.02, 0.4)
+    else:
+        s2, gamma = service(0.856, 0.013, 1.861, 0.1, 0.3), rng.uniform(-0.4, -0.02)
+    return BundleSpec(s1, s2, MarketSpec(m=int(rng.integers(500, 2001))), float(gamma), kind)
+
+
+def _grid_seeded_exact_optimum(bundle, points=48):
+    """The exact-mode ascent from the best point of a points^3 grid, with its profit."""
+    grid = grid_maximize(bundle_objective(bundle, EXACT_GEOMETRY),
+                         bundle_grid(bundle, points=points, demand_mode=EXACT_GEOMETRY))
+    *point, clamped = _coordinate_ascent(bundle, EXACT_GEOMETRY, grid.coords)
+    return point, clamped, gross_profit_bundle(bundle, *point, EXACT_GEOMETRY)
+
+
+def _with_wages(bundle, wage):
+    if wage is None:
+        return bundle
+    return replace(bundle, s1=replace(bundle.s1, c=wage), s2=replace(bundle.s2, c=wage))
+
+
+class TestExactSeed:
+    """The exact-mode ascent starts from closed forms, not from a seed grid."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([COMPLEMENT, SUBSTITUTE]),
+           st.sampled_from([None, 0.0, 5.0]))
+    def test_agrees_with_the_grid_seeded_ascent(self, seed, kind, wage):
+        # near the paper's services the exact optimum is unique: same point, same clamps
+        bundle = _with_wages(_paper_like_bundle(np.random.default_rng(seed), kind), wage)
+        opt = optimize_bundle(bundle, demand_mode=EXACT_GEOMETRY)
+        point, clamped, reference = _grid_seeded_exact_optimum(bundle)
+        assert (reference - opt.profit) / abs(reference) <= 1e-11
+        assert np.max(np.abs(np.subtract(opt.point, point))) <= 1e-6
+        assert opt.clamped_variables == clamped
+
+    def test_ends_on_a_worse_maximum_no_more_often_than_a_small_seed_grid(self):
+        # far from the paper's services the exact profit can have several local
+        # maxima, one per set of active services and more, and no local search
+        # is sure to find the best; the closed-form starts may miss it (as found
+        # from a 48^3 seed grid) no more often than an ascent from a 16^3 grid
+        rng = np.random.default_rng(2024)
+        misses = {"closed form": 0, "16^3 grid": 0}
+        for i in range(150):
+            bundle = _with_wages(random_bundle(rng, (COMPLEMENT, SUBSTITUTE)[i % 2]),
+                                 (None, 0.0, 5.0)[i % 3])
+            best = _grid_seeded_exact_optimum(bundle)[2]
+            profits = {"closed form": optimize_bundle(bundle, demand_mode=EXACT_GEOMETRY).profit,
+                       "16^3 grid": _grid_seeded_exact_optimum(bundle, points=16)[2]}
+            for name, profit in profits.items():
+                misses[name] += (best - profit) / abs(best) > 1e-9
+        assert misses["closed form"] <= misses["16^3 grid"]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0),
+           st.floats(-0.499, -1e-6))
+    def test_interior_substitute_demand_is_linear_at_half_minus_gamma_squared(
+            self, share, u1, u2, gamma):
+        # inclusion-exclusion on the box [0, p/u1] x [0, p/u2] while p <= min(u1, u2)
+        fee = share * min(u1, u2)
+        linear = 1.0 - (0.5 - gamma**2) * fee**2 / ((1.0 + gamma) ** 2 * u1 * u2)
+        assert prob_buy_substitute(fee, u1, u2, gamma, EXACT_GEOMETRY) == pytest.approx(
+            linear, rel=0, abs=1e-12)
 
 
 class TestFixedPrivacyFee:

@@ -511,3 +511,36 @@ def test_vanishing_quality_is_a_validation_error(command, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "underflow together" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["optimize", "separate"], ["verify"]], ids=lambda c: c[0])
+def test_vanishing_privacy_denominator_solves(command, tmp_path, capsys):
+    # in range, but m*alpha2*alpha3 underflows to 0 in the stationary privacy level
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text((SHIPPED / "s1.cfg").read_text()
+                    .replace("alpha2 = 0.004", "alpha2 = 1e-300")
+                    .replace("alpha3 = 2.813", "alpha3 = 1e-300"))
+    code = main(command + [str(tiny), "--out", str(tmp_path / "run")])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# in range, but log(alpha1/alpha2) is so small that u(max_privacy - 1e-9) rounds to 0
+THIN_CURVE = (("alpha1 = 0.822", "alpha1 = 1.0"), ("alpha2 = 0.004", "alpha2 = 0.999999999999"),
+              ("alpha3 = 2.813", "alpha3 = 2e-12"))
+
+
+@pytest.mark.parametrize("command, scenario", [(["optimize", "separate"], "s1.cfg"),
+                                               (["optimize", "complement"], "bundle_complements.cfg")],
+                         ids=["separate", "complement"])
+def test_privacy_cap_keeps_quality_positive(command, scenario, tmp_path, capsys):
+    text = (SHIPPED / scenario).read_text()
+    for old, new in THIN_CURVE:
+        text = text.replace(old, new, 1)
+    thin = tmp_path / "thin.cfg"
+    thin.write_text(text)
+    out = tmp_path / "run"
+    assert main(command + [str(thin), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    row = _read(out / "optimize.csv")[0]
+    assert math.isfinite(float(row["profit"]))
