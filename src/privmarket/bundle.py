@@ -31,23 +31,26 @@ import numpy as np
 
 from . import oracles
 from .demand import (
+    COMPLEMENT,
     EXACT_GEOMETRY,
     PAPER_FORM,
+    SUBSTITUTE,
     MarketSpec,
     _buy_complement,
     _buy_substitute,
+    _check_contingency,
     _check_fee,
     _check_mode,
     _check_positive_quality,
+    _check_privacy,
     _output,
     prob_buy_complement,
     prob_buy_substitute,
 )
-from .errors import DomainError, _as_input, _extremes
+from .errors import DomainError, _as_input
 from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
 from .quality import _quality, evaluate_quality
 from .separate import (
-    MAX_MAGNITUDE,
     OptimumSeparate,
     SeparateScenario,
     ServiceSpec,
@@ -68,9 +71,6 @@ __all__ = [
     "concavity_report_bundle",
     "bundling_decision",
 ]
-
-COMPLEMENT = "complement"
-SUBSTITUTE = "substitute"
 
 _ASCENT_TOL = 1e-13
 _ASCENT_SWEEPS = 600
@@ -95,15 +95,7 @@ class BundleSpec:
     def __post_init__(self):
         if self.kind not in (COMPLEMENT, SUBSTITUTE):
             raise DomainError(f"bundle kind must be '{COMPLEMENT}' or '{SUBSTITUTE}', got {self.kind!r}")
-        if not math.isfinite(self.gamma):
-            raise DomainError(f"contingency must be finite, got {self.gamma}")
-        if self.kind == COMPLEMENT and not 0 <= self.gamma <= MAX_MAGNITUDE:
-            raise DomainError(
-                f"complement bundles need contingency gamma in [0, {MAX_MAGNITUDE:g}], "
-                f"got {self.gamma}"
-            )
-        if self.kind == SUBSTITUTE and not (-0.5 < self.gamma < 0):
-            raise DomainError(f"substitute bundles need contingency in (-0.5, 0), got {self.gamma}")
+        _check_contingency(self.kind, self.gamma)
         if self.s1.n != self.s2.n:
             raise DomainError(
                 f"bundled services must share one crowd size, got {self.s1.n} and {self.s2.n}"
@@ -188,17 +180,10 @@ def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM)
     Validates its inputs once, then evaluates the unchecked `_profit`.
     """
     r1, r2, p_b = (_as_input(v) for v in (r1, r2, p_b))
-    for r in (r1, r2):
-        lo, hi = _extremes(r, skip_nan=True)
-        if lo < 0 or hi > 1:
-            raise DomainError("privacy levels must lie in [0, 1]")
-    if _extremes(p_b, skip_nan=True)[0] < 0:
-        raise DomainError("bundle fee must be nonnegative")
-    u1 = evaluate_quality(r1, bundle.s1.quality)
-    u2 = evaluate_quality(r2, bundle.s2.quality)
     _check_mode(demand_mode)
+    _check_privacy(r1, r2)
     _check_fee(p_b)
-    _check_positive_quality(u1, u2)
+    _check_positive_quality(_quality(r1, bundle.s1.quality), _quality(r2, bundle.s2.quality))
     return _output(_profit(bundle, r1, r2, p_b, demand_mode))
 
 
@@ -486,8 +471,7 @@ def optimal_bundle_fee_fixed_privacy(bundle: BundleSpec, r1: float, r2: float) -
         raise DomainError("fixed-privacy bundle fee is defined for complement bundles only")
     u1 = evaluate_quality(r1, bundle.s1.quality)
     u2 = evaluate_quality(r2, bundle.s2.quality)
-    if u1 <= 0 or u2 <= 0:
-        raise DomainError("both qualities must be positive at the fixed privacy levels")
+    _check_positive_quality(u1, u2)
     return 0.82 * (1.0 + bundle.gamma) * math.sqrt(u1 * u2)
 
 
@@ -499,10 +483,8 @@ def concavity_report_bundle(bundle: BundleSpec, r1: float, r2: float, p_b: float
     m = bundle.market.m
     u1 = evaluate_quality(r1, a)
     u2 = evaluate_quality(r2, b)
-    if u1 <= 0 or u2 <= 0:
-        raise DomainError("both qualities must be positive at the evaluation point")
-    if p_b < 0:
-        raise DomainError("bundle fee must be nonnegative")
+    _check_positive_quality(u1, u2)
+    _check_fee(p_b)
     k = (1.0 + bundle.gamma) ** 2
     x = a.alpha2 * math.exp(a.alpha3 * r1)
     y = b.alpha2 * math.exp(b.alpha3 * r2)

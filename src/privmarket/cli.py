@@ -79,12 +79,7 @@ def _load(args) -> LoadedScenario:
 
 
 def _pick_service(loaded: LoadedScenario, args) -> str:
-    name = getattr(args, "service", None)
-    if name is not None:
-        if name not in loaded.services:
-            raise ScenarioError(f"scenario defines no service named {name!r}")
-        return name
-    return loaded.single_service_name()
+    return args.service if args.service is not None else loaded.single_service_name()
 
 
 def _require_bundle(loaded: LoadedScenario, kind: str | None = None) -> BundleSpec:
@@ -129,7 +124,7 @@ def _cmd_fit(args) -> int:
             rows.append([name, fit.params.alpha1, fit.params.alpha2, fit.params.alpha3,
                          fit.residual_sum_squares, fit.iterations, fit.converged])
     if not rows:
-        raise ScenarioError("nothing to fit: pass --samples or a scenario with sample-driven services")
+        raise ScenarioError("fit needs --samples or a scenario with sample-driven services")
     _emit("fit", rows, args.out)
     return EXIT_OK
 
@@ -194,6 +189,8 @@ def _cmd_share(args) -> int:
         cf = CharacteristicFunction.from_two_player(v1, v2, v12, names=("1", "2"))
     elif args.coalitions:
         cf = _read_coalition_file(args.coalitions)
+    elif args.scenario is None:
+        raise ScenarioError("share needs a scenario file, --values or --coalitions")
     else:
         loaded = _load(args)
         bundle = _require_bundle(loaded)
@@ -345,60 +342,67 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# the shared flags; each command declares the ones it reads
+_FLAGS = {
+    "seed": dict(type=int, default=None, help="override the [sim] seed"),
+    "verify": dict(action="store_true", help="cross-check against oracles"),
+    "strict": dict(action="store_true", help="exit 3 when a solver falls back"),
+    "demand-mode": dict(choices=[PAPER_FORM, EXACT_GEOMETRY], default=PAPER_FORM),
+    "service": dict(default=None, help="service name for standalone commands"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="privmarket",
                                      description="Privacy-aware pricing and bundling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
+    def common(p, flags, scenario_required=True):
+        """The scenario, --out, and the shared flags this command reads."""
         if scenario_required:
             p.add_argument("scenario", help="scenario file path")
         else:
             p.add_argument("scenario", nargs="?", default=None, help="scenario file path")
         p.add_argument("--out", default=".", help="output directory for CSV reports")
-        p.add_argument("--seed", type=int, default=None, help="override the [sim] seed")
-        p.add_argument("--verify", action="store_true", help="cross-check against oracles")
-        p.add_argument("--strict", action="store_true", help="exit 3 when a solver falls back")
-        p.add_argument("--demand-mode", dest="demand_mode", choices=[PAPER_FORM, EXACT_GEOMETRY],
-                       default=PAPER_FORM)
-        p.add_argument("--service", default=None, help="service name for standalone commands")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
 
     p_fit = sub.add_parser("fit", help="fit quality curves from samples")
-    common(p_fit, scenario_required=False)
+    common(p_fit, (), scenario_required=False)
     p_fit.add_argument("--samples", default=None, help="fit a standalone r,quality CSV")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_opt = sub.add_parser("optimize", help="maximize a profit surface")
     p_opt.add_argument("kind", choices=["separate", "complement", "substitute"])
-    common(p_opt)
+    common(p_opt, ("verify", "strict", "demand-mode", "service"))
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_dec = sub.add_parser("decide", help="bundle-vs-separate recommendation")
-    common(p_dec)
+    common(p_dec, ("strict", "demand-mode"))
     p_dec.set_defaults(func=_cmd_decide)
 
     p_share = sub.add_parser("share", help="divide a bundle profit among providers")
-    common(p_share, scenario_required=False)
+    common(p_share, ("strict", "demand-mode"), scenario_required=False)
     p_share.add_argument("--values", default=None, help="v1,v2,v12 for a two-player split")
     p_share.add_argument("--coalitions", default=None, help="coalition,value CSV for K > 2")
     p_share.set_defaults(func=_cmd_share)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo profit at a decision point")
-    common(p_sim)
+    common(p_sim, ("seed", "demand-mode", "service"))
     p_sim.add_argument("--at", default=None, help="decision point r,p or r1,r2,pb (default: optimum)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="grid-oracle certification of an optimum")
-    common(p_ver)
+    common(p_ver, ("strict", "demand-mode", "service"))
     p_ver.set_defaults(func=_cmd_verify)
 
     p_dem = sub.add_parser("demand", help="buy probabilities in both demand modes")
-    common(p_dem)
+    common(p_dem, ("seed", "verify", "service"))
     p_dem.add_argument("--fee", type=float, default=None, help="fee to price (default: optimum)")
     p_dem.set_defaults(func=_cmd_demand)
 
     p_sweep = sub.add_parser("sweep", help="re-optimize along one parameter range")
-    common(p_sweep)
+    common(p_sweep, ("demand-mode", "service"))
     p_sweep.add_argument("--param", required=True,
                          help="market.M | service.<name>.c | service.<name>.N | "
                               "service.<name>.r | bundle.gamma")
@@ -413,12 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "scenario", None) is None and args.command in ("fit", "share"):
-        needs_file = args.command == "fit" and not args.samples
-        needs_file |= args.command == "share" and not (args.values or args.coalitions)
-        if needs_file:
-            print(f"error: {args.command} needs a scenario file or explicit inputs", file=sys.stderr)
-            return EXIT_VALIDATION
     try:
         return args.func(args)
     except (ScenarioError, DomainError, OSError) as exc:

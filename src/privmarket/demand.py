@@ -23,6 +23,12 @@ Each public function validates its inputs once (floats by comparison,
 arrays by one min/max reduction) and then calls its unchecked kernel
 (_buy_separate, _buy_complement, _buy_substitute); the profit kernels
 call those directly on points the solvers built inside the feasible box.
+
+The input rules of every model live here, once each: _check_privacy
+(finite, in [0, 1]), _check_fee (finite, >= 0), _check_positive_quality
+(finite, > 0) and _check_contingency (the window of a bundle kind).  The
+buy rules, the profit functions of `separate` and `bundle`, `BundleSpec`
+and the Monte-Carlo `DemandRegion` and `simulate_market` all use them.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _as_input, _extremes
+from .quality import MAX_MAGNITUDE
 
 __all__ = [
     "PAPER_FORM",
@@ -43,6 +50,9 @@ __all__ = [
     "prob_buy_substitute",
     "degree_of_contingency",
 ]
+
+COMPLEMENT = "complement"
+SUBSTITUTE = "substitute"
 
 PAPER_FORM = "paper"
 EXACT_GEOMETRY = "exact"
@@ -92,6 +102,13 @@ def _check_mode(mode):
         raise DomainError(f"demand mode must be one of {_MODES}, got {mode!r}")
 
 
+def _check_privacy(*levels):
+    for r in levels:
+        lo, hi = _extremes(r)
+        if not (0.0 <= lo and hi <= 1.0):
+            raise DomainError("privacy levels must lie in [0, 1]")
+
+
 def _check_positive_quality(*qualities):
     for u in qualities:
         lo, hi = _extremes(u)
@@ -103,6 +120,22 @@ def _check_fee(fee):
     lo, hi = _extremes(fee)
     if not (0.0 <= lo and hi < math.inf):
         raise DomainError(f"fee must be nonnegative and finite, got {fee}")
+
+
+def _check_contingency(kind, gamma):
+    """gamma in [0, MAX_MAGNITUDE] for complements, in (-0.5, 0) for substitutes.
+
+    Without the ceiling, (1+gamma)**2 overflows a float from gamma ~ 1.3e154.
+    The caller has checked that kind is COMPLEMENT or SUBSTITUTE.
+    """
+    lo, hi = _extremes(gamma)
+    if kind == COMPLEMENT and not (0.0 <= lo and hi <= MAX_MAGNITUDE):
+        raise DomainError(f"complement contingency must lie in [0, {MAX_MAGNITUDE:g}], got {gamma}")
+    if kind == SUBSTITUTE and not (-0.5 < lo and hi < 0.0):
+        raise DomainError(
+            f"substitute contingency must lie in (-0.5, 0), got {gamma} "
+            "(corner geometry breaks outside that window)"
+        )
 
 
 def _output(out):
@@ -187,9 +220,7 @@ def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):
     _check_mode(mode)
     _check_fee(fee)
     _check_positive_quality(u1, u2)
-    lo, hi = _extremes(gamma)
-    if not (0.0 <= lo and hi < math.inf):
-        raise DomainError(f"complement contingency must be >= 0, got {gamma}")
+    _check_contingency(COMPLEMENT, gamma)
     return _output(_buy_complement(*map(_as_input, (fee, u1, u2, gamma)), mode))
 
 
@@ -216,11 +247,6 @@ def prob_buy_substitute(fee, u1, u2, gamma, mode=PAPER_FORM):
     _check_mode(mode)
     _check_fee(fee)
     _check_positive_quality(u1, u2)
-    lo, hi = _extremes(gamma)
-    if not (-0.5 < lo and hi < 0.0):
-        raise DomainError(
-            f"substitute contingency must lie in (-0.5, 0), got {gamma} "
-            "(corner geometry breaks outside that window)"
-        )
+    _check_contingency(SUBSTITUTE, gamma)
     return _output(_buy_substitute(*map(_as_input, (fee, u1, u2, gamma)), mode))
 

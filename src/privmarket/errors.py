@@ -34,15 +34,14 @@ def _as_input(x):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _extremes(x, skip_nan=False):
+def _extremes(x):
     """(min, max) of a number or an array, as floats.
 
-    A nan element makes both nan unless skip_nan ignores it; an empty array
-    gives (inf, -inf), so a test ``lower <= lo and hi < upper`` passes it.
+    A nan element makes both nan; an empty array gives (inf, -inf), so a
+    test ``lower <= lo and hi < upper`` passes it.
     """
     if isinstance(x, (int, float)):
         return float(x), float(x)
     arr = np.asarray(x, dtype=float)
-    low, high = (np.fmin, np.fmax) if skip_nan else (np.minimum, np.maximum)
-    return (float(low.reduce(arr, axis=None, initial=math.inf)),
-            float(high.reduce(arr, axis=None, initial=-math.inf)))
+    return (float(np.minimum.reduce(arr, axis=None, initial=math.inf)),
+            float(np.maximum.reduce(arr, axis=None, initial=-math.inf)))

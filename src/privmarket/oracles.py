@@ -26,6 +26,8 @@ from typing import Callable
 
 import numpy as np
 
+from .demand import (COMPLEMENT, SUBSTITUTE, _check_contingency, _check_fee,
+                     _check_positive_quality, _check_privacy)
 from .errors import DomainError
 
 __all__ = [
@@ -194,26 +196,31 @@ class SimResult:
 
 @dataclass(frozen=True)
 class DemandRegion:
-    """Descriptor of one buy region for probability estimation."""
+    """Descriptor of one buy region for probability estimation.
 
-    kind: str  # "separate" | "complement" | "substitute"
+    Rejects an unknown kind, a fee that is negative or not finite, a
+    quality that is not positive and finite, and, for a bundle kind, a
+    missing u2 or contingency or one outside the kind's window; the rules
+    are the shared ones of `demand`.
+    """
+
+    kind: str  # "separate" | COMPLEMENT | SUBSTITUTE
     fee: float
     u1: float
     u2: float | None = None
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("separate", "complement", "substitute"):
+        if self.kind not in ("separate", COMPLEMENT, SUBSTITUTE):
             raise DomainError(f"unknown region kind {self.kind!r}")
-        if self.fee < 0 or self.u1 <= 0:
-            raise DomainError("region needs fee >= 0 and positive quality")
-        if self.kind != "separate":
-            if self.u2 is None or self.gamma is None or self.u2 <= 0:
-                raise DomainError(f"{self.kind} region needs u2 > 0 and a contingency")
-            if self.kind == "complement" and self.gamma < 0:
-                raise DomainError("complement region needs gamma >= 0")
-            if self.kind == "substitute" and not (-0.5 < self.gamma < 0):
-                raise DomainError("substitute region needs gamma in (-0.5, 0)")
+        _check_fee(self.fee)
+        if self.kind == "separate":
+            _check_positive_quality(self.u1)
+            return
+        if self.u2 is None or self.gamma is None:
+            raise DomainError(f"{self.kind} region needs u2 and a contingency")
+        _check_positive_quality(self.u1, self.u2)
+        _check_contingency(self.kind, self.gamma)
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -236,8 +243,7 @@ def participant_reports(rng: np.random.Generator, count: int, r: float, sigma_z:
     noisy copy (additive Gaussian, scale sigma_z) otherwise.  Returns the
     emitted vector and the boolean true-data mask.
     """
-    if not 0.0 <= r <= 1.0:
-        raise DomainError(f"privacy level must lie in [0, 1], got {r}")
+    _check_privacy(r)
     true_mask = rng.random(count) >= r
     x = rng.standard_normal(count)
     z = rng.standard_normal(count)
@@ -256,7 +262,7 @@ def _bought(region: DemandRegion, rng: np.random.Generator, count: int) -> np.nd
         return theta1 >= region.fee / region.u1
     theta2 = rng.random(count)
     bought = (1.0 + region.gamma) * (theta1 * region.u1 + theta2 * region.u2) > region.fee
-    if region.kind == "substitute":
+    if region.kind == SUBSTITUTE:
         bought |= (theta1 >= region.fee / region.u1) | (theta2 >= region.fee / region.u2)
     return bought
 
@@ -266,7 +272,8 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
 
     The target is a market (a single-service scenario or a bundle); its
     kind, services, contingency and point names give the DemandRegion at
-    the point.  One chunk function then replays each draw: a customer
+    the point; the point's privacy levels are checked here, its fee and
+    qualities by the DemandRegion.  One chunk function then replays each draw: a customer
     reservation sample through the shared buy rule, then one participant
     true/noisy flip per service, contributing m*fee*bought - n*wage*true
     per service; the mean over draws is an unbiased estimate of the
@@ -279,17 +286,15 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     the result does not depend on the core count.
     """
     from .bundle import BundleSpec
-    from .quality import evaluate_quality
+    from .quality import _quality
     from .separate import SeparateScenario
 
     if not isinstance(target, (SeparateScenario, BundleSpec)):
         raise DomainError(f"cannot simulate target of type {type(target).__name__}")
-    names, services = target.point_names, target.services
-    *levels, fee = (float(v) for v in point[: len(names)])
-    qualities = [evaluate_quality(r, service.quality) for r, service in zip(levels, services)]
-    if not all(0.0 <= r <= 1.0 for r in levels) or fee < 0 or min(qualities) <= 0:
-        shown = ", ".join(f"{name}={v}" for name, v in zip(names, (*levels, fee)))
-        raise DomainError(f"invalid decision point ({shown})")
+    services = target.services
+    *levels, fee = (float(v) for v in point[: len(target.point_names)])
+    _check_privacy(*levels)
+    qualities = [float(_quality(r, service.quality)) for r, service in zip(levels, services)]
     region = DemandRegion(target.kind, fee, *qualities, gamma=target.gamma)
     m, n = target.market.m, services[0].n
 

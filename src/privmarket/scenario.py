@@ -224,17 +224,9 @@ def load_scenario(path: str) -> LoadedScenario:
         elif name == "bundle":
             bundle_entry = (line_no, entries)
         elif name == "sim":
-            sim_entries = {
-                "draws": _typed(name, "draws", entries["draws"], int, lambda v: v >= 1)
-                if "draws" in entries
-                else _SIM_DEFAULTS["draws"],
-                "seed": _typed(name, "seed", entries["seed"], int, lambda v: v >= 0)
-                if "seed" in entries
-                else _SIM_DEFAULTS["seed"],
-                "sigma_z": _typed(name, "sigma_z", entries["sigma_z"], float, lambda v: v >= 0)
-                if "sigma_z" in entries
-                else _SIM_DEFAULTS["sigma_z"],
-            }
+            rules = {"draws": (int, lambda v: v >= 1), "seed": (int, lambda v: v >= 0),
+                     "sigma_z": (float, lambda v: v >= 0)}
+            sim_entries = {key: _typed(name, key, entries[key], *rules[key]) for key in entries}
 
     if market is None:
         raise ScenarioError("scenario needs a [market] section")
@@ -278,11 +270,7 @@ def load_scenario(path: str) -> LoadedScenario:
             raise ScenarioError(str(exc), section="bundle", line=line_no) from exc
         members = (raw_members[0], raw_members[1])
 
-    sim = SimulationSpec(
-        draws=sim_entries.get("draws", _SIM_DEFAULTS["draws"]),
-        seed=sim_entries.get("seed", _SIM_DEFAULTS["seed"]),
-        sigma_z=sim_entries.get("sigma_z", _SIM_DEFAULTS["sigma_z"]),
-    )
+    sim = SimulationSpec(**{**_SIM_DEFAULTS, **sim_entries})
     return LoadedScenario(
         market=market,
         services=services,

@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracles
-from .demand import PAPER_FORM, MarketSpec, _buy_separate, _check_fee, _output, prob_buy_separate
-from .errors import DomainError, _as_input, _extremes
+from .demand import (PAPER_FORM, MarketSpec, _buy_separate, _check_fee, _check_positive_quality,
+                     _check_privacy, _output, prob_buy_separate)
+from .errors import DomainError, _as_input
 from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
 from .quality import MAX_MAGNITUDE, QualityParams, _quality, evaluate_quality, max_privacy
 
@@ -133,23 +134,16 @@ def gross_profit_separate(scenario: SeparateScenario, r, p_s):
     Validates its inputs once, then evaluates the unchecked `_profit`.
     """
     r, p_s = _as_input(r), _as_input(p_s)
-    lo, hi = _extremes(r, skip_nan=True)
-    if lo < 0 or hi > 1:
-        raise DomainError("privacy level must lie in [0, 1]")
-    if _extremes(p_s, skip_nan=True)[0] < 0:
-        raise DomainError("fee must be nonnegative")
-    u = evaluate_quality(r, scenario.service.quality)
-    if _extremes(u, skip_nan=True)[0] <= 0:
-        raise DomainError("quality must be positive over the evaluated points")
+    _check_privacy(r)
     _check_fee(p_s)
+    _check_positive_quality(_quality(r, scenario.service.quality))
     return _output(_profit(scenario, r, p_s))
 
 
 def optimal_fee_fixed_privacy(scenario: SeparateScenario, r: float) -> float:
     """Profit-maximizing fee when the privacy level is imposed: u(r)/2."""
     u = evaluate_quality(r, scenario.service.quality)
-    if u <= 0:
-        raise DomainError(f"quality is not positive at r={r}")
+    _check_positive_quality(u)
     return u / 2.0
 
 
@@ -202,8 +196,7 @@ def concavity_report_separate(scenario: SeparateScenario, r: float, p_s: float) 
     q = scenario.service.quality
     m = scenario.market.m
     u = evaluate_quality(r, q)
-    if u <= 0:
-        raise DomainError(f"quality is not positive at r={r}")
+    _check_positive_quality(u)
     h_pp = -2.0 * m / u
     try:
         e = math.exp(q.alpha3 * r)

@@ -544,3 +544,57 @@ def test_privacy_cap_keeps_quality_positive(command, scenario, tmp_path, capsys)
     assert "Traceback" not in capsys.readouterr().err
     row = _read(out / "optimize.csv")[0]
     assert math.isfinite(float(row["profit"]))
+
+
+# the shared flags each command reads, and a value for each
+COMMAND_FLAGS = {
+    "fit": (),
+    "optimize": ("verify", "strict", "demand-mode", "service"),
+    "decide": ("strict", "demand-mode"),
+    "share": ("strict", "demand-mode"),
+    "simulate": ("seed", "demand-mode", "service"),
+    "verify": ("strict", "demand-mode", "service"),
+    "demand": ("seed", "verify", "service"),
+    "sweep": ("demand-mode", "service"),
+}
+FLAG_VALUES = {"seed": ["5"], "verify": [], "strict": [], "demand-mode": ["exact"],
+               "service": ["S1"]}
+COMMAND_ARGS = {
+    "fit": ["fit"],
+    "optimize": ["optimize", "separate", "x.cfg"],
+    "decide": ["decide", "x.cfg"],
+    "share": ["share"],
+    "simulate": ["simulate", "x.cfg"],
+    "verify": ["verify", "x.cfg"],
+    "demand": ["demand", "x.cfg"],
+    "sweep": ["sweep", "x.cfg", "--param", "market.M", "--start", "1", "--stop", "2",
+              "--steps", "2"],
+}
+FLAG_CASES = [(command, flag, flag in flags) for command, flags in COMMAND_FLAGS.items()
+              for flag in FLAG_VALUES]
+
+
+@pytest.mark.parametrize("command, flag, read", FLAG_CASES,
+                         ids=[f"{c}-{f}" for c, f, _ in FLAG_CASES])
+def test_commands_accept_only_the_flags_they_read(command, flag, read, capsys):
+    from privmarket.cli import _build_parser
+
+    argv = COMMAND_ARGS[command] + [f"--{flag}", *FLAG_VALUES[flag]]
+    if read:
+        args = _build_parser().parse_args(argv)
+        expected = {"seed": 5, "demand-mode": "exact", "service": "S1"}.get(flag, True)
+        assert getattr(args, flag.replace("-", "_")) == expected
+        return
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: privmarket")
+    assert f"unrecognized arguments: --{flag}" in err
+    assert "Traceback" not in err
+
+
+def test_share_without_inputs_is_validation_error(tmp_path, capsys):
+    assert main(["share", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: share needs")
+    assert not (tmp_path / "run").exists()

@@ -1,15 +1,23 @@
 import concurrent.futures
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmarket import oracles
 from privmarket import (
+    COMPLEMENT,
+    SUBSTITUTE,
+    BundleSpec,
     DemandRegion,
     DomainError,
     EXACT_GEOMETRY,
     GridSpec,
+    MarketSpec,
+    ServiceSpec,
     SimResult,
     SimulationSpec,
     estimate_buy_probability,
@@ -26,6 +34,8 @@ from privmarket import (
     simulate_market,
 )
 from privmarket.oracles import bundle_grid, bundle_objective
+
+from conftest import S1_PARAMS, S3_PARAMS
 
 
 class TestGridMaximize:
@@ -110,6 +120,12 @@ class TestSimulateMarket:
             simulate_market(s1_scenario, (1.5, 0.3), SimulationSpec(draws=10, seed=0))
         with pytest.raises(DomainError):
             simulate_market("not a scenario", (0.1, 0.1), SimulationSpec(draws=10, seed=0))
+
+    @pytest.mark.parametrize("fee", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_fee(self, s1_scenario, fee):
+        # the fee goes through the DemandRegion's rule, not a mean of nan
+        with pytest.raises(DomainError):
+            simulate_market(s1_scenario, (0.3, fee), SimulationSpec(draws=10, seed=0))
 
 
 
@@ -307,6 +323,46 @@ class TestEstimateBuyProbability:
             DemandRegion(kind="complement", fee=0.5, u1=0.8)  # missing u2/gamma
         with pytest.raises(DomainError):
             DemandRegion(kind="substitute", fee=0.5, u1=0.8, u2=0.8, gamma=0.2)
+
+    @pytest.mark.parametrize("fields", [
+        dict(kind="separate", fee=math.nan, u1=0.5),
+        dict(kind="separate", fee=math.inf, u1=0.5),
+        dict(kind="complement", fee=math.nan, u1=0.5, u2=0.6, gamma=0.1),
+        dict(kind="separate", fee=0.3, u1=math.inf),
+        dict(kind="complement", fee=0.3, u1=math.inf, u2=0.6, gamma=0.1),
+        dict(kind="complement", fee=0.3, u1=0.5, u2=math.inf, gamma=0.1),
+        dict(kind="complement", fee=0.3, u1=0.5, u2=0.6, gamma=math.nan),
+    ], ids=["nan-fee", "inf-fee", "nan-bundle-fee", "inf-u1", "inf-bundle-u1", "inf-u2",
+            "nan-gamma"])
+    def test_region_rejects_non_finite_inputs(self, fields):
+        with pytest.raises(DomainError):
+            DemandRegion(**fields)
+
+
+# the two windows' edges and the values just past them, with the non-finite ones
+WINDOW_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e100, math.nextafter(1e100, math.inf),
+                -0.5, math.nextafter(-0.5, 0.0), math.nextafter(-0.5, -1.0),
+                math.nan, math.inf, -math.inf)
+_MARKET = MarketSpec(m=1000)
+_SERVICES = (ServiceSpec(S1_PARAMS, n=100, c=0.2), ServiceSpec(S3_PARAMS, n=100, c=0.1))
+
+
+def _accepts(build):
+    try:
+        build()
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(gamma=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(WINDOW_EDGES))
+def test_contingency_window_is_one_rule(kind, gamma):
+    rule = prob_buy_complement if kind == COMPLEMENT else prob_buy_substitute
+    accepted = _accepts(lambda: rule(0.5, 0.7, 0.8, gamma))
+    assert _accepts(lambda: DemandRegion(kind=kind, fee=0.5, u1=0.7, u2=0.8, gamma=gamma)) == accepted
+    assert _accepts(lambda: BundleSpec(*_SERVICES, _MARKET, gamma, kind)) == accepted
 
 
 def test_simulation_spec_validation():
