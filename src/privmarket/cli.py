@@ -414,9 +414,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, by command name."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported with the command's own usage line, which lists the flags it takes
+        _commands(parser)[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ScenarioError, DomainError, OSError) as exc:

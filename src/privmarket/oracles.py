@@ -7,9 +7,11 @@ replays the market mechanics directly from their defining inequalities
 from any derived probability formula, so agreement is meaningful.
 
 Both oracles run their parts on one thread per usable core (`_map_parts`);
-numpy releases the interpreter lock inside its array kernels.  The grid
-is evaluated in slabs of at most `_SLAB` points along its first axis, so
-memory stays bounded however large the grid.
+numpy releases the interpreter lock inside its array kernels.  The grid's
+parts are slabs of at most `_SLAB` points along its first axis, one per
+thread; each slab is evaluated in blocks of at most `_BLOCK` points, so a
+block's temporaries stay in a core's cache and memory stays bounded
+however large the grid.  The argmax pass over a block also finds a NaN.
 
 Randomness uses counter-based Philox streams, one per fixed-size chunk of
 draws; chunk sums are added in chunk order, so seeded bits do not depend
@@ -47,7 +49,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
-_SLAB = 1 << 17
+_SLAB = 1 << 17  # points per thread part of the grid
+_BLOCK = 1 << 15  # points per evaluation: 256 KB per float64 temporary
 
 
 def _usable_cores() -> int:
@@ -107,23 +110,35 @@ def grid_maximize(objective: Callable, grid: GridSpec) -> GridMaxResult:
     from several threads at once.  Ties resolve to the
     lexicographically smallest index tuple (numpy's first flat argmax in C
     order), so the result does not depend on evaluation order.  The
-    lattice is evaluated in slabs of whole rows along the first axis, at
-    most `_SLAB` points each (one row when a row is larger), and the slab
-    maxima are combined in slab order, keeping the earlier one on a tie.
+    lattice is split along the first axis into slabs of whole rows, at
+    most `_SLAB` points each, the parts spread over threads; a slab is
+    evaluated in blocks of whole rows, at most `_BLOCK` points each, so
+    a block's temporaries stay in cache (a slab or block is one row when
+    a row is larger).  Block maxima, then slab maxima, are combined in
+    order, keeping the earlier one on a tie.  numpy's argmax returns the
+    first NaN, so a NaN in a block is its maximum and raises DomainError.
     """
     axes = [np.linspace(lo, hi, count) for lo, hi, count in grid.axes]
     first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True)
     row_shape = tuple(len(ax) for ax in axes[1:])
     rows = max(1, _SLAB // math.prod(row_shape))
+    block_rows = max(1, _BLOCK // math.prod(row_shape))
 
     def slab_max(start):
-        values = np.broadcast_to(
-            np.asarray(objective(first[start : start + rows], *rest), dtype=float),
-            (min(rows, len(axes[0]) - start), *row_shape),
-        )
-        _check_no_nan(values)
-        index = np.unravel_index(int(np.argmax(values)), values.shape)
-        return float(values[index]), (start + int(index[0]), *(int(i) for i in index[1:]))
+        stop = min(start + rows, len(axes[0]))
+        best = None
+        for lo in range(start, stop, block_rows):
+            hi = min(lo + block_rows, stop)
+            values = np.broadcast_to(
+                np.asarray(objective(first[lo:hi], *rest), dtype=float), (hi - lo, *row_shape)
+            )
+            index = np.unravel_index(int(np.argmax(values)), values.shape)
+            value = float(values[index])
+            _check_no_nan(value)  # argmax returns the first NaN, so the maximum shows it
+            # only a strictly larger value replaces: the earliest block wins a tie
+            if best is None or value > best[0]:
+                best = value, (lo + int(index[0]), *(int(i) for i in index[1:]))
+        return best
 
     # max keeps the first of equal values: the earliest slab wins a tie
     value, index = max(_map_parts(slab_max, range(0, len(axes[0]), rows)), key=lambda s: s[0])
@@ -272,18 +287,19 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
 
     The target is a market (a single-service scenario or a bundle); its
     kind, services, contingency and point names give the DemandRegion at
-    the point; the point's privacy levels are checked here, its fee and
-    qualities by the DemandRegion.  One chunk function then replays each draw: a customer
-    reservation sample through the shared buy rule, then one participant
-    true/noisy flip per service, contributing m*fee*bought - n*wage*true
-    per service; the mean over draws is an unbiased estimate of the
-    analytic profit.  Only the true-data mask enters the realized cost, so
-    the noisy trace of `participant_reports` is not formed and
-    `sim.sigma_z` reaches no output; a bundle still draws its first
-    service's two trace normals per participant, because the second
-    service's flips follow them in the chunk's stream.  Chunks run on one
-    thread per usable core and their sums are added in chunk order, so
-    the result does not depend on the core count.
+    the point; the point's length and privacy levels are checked here, its
+    fee and qualities by the DemandRegion.  One chunk function then
+    replays each draw: a customer reservation sample through the shared
+    buy rule, then one participant true/noisy flip per service,
+    contributing m*fee*bought - n*wage*true per service; the mean over
+    draws is an unbiased estimate of the analytic profit.  Only the
+    true-data mask enters the realized cost, so the noisy trace of
+    `participant_reports` is not formed and `sim.sigma_z` reaches no
+    output; a bundle still draws its first service's two trace normals per
+    participant, because the second service's flips follow them in the
+    chunk's stream.  Chunks run on one thread per usable core and their
+    sums are added in chunk order, so the result does not depend on the
+    core count.
     """
     from .bundle import BundleSpec
     from .quality import _quality
@@ -292,7 +308,10 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     if not isinstance(target, (SeparateScenario, BundleSpec)):
         raise DomainError(f"cannot simulate target of type {type(target).__name__}")
     services = target.services
-    *levels, fee = (float(v) for v in point[: len(target.point_names)])
+    if len(point) != len(target.point_names):
+        raise DomainError(f"{target.kind} point needs {len(target.point_names)} values "
+                          f"{target.point_names}, got {len(point)}")
+    *levels, fee = (float(v) for v in point)
     _check_privacy(*levels)
     qualities = [float(_quality(r, service.quality)) for r, service in zip(levels, services)]
     region = DemandRegion(target.kind, fee, *qualities, gamma=target.gamma)

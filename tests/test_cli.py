@@ -594,6 +594,39 @@ def test_commands_accept_only_the_flags_they_read(command, flag, read, capsys):
     assert "Traceback" not in err
 
 
+def test_unread_flag_is_reported_with_the_command_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["demand", "s1.cfg", "--demand-mode", "exact"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: privmarket demand")
+    assert "unrecognized arguments: --demand-mode exact" in err
+
+
+def _readme_flag_table():
+    """{command: flags} from the README's "Command | Flags" table."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| Command | Flags |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, flags = (cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
+        table[command.split()[0]] = {flag.strip() for flag in flags.split(",") if flag.strip()}
+    return table
+
+
+def test_readme_flag_table_matches_parser():
+    from privmarket.cli import _build_parser, _commands
+
+    parsed = {
+        name: {option for action in command._actions for option in action.option_strings}
+        - {"-h", "--help", "--out"}
+        for name, command in _commands(_build_parser()).items()
+    }
+    assert _readme_flag_table() == parsed
+
+
 def test_share_without_inputs_is_validation_error(tmp_path, capsys):
     assert main(["share", "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("error: share needs")

@@ -121,6 +121,15 @@ class TestSimulateMarket:
         with pytest.raises(DomainError):
             simulate_market("not a scenario", (0.1, 0.1), SimulationSpec(draws=10, seed=0))
 
+    @pytest.mark.parametrize("fixture, point", [
+        ("s1_scenario", (0.3, 0.4, 0.9)),
+        ("s1_scenario", (0.3,)),
+        ("sb1_bundle", (0.5, 0.9)),
+    ], ids=["service-three-values", "service-one-value", "bundle-two-values"])
+    def test_rejects_point_of_wrong_length(self, fixture, point, request):
+        with pytest.raises(DomainError, match="point needs"):
+            simulate_market(request.getfixturevalue(fixture), point, SimulationSpec(draws=10, seed=0))
+
     @pytest.mark.parametrize("fee", [math.nan, math.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_fee(self, s1_scenario, fee):
         # the fee goes through the DemandRegion's rule, not a mean of nan
@@ -197,11 +206,16 @@ def test_thread_pool_never_exceeds_parts(monkeypatch, s1_scenario):
 
 
 class TestGridSlabs:
-    """grid_maximize against one np.argmax over the whole lattice."""
+    """grid_maximize against one np.argmax over the whole lattice.
 
-    # 121 x 120 x 120 splits along the first axis into slabs of 9 rows, the last of 4
+    121 x 120 x 120 splits along the first axis into thread slabs of 9
+    rows, the last of 4, and each slab into cache blocks of 2 rows, the
+    last of a 9-row slab 1 row.
+    """
+
     GRID = GridSpec(axes=((0.0, 1.0, 121), (0.0, 2.0, 120), (-1.0, 1.0, 120)))
     ROWS = oracles._SLAB // (120 * 120)
+    BLOCK_ROWS = oracles._BLOCK // (120 * 120)
     AXES = [np.linspace(lo, hi, count) for lo, hi, count in GRID.axes]
 
     def _full_argmax(self, objective):
@@ -216,8 +230,13 @@ class TestGridSlabs:
         assert best.index == expected_index
         assert best.coords == tuple(float(ax[i]) for ax, i in zip(self.AXES, best.index))
 
+    def _peak(self, x0, y0, z0):
+        x0, y0, z0 = self.AXES[0][x0], self.AXES[1][y0], self.AXES[2][z0]
+        return lambda x, y, z: -((x - x0) ** 2) - (y - y0) ** 2 - (z - z0) ** 2
+
     def test_grid_splits_with_ragged_last_slab(self):
         assert self.ROWS == 9 and 121 % self.ROWS == 4
+        assert self.BLOCK_ROWS == 2 and self.ROWS % self.BLOCK_ROWS == 1
 
     def test_constant_objective(self):
         self._check(lambda x, y, z: np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape)),
@@ -228,10 +247,18 @@ class TestGridSlabs:
         self._check(lambda x, y, z: ((x >= lo) & (x <= hi) & (y >= 1.0)) + 0.0 * z,
                     (self.ROWS - 1, 60, 0))
 
+    def test_plateau_across_block_boundary_keeps_earlier_index(self):
+        # rows 1 and 2 of the first slab: the end of its first block, the start of its second
+        lo, hi = self.AXES[0][self.BLOCK_ROWS - 1], self.AXES[0][self.BLOCK_ROWS]
+        self._check(lambda x, y, z: ((x >= lo) & (x <= hi) & (z >= 0.0)) + 0.0 * y,
+                    (self.BLOCK_ROWS - 1, 0, 60))
+
     def test_maximum_in_last_slab(self):
-        x0, y0, z0 = self.AXES[0][119], self.AXES[1][37], self.AXES[2][90]
-        self._check(lambda x, y, z: -((x - x0) ** 2) - (y - y0) ** 2 - (z - z0) ** 2,
-                    (119, 37, 90))
+        self._check(self._peak(119, 37, 90), (119, 37, 90))
+
+    def test_maximum_in_last_block_of_a_slab(self):
+        row = 2 * self.ROWS - 1  # the one-row last block of the second slab
+        self._check(self._peak(row, 5, 111), (row, 5, 111))
 
     def test_nan_in_last_slab_only(self):
         edge = self.AXES[0][-2]
@@ -239,17 +266,37 @@ class TestGridSlabs:
             grid_maximize(lambda x, y, z: np.where(x > edge, np.nan, 0.0) + 0.0 * y * z,
                           self.GRID)
 
-    def test_bundle_grid_memory_stays_below_one_full_array(self, monkeypatch, sb1_bundle):
-        _cores(monkeypatch, 2)  # a fixed worker count, so the bound does not follow the host
-        grid = bundle_grid(sb1_bundle, points=120)
-        objective = bundle_objective(sb1_bundle)
+    def test_nan_in_middle_block_only(self):
+        # one NaN in the second of the first slab's five blocks, below the maximum at row 0
+        x0, y0, z0 = self.AXES[0][self.BLOCK_ROWS], self.AXES[1][17], self.AXES[2][44]
+
+        def objective(x, y, z):
+            return np.where((x == x0) & (y == y0) & (z == z0), np.nan, -x)
+
+        index, value = self._full_argmax(objective)
+        assert index == (self.BLOCK_ROWS, 17, 44) and math.isnan(value)
+        with pytest.raises(DomainError):
+            grid_maximize(objective, self.GRID)
+
+    def _traced_peak(self, monkeypatch, bundle, cores):
+        _cores(monkeypatch, cores)  # a fixed worker count, so the bound does not follow the host
+        grid = bundle_grid(bundle, points=120)
+        objective = bundle_objective(bundle)
         tracemalloc.start()
         try:
             grid_maximize(objective, grid)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_bundle_grid_memory_stays_below_one_full_array(self, monkeypatch, sb1_bundle):
+        peak = self._traced_peak(monkeypatch, sb1_bundle, 2)
         assert peak < 120**3 * 8  # 13.8 MB: one float array over the whole lattice
+
+    def test_bundle_grid_memory_stays_within_a_few_blocks(self, monkeypatch, sb1_bundle):
+        # one worker evaluates one block at a time, so only a block's temporaries are live
+        peak = self._traced_peak(monkeypatch, sb1_bundle, 1)
+        assert peak < 6 * oracles._BLOCK * 8  # 1.57 MB: six float temporaries of one block
 
 
 class TestParticipantReports:
