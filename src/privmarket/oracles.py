@@ -6,12 +6,12 @@ replays the market mechanics directly from their defining inequalities
 (reservation-price draws, participant true/noisy coin flips) rather than
 from any derived probability formula, so agreement is meaningful.
 
-Both oracles run their parts on one thread per usable core (`_map_parts`);
-numpy releases the interpreter lock inside its array kernels.  The grid's
-parts are slabs of at most `_SLAB` points along its first axis, one per
-thread; each slab is evaluated in blocks of at most `_BLOCK` points, so a
-block's temporaries stay in a core's cache and memory stays bounded
-however large the grid.  The argmax pass over a block also finds a NaN.
+The grid runs on the calling thread in blocks of whole rows, at most
+`_BLOCK` points (one row when a row is larger), so its memory stays
+bounded and a block's float64 temporaries stay under glibc's 128 KiB mmap
+threshold: the heap reuses them and no block faults them in again.  The
+argmax pass over a block also finds a NaN.  The Monte-Carlo chunks run
+on one thread per usable core (`_map_parts`).
 
 Randomness uses counter-based Philox streams, one per fixed-size chunk of
 draws; chunk sums are added in chunk order, so seeded bits do not depend
@@ -49,8 +49,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
-_SLAB = 1 << 17  # points per thread part of the grid
-_BLOCK = 1 << 15  # points per evaluation: 256 KB per float64 temporary
+_BLOCK = 1 << 14  # grid points per evaluation: 128 KiB per float64 temporary
+_REAL = (int, float, np.integer, np.floating)  # not numbers.Real: its check is 10x slower
 
 
 def _usable_cores() -> int:
@@ -62,7 +62,8 @@ def _usable_cores() -> int:
 
 def _map_parts(fn, parts) -> list:
     """[fn(part) for part in parts] on min(usable cores, len(parts)) threads,
-    in part order; a part's exception is re-raised; one part runs inline."""
+    in part order; a part's exception is re-raised; one part runs inline.
+    Only the Monte-Carlo chunks use it: their numpy kernels release the GIL."""
     parts = list(parts)
     workers = min(_usable_cores(), len(parts))
     if workers <= 1:
@@ -76,16 +77,24 @@ def _map_parts(fn, parts) -> list:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-dimension (lo, hi, points) closed ranges of the search lattice."""
+    """Per-dimension (lo, hi, count) closed ranges of the search lattice:
+    finite real bounds, lo <= hi, and an integer count >= 2 (not a bool)."""
 
     axes: tuple[tuple[float, float, int], ...]
 
     def __post_init__(self):
-        if not self.axes:
+        if not (isinstance(self.axes, (tuple, list)) and self.axes):
             raise DomainError("grid needs at least one axis")
-        for lo, hi, count in self.axes:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        for axis in self.axes:
+            # a bool is an int, but neither a bound nor a count
+            if not (isinstance(axis, (tuple, list)) and len(axis) == 3) or bool in map(type, axis):
+                raise DomainError(f"grid axis must be a (lo, hi, count) triple, got {axis!r}")
+            lo, hi, count = axis
+            real = isinstance(lo, _REAL) and isinstance(hi, _REAL)
+            if not (real and math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise DomainError(f"bad grid range [{lo}, {hi}]")
+            if not isinstance(count, (int, np.integer)):
+                raise DomainError(f"grid axis count must be an integer, got {count!r}")
             if count < 2:
                 raise DomainError(f"grid axes need at least 2 points, got {count}")
 
@@ -106,47 +115,36 @@ def _check_no_nan(values):
 def grid_maximize(objective: Callable, grid: GridSpec) -> GridMaxResult:
     """Exhaustive lattice maximization with a deterministic tie-break.
 
-    The objective must broadcast over numpy arrays and be safe to call
-    from several threads at once.  Ties resolve to the
+    The objective must broadcast over numpy arrays.  Ties resolve to the
     lexicographically smallest index tuple (numpy's first flat argmax in C
     order), so the result does not depend on evaluation order.  The
-    lattice is split along the first axis into slabs of whole rows, at
-    most `_SLAB` points each, the parts spread over threads; a slab is
-    evaluated in blocks of whole rows, at most `_BLOCK` points each, so
-    a block's temporaries stay in cache (a slab or block is one row when
-    a row is larger).  Block maxima, then slab maxima, are combined in
-    order, keeping the earlier one on a tie.  numpy's argmax returns the
-    first NaN, so a NaN in a block is its maximum and raises DomainError.
+    lattice is evaluated on the calling thread in blocks of whole rows of
+    its first axis, at most `_BLOCK` points each, so a float64 temporary
+    stays under glibc's 128 KiB mmap threshold (a block is one row when a
+    row is larger).  Block maxima are combined in index order, keeping the
+    earlier one on a tie.  numpy's argmax returns the first NaN, so a NaN
+    in a block is its maximum and raises DomainError.
     """
     axes = [np.linspace(lo, hi, count) for lo, hi, count in grid.axes]
     first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True)
-    row_shape = tuple(len(ax) for ax in axes[1:])
-    rows = max(1, _SLAB // math.prod(row_shape))
-    block_rows = max(1, _BLOCK // math.prod(row_shape))
-
-    def slab_max(start):
-        stop = min(start + rows, len(axes[0]))
-        best = None
-        for lo in range(start, stop, block_rows):
-            hi = min(lo + block_rows, stop)
-            values = np.broadcast_to(
-                np.asarray(objective(first[lo:hi], *rest), dtype=float), (hi - lo, *row_shape)
-            )
-            index = np.unravel_index(int(np.argmax(values)), values.shape)
-            value = float(values[index])
-            _check_no_nan(value)  # argmax returns the first NaN, so the maximum shows it
-            # only a strictly larger value replaces: the earliest block wins a tie
-            if best is None or value > best[0]:
-                best = value, (lo + int(index[0]), *(int(i) for i in index[1:]))
-        return best
-
-    # max keeps the first of equal values: the earliest slab wins a tie
-    value, index = max(_map_parts(slab_max, range(0, len(axes[0]), rows)), key=lambda s: s[0])
-    return GridMaxResult(
-        coords=tuple(float(axes[d][i]) for d, i in enumerate(index)),
-        value=value,
-        index=index,
-    )
+    shape = tuple(len(ax) for ax in axes)
+    row_size = math.prod(shape[1:])
+    block_rows = max(1, _BLOCK // row_size)
+    best_value, best_flat = -math.inf, 0
+    for lo in range(0, shape[0], block_rows):
+        hi = min(lo + block_rows, shape[0])
+        values = np.asarray(objective(first[lo:hi], *rest), dtype=float)
+        if values.shape != (hi - lo, *shape[1:]):
+            values = np.broadcast_to(values, (hi - lo, *shape[1:]))
+        flat = int(values.argmax())
+        value = float(values.flat[flat])
+        if math.isnan(value):  # argmax returns the first NaN, so the maximum shows it
+            _check_no_nan(value)
+        # only a strictly larger value replaces: the earliest block wins a tie
+        if value > best_value:
+            best_value, best_flat = value, lo * row_size + flat
+    index = tuple(int(i) for i in np.unravel_index(best_flat, shape))
+    return GridMaxResult(tuple(float(ax[i]) for ax, i in zip(axes, index)), best_value, index)
 
 
 def separate_objective(scenario) -> Callable:

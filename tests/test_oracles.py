@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,40 @@ class TestGridMaximize:
             GridSpec(axes=((0.0, 1.0, 1),))
         with pytest.raises(DomainError):
             GridSpec(axes=((1.0, 0.0, 10),))
+
+    @pytest.mark.parametrize("axes", [
+        ((0.0, 1.0, 3.0),),
+        ((0.0, 1.0, 2.5),),
+        ((0.0, 1.0, "3"),),
+        ((0.0, 1.0, True),),
+        ((0.0, 1.0, np.True_),),
+        (("0", 1.0, 3),),
+        ((0.0, b"1", 3),),
+        ((0.0, 1j, 3),),
+        ((False, 1.0, 3),),
+        ((0.0, 1.0),),
+        ((0.0, 1.0, 3, 4),),
+        (0.5,),
+        ((0.0, 1.0, 3), "axis"),
+        None,
+        7,
+    ], ids=["float-count", "fractional-count", "string-count", "bool-count", "numpy-bool-count",
+            "string-lo", "bytes-hi", "complex-hi", "bool-lo", "two-values", "four-values",
+            "scalar-axis", "string-axis", "no-axes", "int-axes"])
+    def test_rejects_malformed_axes(self, axes):
+        # none is a non-empty sequence of (lo, hi, count) triples of real bounds
+        # and an integer count; a bool is neither
+        with pytest.raises(DomainError):
+            GridSpec(axes=axes)
+
+    def test_accepts_numpy_scalars(self):
+        grid = GridSpec(axes=((np.float32(0.0), np.float64(1.0), np.int64(3)), [0, 2, np.int8(2)]))
+        best = grid_maximize(lambda x, y: x + y, grid)
+        assert best.index == (2, 1) and best.coords == (1.0, 2.0)
+
+    def test_fractional_verify_points_is_a_domain_error(self, sb1_bundle):
+        with pytest.raises(DomainError):
+            optimize_bundle(sb1_bundle, verify=True, verify_points=2.5)
 
 
 class TestSimulateMarket:
@@ -200,27 +235,23 @@ def test_thread_pool_never_exceeds_parts(monkeypatch, s1_scenario):
     simulate_market(s1_scenario, (0.3, 0.35), SimulationSpec(draws=2 * oracles._CHUNK + 1, seed=1))
     estimate_buy_probability(DemandRegion(kind="separate", fee=0.4, u1=0.8),
                              SimulationSpec(draws=oracles._CHUNK, seed=1))  # one chunk: inline
-    rows = oracles._SLAB // 400
-    grid_maximize(lambda x, y: x * y, GridSpec(axes=((0.0, 1.0, 2 * rows + 1), (0.0, 1.0, 400))))
-    assert sizes == [3, 3]
+    assert sizes == [3]
 
 
-class TestGridSlabs:
+class TestGridBlocks:
     """grid_maximize against one np.argmax over the whole lattice.
 
-    121 x 120 x 120 splits along the first axis into thread slabs of 9
-    rows, the last of 4, and each slab into cache blocks of 2 rows, the
-    last of a 9-row slab 1 row.
+    121 x 60 x 60 splits along the first axis into blocks of 4 rows
+    (14,400 points), the last block of 1 row.
     """
 
-    GRID = GridSpec(axes=((0.0, 1.0, 121), (0.0, 2.0, 120), (-1.0, 1.0, 120)))
-    ROWS = oracles._SLAB // (120 * 120)
-    BLOCK_ROWS = oracles._BLOCK // (120 * 120)
+    GRID = GridSpec(axes=((0.0, 1.0, 121), (0.0, 2.0, 60), (-1.0, 1.0, 60)))
+    BLOCK_ROWS = oracles._BLOCK // (60 * 60)
     AXES = [np.linspace(lo, hi, count) for lo, hi, count in GRID.axes]
 
     def _full_argmax(self, objective):
         mesh = np.meshgrid(*self.AXES, indexing="ij", sparse=True)
-        values = np.broadcast_to(np.asarray(objective(*mesh), dtype=float), (121, 120, 120))
+        values = np.broadcast_to(np.asarray(objective(*mesh), dtype=float), (121, 60, 60))
         index = np.unravel_index(int(np.argmax(values)), values.shape)
         return tuple(int(i) for i in index), float(values[index])
 
@@ -234,40 +265,37 @@ class TestGridSlabs:
         x0, y0, z0 = self.AXES[0][x0], self.AXES[1][y0], self.AXES[2][z0]
         return lambda x, y, z: -((x - x0) ** 2) - (y - y0) ** 2 - (z - z0) ** 2
 
-    def test_grid_splits_with_ragged_last_slab(self):
-        assert self.ROWS == 9 and 121 % self.ROWS == 4
-        assert self.BLOCK_ROWS == 2 and self.ROWS % self.BLOCK_ROWS == 1
+    def test_grid_splits_with_ragged_last_block(self):
+        assert self.BLOCK_ROWS == 4 and 121 % self.BLOCK_ROWS == 1
 
     def test_constant_objective(self):
         self._check(lambda x, y, z: np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape)),
                     (0, 0, 0))
 
-    def test_plateau_across_slab_boundary_keeps_earlier_index(self):
-        lo, hi = self.AXES[0][self.ROWS - 1], self.AXES[0][self.ROWS]
-        self._check(lambda x, y, z: ((x >= lo) & (x <= hi) & (y >= 1.0)) + 0.0 * z,
-                    (self.ROWS - 1, 60, 0))
+    def test_scalar_objective_broadcasts(self):
+        self._check(lambda x, y, z: 1.5, (0, 0, 0))
 
     def test_plateau_across_block_boundary_keeps_earlier_index(self):
-        # rows 1 and 2 of the first slab: the end of its first block, the start of its second
+        # the last row of the first block and the first row of the second
         lo, hi = self.AXES[0][self.BLOCK_ROWS - 1], self.AXES[0][self.BLOCK_ROWS]
         self._check(lambda x, y, z: ((x >= lo) & (x <= hi) & (z >= 0.0)) + 0.0 * y,
-                    (self.BLOCK_ROWS - 1, 0, 60))
+                    (self.BLOCK_ROWS - 1, 0, 30))
 
-    def test_maximum_in_last_slab(self):
-        self._check(self._peak(119, 37, 90), (119, 37, 90))
+    def test_maximum_in_last_block(self):
+        self._check(self._peak(120, 37, 45), (120, 37, 45))
 
-    def test_maximum_in_last_block_of_a_slab(self):
-        row = 2 * self.ROWS - 1  # the one-row last block of the second slab
-        self._check(self._peak(row, 5, 111), (row, 5, 111))
+    def test_maximum_in_last_row_of_a_block(self):
+        row = 2 * self.BLOCK_ROWS - 1
+        self._check(self._peak(row, 5, 59), (row, 5, 59))
 
-    def test_nan_in_last_slab_only(self):
+    def test_nan_in_last_block_only(self):
         edge = self.AXES[0][-2]
         with pytest.raises(DomainError):
             grid_maximize(lambda x, y, z: np.where(x > edge, np.nan, 0.0) + 0.0 * y * z,
                           self.GRID)
 
     def test_nan_in_middle_block_only(self):
-        # one NaN in the second of the first slab's five blocks, below the maximum at row 0
+        # one NaN in the second block, below the maximum at row 0
         x0, y0, z0 = self.AXES[0][self.BLOCK_ROWS], self.AXES[1][17], self.AXES[2][44]
 
         def objective(x, y, z):
@@ -278,25 +306,34 @@ class TestGridSlabs:
         with pytest.raises(DomainError):
             grid_maximize(objective, self.GRID)
 
-    def _traced_peak(self, monkeypatch, bundle, cores):
-        _cores(monkeypatch, cores)  # a fixed worker count, so the bound does not follow the host
-        grid = bundle_grid(bundle, points=120)
-        objective = bundle_objective(bundle)
+    def test_objective_runs_on_calling_thread_only(self, monkeypatch):
+        threads = set()
+
+        class NoExecutor(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the grid built a thread pool")
+
+        def objective(x, y, z):
+            threads.add(threading.get_ident())
+            return -x - y - z
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoExecutor)
+        _cores(monkeypatch, 64)
+        best = grid_maximize(objective, self.GRID)
+        assert best.index == (0, 0, 0)
+        assert threads == {threading.get_ident()}
+
+    def test_bundle_grid_memory_stays_within_a_few_blocks(self, sb1_bundle):
+        # one block is evaluated at a time, so only a block's temporaries are live
+        grid = bundle_grid(sb1_bundle, points=120)
+        objective = bundle_objective(sb1_bundle)
         tracemalloc.start()
         try:
             grid_maximize(objective, grid)
-            return tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-
-    def test_bundle_grid_memory_stays_below_one_full_array(self, monkeypatch, sb1_bundle):
-        peak = self._traced_peak(monkeypatch, sb1_bundle, 2)
-        assert peak < 120**3 * 8  # 13.8 MB: one float array over the whole lattice
-
-    def test_bundle_grid_memory_stays_within_a_few_blocks(self, monkeypatch, sb1_bundle):
-        # one worker evaluates one block at a time, so only a block's temporaries are live
-        peak = self._traced_peak(monkeypatch, sb1_bundle, 1)
-        assert peak < 6 * oracles._BLOCK * 8  # 1.57 MB: six float temporaries of one block
+        assert peak < 6 * oracles._BLOCK * 8  # 768 KiB: six float temporaries of one block
 
 
 class TestParticipantReports:
