@@ -20,7 +20,9 @@ here because G is concave in each coordinate wherever u1, u2 > 0; their
 `fee_root` is the same quadratic's root with sigma = 0.5 + gamma^2, which
 reproduces the ascent's fee on the shipped substitute bundle.  Exact
 demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
-geometry, so its ascent starts from closed forms, not a grid.
+geometry, so its ascent starts from closed forms, not a grid.  A solve
+validates its box once, at the eight corners; its lattices and ascents
+then run on the unchecked `_profit`.
 """
 from __future__ import annotations
 
@@ -357,7 +359,7 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     return r1, r2, p, tuple(clamped)
 
 
-def _exact_ascent(bundle: BundleSpec, root: float, cap1: float, cap2: float):
+def _exact_ascent(bundle: BundleSpec, root: float, cap1: float, cap2: float, p_hi: float):
     """Exact-mode coordinate ascent from closed-form starts, one per set of active services.
 
     Both services: the stationary point of the linear form at the exact
@@ -368,11 +370,6 @@ def _exact_ascent(bundle: BundleSpec, root: float, cap1: float, cap2: float):
     runs from the others and keeps the best end.  Far from the paper's
     services local maxima that no start reaches can exist (README).
     """
-    # the one validated call: the box's eight corners, with the seed grid's
-    # checks of its axes and of nan values
-    box = oracles.bundle_grid(bundle, points=2, demand_mode=EXACT_GEOMETRY)
-    corners = np.meshgrid(*(axis[:2] for axis in box.axes), indexing="ij", sparse=True)
-    oracles._check_no_nan(gross_profit_bundle(bundle, *corners, EXACT_GEOMETRY))
     if bundle.kind == COMPLEMENT:
         sigma, scale = 0.5, 1.0 + bundle.gamma
     else:
@@ -386,7 +383,7 @@ def _exact_ascent(bundle: BundleSpec, root: float, cap1: float, cap2: float):
     point = _stationary_point(bundle, root, sigma)
     if not any(map(math.isnan, point)):
         starts.insert(0, point)
-    axes = [np.clip(axis, 0.0, hi) for axis, hi in zip(zip(*starts), (cap1, cap2, box.axes[2][1]))]
+    axes = [np.clip(axis, 0.0, hi) for axis, hi in zip(zip(*starts), (cap1, cap2, p_hi))]
     order = np.argsort(-_profit(bundle, *axes, EXACT_GEOMETRY), kind="stable")
     first, *others = [tuple(float(axis[i]) for axis in axes) for i in order]
     ends = [_coordinate_ascent(bundle, EXACT_GEOMETRY, first)]
@@ -405,32 +402,34 @@ def optimize_bundle(
     """Maximize the bundle profit over (r1, r2, p_b).
 
     For complements in paper mode the closed-form stationary point is
-    evaluated first and accepted when it is feasible (nonnegative fee,
-    privacy levels inside their boxes).  Paper-mode substitutes and
-    infeasible or distrusted candidates take the fallback: a dense-grid
-    seed refined by coordinate ascent; the exact mode ascends from closed
-    forms (_exact_ascent).  With ``verify`` the result keeps an independent
-    grid maximization (evaluated once) as its certificate, and a candidate
-    that loses to that grid by more than rounding is re-solved through the
-    fallback.
+    accepted when it is feasible (nonnegative fee, privacy levels inside
+    their boxes).  Paper-mode substitutes and infeasible or distrusted
+    candidates take the fallback: a dense-grid seed refined by coordinate
+    ascent; the exact mode ascends from closed forms (_exact_ascent).  With
+    ``verify`` the result keeps an independent grid maximum as its
+    certificate, and a candidate that loses to it by more than rounding is
+    re-solved through the fallback.  Every lattice and ascent lies in one
+    box, which one `gross_profit_bundle` call on its eight corners validates
+    (with the grid's checks of its axes and of nan values) before they run
+    on the unchecked `_profit`; a closed-form complement needs no call.
     """
     cap1, cap2 = privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality)
     root = _fee_root(bundle, bundle.demand_factor)
     fallback = True
     if bundle.kind == COMPLEMENT:
         r1, r2, p = _stationary_point(bundle, root, 0.5)
-        fallback = not (
-            demand_mode == PAPER_FORM
-            and 0.0 <= r1 <= cap1
-            and 0.0 <= r2 <= cap2
-            and math.isfinite(p)
-            and p >= 0.0
-        )
+        fallback = not (demand_mode == PAPER_FORM and 0.0 <= r1 <= cap1 and 0.0 <= r2 <= cap2
+                        and 0.0 <= p < math.inf)
     clamped: tuple[str, ...] = ()
+    if verify or fallback:
+        # the one validated call: the corners of the box every lattice and ascent stays in
+        box = oracles.bundle_grid(bundle, points=2, demand_mode=demand_mode)
+        corners = np.meshgrid(*(axis[:2] for axis in box.axes), indexing="ij", sparse=True)
+        oracles._check_no_nan(gross_profit_bundle(bundle, *corners, demand_mode))
 
     def lattice_max(points):
         return oracles.grid_maximize(
-            oracles.bundle_objective(bundle, demand_mode),
+            lambda r1, r2, p: _profit(bundle, r1, r2, p, demand_mode),
             oracles.bundle_grid(bundle, points=points, demand_mode=demand_mode),
         )
 
@@ -442,7 +441,7 @@ def optimize_bundle(
     if fallback and demand_mode == PAPER_FORM:
         r1, r2, p, clamped = _coordinate_ascent(bundle, demand_mode, lattice_max(seed_points).coords)
     elif fallback:
-        r1, r2, p, clamped = _exact_ascent(bundle, root, cap1, cap2)
+        r1, r2, p, clamped = _exact_ascent(bundle, root, *(hi for _, hi, _ in box.axes))
     if fallback and verify and grid is None:
         grid = lattice_max(verify_points)
     profit = float(_profit(bundle, r1, r2, p, demand_mode))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _as_input, _extremes
+from .errors import DomainError, _as_input, _extremes, _is_finite, _is_number
 from .quality import MAX_MAGNITUDE
 
 __all__ = [
@@ -66,7 +66,7 @@ class MarketSpec:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 1):
+        if not (_is_number(self.m, int) and self.m >= 1):
             raise DomainError(f"customer count must be a positive integer, got {self.m!r}")
 
 
@@ -81,7 +81,7 @@ class ContingencyInput:
     def __post_init__(self):
         for name in ("theta_b", "theta_1", "theta_2"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
+            if not (_is_finite(v) and v >= 0):
                 raise DomainError(f"{name} must be finite and nonnegative, got {v}")
 
 
@@ -162,9 +162,9 @@ def prob_buy_separate(fee, quality):
 def _linear_form(fee, u1, u2, gamma, factor):
     """1 - factor*fee^2/((1+gamma)^2*u1*u2), clamped to [0, 1].
 
-    fee*fee, not fee**2: on a float, ** is pow(), which can differ in the last bit.
+    x*x, not x**2: on a float, ** is pow(), which can be an ulp off numpy's square.
     """
-    return _unit(1.0 - factor * (fee * fee) / ((1.0 + gamma) ** 2 * u1 * u2))
+    return _unit(1.0 - factor * (fee * fee) / ((1.0 + gamma) * (1.0 + gamma) * u1 * u2))
 
 
 def _nonbuy_area(q, u1, u2, width, height):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .demand import (COMPLEMENT, SUBSTITUTE, _check_contingency, _check_fee,
                      _check_positive_quality, _check_privacy)
-from .errors import DomainError
+from .errors import DomainError, _is_finite, _is_number
 
 __all__ = [
     "GridSpec",
@@ -50,7 +50,6 @@ __all__ = [
 
 _CHUNK = 1 << 17
 _BLOCK = 1 << 14  # grid points per evaluation: 128 KiB per float64 temporary
-_REAL = (int, float, np.integer, np.floating)  # not numbers.Real: its check is 10x slower
 
 
 def _usable_cores() -> int:
@@ -90,10 +89,9 @@ class GridSpec:
             if not (isinstance(axis, (tuple, list)) and len(axis) == 3) or bool in map(type, axis):
                 raise DomainError(f"grid axis must be a (lo, hi, count) triple, got {axis!r}")
             lo, hi, count = axis
-            real = isinstance(lo, _REAL) and isinstance(hi, _REAL)
-            if not (real and math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            if not (_is_finite(lo) and _is_finite(hi) and lo <= hi):
                 raise DomainError(f"bad grid range [{lo}, {hi}]")
-            if not isinstance(count, (int, np.integer)):
+            if not _is_number(count, (int, np.integer)):
                 raise DomainError(f"grid axis count must be an integer, got {count!r}")
             if count < 2:
                 raise DomainError(f"grid axes need at least 2 points, got {count}")
@@ -192,11 +190,11 @@ class SimulationSpec:
     sigma_z: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.draws, int) and self.draws >= 1):
+        if not (_is_number(self.draws, int) and self.draws >= 1):
             raise DomainError(f"draw count must be a positive integer, got {self.draws!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (_is_number(self.seed, int) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        if not (math.isfinite(self.sigma_z) and self.sigma_z >= 0):
+        if not (_is_finite(self.sigma_z) and self.sigma_z >= 0):
             raise DomainError(f"sigma_z must be finite and >= 0, got {self.sigma_z}")
 
 

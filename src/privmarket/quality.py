@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, _as_input, _extremes
+from .errors import DomainError, _as_input, _extremes, _is_finite
 
 __all__ = [
     "QualityParams",
@@ -54,7 +54,7 @@ class QualityParams:
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "alpha3"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not _is_finite(v, (int, float)):
                 raise DomainError(f"{name} must be a finite number, got {v!r}")
             if v <= 0:
                 raise DomainError(f"{name} must be positive, got {v}")
@@ -75,9 +75,9 @@ class QualitySample:
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and 0.0 <= self.r <= 1.0):
+        if not (_is_finite(self.r) and 0.0 <= self.r <= 1.0):
             raise DomainError(f"sample privacy level must lie in [0, 1], got {self.r}")
-        if not (math.isfinite(self.tau) and 0.0 <= self.tau <= 1.0):
+        if not (_is_finite(self.tau) and 0.0 <= self.tau <= 1.0):
             raise DomainError(f"sample quality must lie in [0, 1], got {self.tau}")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import oracles
 from .demand import (PAPER_FORM, MarketSpec, _buy_separate, _check_fee, _check_positive_quality,
                      _check_privacy, _output, prob_buy_separate)
-from .errors import DomainError, _as_input
+from .errors import DomainError, _as_input, _is_finite, _is_number
 from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
 from .quality import MAX_MAGNITUDE, QualityParams, _quality, evaluate_quality, max_privacy
 
@@ -52,9 +52,9 @@ class ServiceSpec:
     c: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_number(self.n, int) and self.n >= 1):
             raise DomainError(f"participant count must be a positive integer, got {self.n!r}")
-        if not (math.isfinite(self.c) and 0 <= self.c <= MAX_MAGNITUDE):
+        if not (_is_finite(self.c) and 0 <= self.c <= MAX_MAGNITUDE):
             raise DomainError(
                 f"reservation wage c must lie in [0, {MAX_MAGNITUDE:g}], got {self.c}"
             )

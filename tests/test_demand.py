@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from privmarket import (
@@ -86,6 +86,8 @@ def test_exact_geometry_matches_polygon_oracle(region):
 
 @given(st.sampled_from(sorted(_EXACT)).flatmap(
     lambda kind: st.lists(_bundle_regions((kind,)), min_size=1, max_size=8)))
+# float pow(1 + gamma, 2) is one ulp off numpy's square of the gamma array here
+@example(regions=[("complement", 2.883732198454577, 1.0, 1.0, 1.883732198454577)])
 def test_exact_geometry_array_call_matches_scalar_calls(regions):
     kind = regions[0][0]
     fee, u1, u2, gamma = (np.array(col) for col in list(zip(*regions))[1:])
@@ -98,6 +100,26 @@ def test_market_spec_validates():
     MarketSpec(m=1)
     with pytest.raises(DomainError):
         MarketSpec(m=0)
+
+
+@pytest.mark.parametrize("m", [True, False, 2.0, "5", None, np.int64(5)])
+def test_market_spec_rejects_bools_and_non_integers(m):
+    with pytest.raises(DomainError, match="customer count must be a positive integer"):
+        MarketSpec(m=m)
+
+
+@pytest.mark.parametrize("field", ["theta_b", "theta_1", "theta_2"])
+@pytest.mark.parametrize("value, accepted", [
+    (0, True), (0.5, True), (np.float32(0.5), True), (np.int64(2), True),
+    (True, False), (False, False), ("1", False), (None, False), (1j, False), (float("nan"), False),
+])
+def test_contingency_input_accepts_real_numbers_only(field, value, accepted):
+    values = {"theta_b": 1.0, "theta_1": 0.5, "theta_2": 0.5, field: value}
+    if accepted:
+        ContingencyInput(**values)
+    else:
+        with pytest.raises(DomainError, match=f"{field} must be finite and nonnegative"):
+            ContingencyInput(**values)
 
 
 class TestSeparate:

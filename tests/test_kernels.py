@@ -36,6 +36,9 @@ from privmarket import (
     quality,
     separate,
 )
+from privmarket.oracles import bundle_grid, bundle_objective
+
+from conftest import random_bundle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -289,8 +292,7 @@ def test_unknown_demand_mode_raises():
             call("bogus")
 
 
-def test_exact_solve_validates_once(monkeypatch):
-    # the box corners are the one validated call; the ascent's slices run on the kernel
+def _count_validated_calls(monkeypatch):
     calls = []
     real = bundle.gross_profit_bundle
 
@@ -299,8 +301,73 @@ def test_exact_solve_validates_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(bundle, "gross_profit_bundle", spy)
-    optimize_bundle(_shipped(SUBSTITUTE), demand_mode=EXACT_GEOMETRY)
-    assert len(calls) <= 1
+    return calls
+
+
+@pytest.mark.parametrize("kind, variant, mode, verify", [
+    (SUBSTITUTE, "shipped", PAPER_FORM, False),
+    (SUBSTITUTE, "shipped", PAPER_FORM, True),
+    (COMPLEMENT, "shipped", PAPER_FORM, True),
+    (COMPLEMENT, "c=0", PAPER_FORM, False),
+    (COMPLEMENT, "c=5", PAPER_FORM, False),
+    *((kind, variant, EXACT_GEOMETRY, verify) for kind in (COMPLEMENT, SUBSTITUTE)
+      for variant in ("shipped", "c=0", "c=5") for verify in (False, True)),
+])
+def test_solve_validates_once(kind, variant, mode, verify, monkeypatch):
+    # the box corners are the one validated call; the grids and the ascent's
+    # slices run on the kernel
+    b = _shipped(kind) if variant == "shipped" else _with_wage(_shipped(kind), float(variant[2:]))
+    calls = _count_validated_calls(monkeypatch)
+    opt = optimize_bundle(b, demand_mode=mode, verify=verify, verify_points=48)
+    assert opt.fallback or verify  # each case runs a grid or an ascent
+    assert len(calls) == 1
+
+
+def test_closed_form_solve_makes_no_validated_call(monkeypatch):
+    calls = _count_validated_calls(monkeypatch)
+    assert not optimize_bundle(_shipped(COMPLEMENT)).fallback
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
+@pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+def test_nan_box_corner_raises_before_any_grid(kind, mode, monkeypatch):
+    # qualities near 1e-160 make the profit 0/0 at a corner of the box
+    q = QualityParams(1e-160, 1e-170, 50.0)
+    b = dataclasses.replace(_shipped(kind), s1=ServiceSpec(q, 100, 0.2), s2=ServiceSpec(q, 100, 0.2))
+    grids = []
+    monkeypatch.setattr(bundle.oracles, "grid_maximize", lambda *args: grids.append(args))
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(DomainError, match="NaN"):
+        optimize_bundle(b, demand_mode=mode, verify=True)
+    assert grids == []
+
+
+def test_unknown_demand_mode_is_rejected_by_the_solver():
+    for kind in (COMPLEMENT, SUBSTITUTE):
+        with pytest.raises(DomainError, match="demand mode"):
+            optimize_bundle(_shipped(kind), demand_mode="bogus")
+
+
+@pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
+@pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+def test_kernel_lattices_match_the_public_oracle(kind, mode, monkeypatch):
+    # every lattice optimize_bundle evaluates on the kernel, the paper seed
+    # grid included, has the validating objective's maximum bit for bit
+    real = bundle.oracles.grid_maximize
+    lattices = []
+
+    def recorded(objective, grid):
+        lattices.append((real(objective, grid), grid))
+        return lattices[-1][0]
+
+    monkeypatch.setattr(bundle.oracles, "grid_maximize", recorded)
+    rng = np.random.default_rng(4242)
+    for b in [_shipped(kind), *(random_bundle(rng, kind) for _ in range(4))]:
+        lattices.clear()
+        opt = optimize_bundle(b, demand_mode=mode, verify=True, verify_points=25)
+        assert opt.grid == real(bundle_objective(b, mode), bundle_grid(b, 25, mode))
+        for result, grid in lattices:
+            assert result == real(bundle_objective(b, mode), grid)
 
 
 @pytest.mark.parametrize("variant", ["shipped", "c=0", "c=5"])

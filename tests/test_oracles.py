@@ -456,3 +456,24 @@ def test_simulation_spec_validation():
         SimulationSpec(draws=10, seed=-1)
     with pytest.raises(DomainError):
         SimulationSpec(draws=10, seed=1, sigma_z=-0.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("draws", True, "draw count must be a positive integer"),
+    ("draws", 10.0, "draw count must be a positive integer"),
+    ("seed", True, "seed must fit in 64 unsigned bits"),
+    ("seed", False, "seed must fit in 64 unsigned bits"),
+    ("seed", "1", "seed must fit in 64 unsigned bits"),
+    ("sigma_z", True, "sigma_z must be finite and >= 0"),
+    ("sigma_z", "1", "sigma_z must be finite and >= 0"),
+    ("sigma_z", None, "sigma_z must be finite and >= 0"),
+    ("sigma_z", 1j, "sigma_z must be finite and >= 0"),
+])
+def test_simulation_spec_rejects_bools_and_non_numbers(field, value, message):
+    with pytest.raises(DomainError, match=message):
+        SimulationSpec(**{"draws": 10, "seed": 1, field: value})
+
+
+@pytest.mark.parametrize("sigma_z", [0, 2, 0.5, np.float32(0.5), np.int64(1)])
+def test_simulation_spec_accepts_real_noise_scales(sigma_z):
+    assert SimulationSpec(draws=10, seed=0, sigma_z=sigma_z).sigma_z == sigma_z

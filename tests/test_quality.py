@@ -56,6 +56,29 @@ def test_quality_rejects_bad_inputs():
         QualityParams(0.5, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("field", ["alpha1", "alpha2", "alpha3"])
+@pytest.mark.parametrize("value", [True, False, "0.5", None, 1j, np.float32(0.5), float("nan"),
+                                   float("inf")])
+def test_quality_params_reject_bools_and_non_numbers(field, value):
+    values = {"alpha1": 2.0, "alpha2": 0.5, "alpha3": 1.0, field: value}
+    with pytest.raises(DomainError, match=f"{field} must be a finite number"):
+        QualityParams(**values)
+
+
+@pytest.mark.parametrize("field", ["r", "tau"])
+@pytest.mark.parametrize("value, accepted", [
+    (0, True), (1, True), (0.5, True), (np.float64(0.5), True), (np.float32(0.5), True),
+    (True, False), (False, False), ("0.5", False), (None, False),
+])
+def test_quality_sample_accepts_real_numbers_only(field, value, accepted):
+    values = {"r": 0.5, "tau": 0.5, field: value}
+    if accepted:
+        QualitySample(**values)
+    else:
+        with pytest.raises(DomainError, match="must lie in \\[0, 1\\]"):
+            QualitySample(**values)
+
+
 def test_derivatives_at_zero():
     d = quality_derivatives(0.0, QualityParams(1.0, 0.5, 1.0))
     assert d.du_dr == pytest.approx(-0.5)

@@ -19,6 +19,7 @@ from privmarket import (
 )
 
 from conftest import (
+    S1_PARAMS,
     assert_grid_agreement,
     fd_gradient,
     fd_hessian,
@@ -177,3 +178,21 @@ class TestConcavity:
     def test_determinant_matches_second_minor(self, s1_scenario):
         report = concavity_report_separate(s1_scenario, 0.5, 0.3)
         assert report.minors[1] == pytest.approx(np.linalg.det(report.hessian), rel=1e-9)
+
+
+@pytest.mark.parametrize("field, value, accepted", [
+    ("n", 1, True), ("n", True, False), ("n", False, False), ("n", 10.0, False),
+    ("n", "10", False), ("n", None, False),
+    ("c", 0, True), ("c", 1, True), ("c", 0.2, True), ("c", np.float64(0.5), True),
+    ("c", True, False), ("c", False, False), ("c", "x", False),
+    ("c", None, False), ("c", 1j, False),
+])
+def test_service_spec_accepts_real_numbers_only(field, value, accepted):
+    values = {"quality": S1_PARAMS, "n": 100, "c": 0.2, field: value}
+    if accepted:
+        ServiceSpec(**values)
+    else:
+        message = ("participant count must be a positive integer" if field == "n"
+                   else "reservation wage c must lie in")
+        with pytest.raises(DomainError, match=message):
+            ServiceSpec(**values)
