@@ -77,6 +77,7 @@ __all__ = [
 _ASCENT_TOL = 1e-13
 _ASCENT_SWEEPS = 600
 _BRACKET_POINTS = 129
+_STEPS = np.arange(_BRACKET_POINTS, dtype=float)
 _EXACT_EDGE = 1e-5  # an exact-mode coordinate this close to a bound is clamped
 
 
@@ -271,6 +272,18 @@ def _privacy_update(quality, cost, kappa, cap):
     return r, False
 
 
+def _lattice(lo, hi):
+    """np.linspace(lo, hi, _BRACKET_POINTS) bit for bit, without its set-up.
+
+    This is linspace's own arithmetic (arange * step + lo, last point hi)
+    for a nonzero step, which hi - lo > tol > 0 guarantees in _bracket_max.
+    """
+    grid = _STEPS * ((hi - lo) / (_BRACKET_POINTS - 1))
+    grid += lo
+    grid[-1] = hi
+    return grid
+
+
 def _bracket_max(fn, lo, hi, tol):
     """Maximize a unimodal fn on [lo, hi] by shrinking lattice brackets.
 
@@ -281,8 +294,8 @@ def _bracket_max(fn, lo, hi, tol):
     wider than tol), and the bracket midpoint is returned.
     """
     while hi - lo > tol:
-        grid = np.linspace(lo, hi, _BRACKET_POINTS)
-        best = int(np.argmax(fn(grid)))
+        grid = _lattice(lo, hi)
+        best = int(fn(grid).argmax())
         bracket = grid[max(best - 1, 0)], grid[min(best + 1, _BRACKET_POINTS - 1)]
         if bracket == (lo, hi):
             break
@@ -290,7 +303,7 @@ def _bracket_max(fn, lo, hi, tol):
     return float(0.5 * (lo + hi))
 
 
-def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
+def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
     """Cyclic exact maximization over p, r1, r2 from a start in the box.
 
     In paper mode each coordinate maximizer is closed form; in exact mode
@@ -298,16 +311,15 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     profit, evaluating each slice on a lattice in one array call per
     round.  Concavity of every slice makes the sweep converge to a joint
     maximum (in exact mode a local one).  Every point lies in the box
-    [0, cap1] x [0, cap2] x [0, p_hi] that the caller has validated, so
-    the slices and qualities are evaluated by the unchecked kernels
-    (_profit, _quality).
+    [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2, p_hi), that the
+    caller has validated, so the slices and qualities are evaluated by the
+    unchecked kernels (_profit, _quality).
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     m, n = bundle.market.m, bundle.n
     sigma = bundle.demand_factor
     k = (1.0 + bundle.gamma) ** 2
-    cap1, cap2 = privacy_cap(a), privacy_cap(b)
-    p_hi = _fee_upper_bound(bundle, demand_mode)
+    cap1, cap2, p_hi = box
     r1, r2, p = start
     clamp1 = clamp2 = False
     # near the optimum the profit is flat to float resolution over a
@@ -319,9 +331,9 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     edge = 1e-9 if paper else _EXACT_EDGE
     for _ in range(_ASCENT_SWEEPS):
         prev = (r1, r2, p)
-        u1 = float(_quality(r1, a))
-        u2 = float(_quality(r2, b))
         if paper:
+            u1 = float(_quality(r1, a))
+            u2 = float(_quality(r2, b))
             p = math.sqrt(k * u1 * u2 / (3.0 * sigma))
             try:
                 cube = p**3
@@ -359,7 +371,7 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start):
     return r1, r2, p, tuple(clamped)
 
 
-def _exact_ascent(bundle: BundleSpec, root: float, cap1: float, cap2: float, p_hi: float):
+def _exact_ascent(bundle: BundleSpec, root: float, box):
     """Exact-mode coordinate ascent from closed-form starts, one per set of active services.
 
     Both services: the stationary point of the linear form at the exact
@@ -370,6 +382,7 @@ def _exact_ascent(bundle: BundleSpec, root: float, cap1: float, cap2: float, p_h
     runs from the others and keeps the best end.  Far from the paper's
     services local maxima that no start reaches can exist (README).
     """
+    cap1, cap2, p_hi = box
     if bundle.kind == COMPLEMENT:
         sigma, scale = 0.5, 1.0 + bundle.gamma
     else:
@@ -386,9 +399,9 @@ def _exact_ascent(bundle: BundleSpec, root: float, cap1: float, cap2: float, p_h
     axes = [np.clip(axis, 0.0, hi) for axis, hi in zip(zip(*starts), (cap1, cap2, p_hi))]
     order = np.argsort(-_profit(bundle, *axes, EXACT_GEOMETRY), kind="stable")
     first, *others = [tuple(float(axis[i]) for axis in axes) for i in order]
-    ends = [_coordinate_ascent(bundle, EXACT_GEOMETRY, first)]
+    ends = [_coordinate_ascent(bundle, EXACT_GEOMETRY, first, box)]
     if any(r >= cap - _EXACT_EDGE and cap < 1.0 for r, cap in zip(ends[0][:2], (cap1, cap2))):
-        ends += [_coordinate_ascent(bundle, EXACT_GEOMETRY, start) for start in others]
+        ends += [_coordinate_ascent(bundle, EXACT_GEOMETRY, start, box) for start in others]
     return max(ends, key=lambda end: _profit(bundle, *end[:3], EXACT_GEOMETRY))
 
 
@@ -426,6 +439,7 @@ def optimize_bundle(
         box = oracles.bundle_grid(bundle, points=2, demand_mode=demand_mode)
         corners = np.meshgrid(*(axis[:2] for axis in box.axes), indexing="ij", sparse=True)
         oracles._check_no_nan(gross_profit_bundle(bundle, *corners, demand_mode))
+        limits = tuple(hi for _, hi, _ in box.axes)  # (cap1, cap2, p_hi)
 
     def lattice_max(points):
         return oracles.grid_maximize(
@@ -439,9 +453,10 @@ def optimize_bundle(
         profit = float(_profit(bundle, r1, r2, p, demand_mode))
         fallback = profit - grid.value < -1e-7 * (1.0 + abs(grid.value))
     if fallback and demand_mode == PAPER_FORM:
-        r1, r2, p, clamped = _coordinate_ascent(bundle, demand_mode, lattice_max(seed_points).coords)
+        r1, r2, p, clamped = _coordinate_ascent(bundle, demand_mode, lattice_max(seed_points).coords,
+                                                limits)
     elif fallback:
-        r1, r2, p, clamped = _exact_ascent(bundle, root, *(hi for _, hi, _ in box.axes))
+        r1, r2, p, clamped = _exact_ascent(bundle, root, limits)
     if fallback and verify and grid is None:
         grid = lattice_max(verify_points)
     profit = float(_profit(bundle, r1, r2, p, demand_mode))

@@ -61,13 +61,18 @@ _MODES = (PAPER_FORM, EXACT_GEOMETRY)
 
 @dataclass(frozen=True)
 class MarketSpec:
-    """Customer side of the market: m customers, Uniform[0,1] reservation prices."""
+    """Customer side of the market: m customers, Uniform[0,1] reservation prices.
+
+    m is an integer in [1, MAX_MAGNITUDE].
+    """
 
     m: int
 
     def __post_init__(self):
         if not (_is_number(self.m, int) and self.m >= 1):
             raise DomainError(f"customer count must be a positive integer, got {self.m!r}")
+        if self.m > MAX_MAGNITUDE:  # m*m and m*p must stay inside float range
+            raise DomainError(f"customer count must be at most {MAX_MAGNITUDE:g}, got {self.m:g}")
 
 
 @dataclass(frozen=True)
@@ -200,11 +205,16 @@ def _line_only_buy_probability(fee, u1, u2, gamma):
 
 
 def _buy_complement(fee, u1, u2, gamma, mode):
-    """prob_buy_complement without checks."""
+    """prob_buy_complement without checks.
+
+    In exact mode the line-only geometry is evaluated only when some point
+    lies off the interior triangle; np.where would discard it otherwise.
+    """
     out = _linear_form(fee, u1, u2, gamma, 0.5)
     if mode == EXACT_GEOMETRY:
         triangle = fee <= (1.0 + gamma) * np.minimum(u1, u2)
-        out = np.where(triangle, out, _line_only_buy_probability(fee, u1, u2, gamma))
+        if not triangle.all():
+            out = np.where(triangle, out, _line_only_buy_probability(fee, u1, u2, gamma))
     return out
 
 

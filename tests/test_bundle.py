@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from privmarket import (
@@ -26,7 +26,8 @@ from privmarket import (
     prob_buy_substitute,
 )
 
-from privmarket.bundle import _bracket_max, _coordinate_ascent
+import privmarket.bundle as bundle_mod
+from privmarket.bundle import _BRACKET_POINTS, _bracket_max, _coordinate_ascent, _lattice
 
 from conftest import assert_grid_agreement, fd_gradient, fd_hessian, hessians_close, random_bundle
 
@@ -264,9 +265,10 @@ def _paper_like_bundle(rng, kind):
 
 def _grid_seeded_exact_optimum(bundle, points=48):
     """The exact-mode ascent from the best point of a points^3 grid, with its profit."""
-    grid = grid_maximize(bundle_objective(bundle, EXACT_GEOMETRY),
-                         bundle_grid(bundle, points=points, demand_mode=EXACT_GEOMETRY))
-    *point, clamped = _coordinate_ascent(bundle, EXACT_GEOMETRY, grid.coords)
+    lattice = bundle_grid(bundle, points=points, demand_mode=EXACT_GEOMETRY)
+    grid = grid_maximize(bundle_objective(bundle, EXACT_GEOMETRY), lattice)
+    box = tuple(hi for _, hi, _ in lattice.axes)
+    *point, clamped = _coordinate_ascent(bundle, EXACT_GEOMETRY, grid.coords, box)
     return point, clamped, gross_profit_bundle(bundle, *point, EXACT_GEOMETRY)
 
 
@@ -431,8 +433,6 @@ class TestDecision:
         assert decision.bundle_profit < sum(decision.separate_profits)
 
     def test_tie_keeps_separate_sales(self, sb1_bundle, monkeypatch):
-        import privmarket.bundle as bundle_mod
-
         decision = bundling_decision(sb1_bundle)
         tied = decision.separate_profits[0] + decision.separate_profits[1]
 
@@ -459,3 +459,32 @@ def test_bracket_max_ends_where_float_spacing_exceeds_the_tolerance():
 
     best = _bracket_max(fn, 0.0, 3e8, 1e-9)
     assert best == pytest.approx(1.234e8, rel=1e-15)
+
+
+_BRACKET_TOL = 1e-9  # the tolerance the exact ascent passes to _bracket_max
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(
+    # finite brackets of any width the bracket search can meet
+    st.lists(st.floats(-1e200, 1e200), min_size=2, max_size=2).map(sorted),
+    # spans just above the tolerance, where the search stops
+    st.tuples(st.floats(0.0, 1e3), st.floats(_BRACKET_TOL, 1.5 * _BRACKET_TOL, exclude_min=True))
+      .map(lambda t: (t[0], t[0] + t[1])),
+), st.booleans())
+@example(bracket=(1.1342643508156023, 42.60452061333719), as_numpy=False)  # lo + (hi - lo) != hi
+def test_lattice_is_linspace_bit_for_bit(bracket, as_numpy):
+    lo, hi = map(np.float64, bracket) if as_numpy else bracket
+    assume(hi - lo > _BRACKET_TOL)  # the bracket search's loop condition
+    expected = np.linspace(lo, hi, _BRACKET_POINTS)
+    assert _lattice(lo, hi).tobytes() == expected.tobytes()
+
+
+def test_exact_solve_runs_without_linspace(sb1_bundle, sb2_bundle, monkeypatch):
+    expected = [optimize_bundle(b, EXACT_GEOMETRY) for b in (sb1_bundle, sb2_bundle)]
+
+    def no_linspace(*args, **kwargs):
+        raise AssertionError("np.linspace called")
+
+    monkeypatch.setattr(bundle_mod.np, "linspace", no_linspace)
+    assert [optimize_bundle(b, EXACT_GEOMETRY) for b in (sb1_bundle, sb2_bundle)] == expected

@@ -364,6 +364,23 @@ def test_overflowing_magnitudes_are_validation_errors(edit, command, tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("digits, code", [(100, 0), (160, 2)])
+def test_customer_count_has_a_ceiling(digits, code, tmp_path, capsys):
+    # M = 10**160 made m*m an int past float range: an OverflowError traceback, exit 1
+    cfg = tmp_path / "crowd.cfg"
+    cfg.write_text(SB1.replace("M = 1000", "M = 1" + "0" * digits))
+    out = tmp_path / "run"
+    assert main(["optimize", "complement", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:") and "1e+100" in err
+        assert not out.exists()
+    else:
+        row, = _read(out / "optimize.csv")
+        assert math.isfinite(float(row["profit"]))
+
+
 # pairs of inputs that are each in range but overflow together, with the
 # commands whose solve runs into the overflow; every other command exits 0
 JOINT_OVERFLOW = {

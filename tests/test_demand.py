@@ -15,6 +15,7 @@ from privmarket import (
     prob_buy_substitute,
 )
 from privmarket.demand import _line_only_buy_probability
+from privmarket.quality import MAX_MAGNITUDE
 
 
 def _clip_halfplane(poly, a, b, c):
@@ -100,6 +101,15 @@ def test_market_spec_validates():
     MarketSpec(m=1)
     with pytest.raises(DomainError):
         MarketSpec(m=0)
+
+
+def test_market_spec_has_a_magnitude_ceiling():
+    # the ceiling of c, the alphas and gamma; at M = 10**160 the bundle closed forms'
+    # m*m was an int past float range, an OverflowError
+    MarketSpec(m=int(MAX_MAGNITUDE))
+    for m in (int(MAX_MAGNITUDE) + 1, 10**160):
+        with pytest.raises(DomainError, match="customer count must be at most 1e\\+100"):
+            MarketSpec(m=m)
 
 
 @pytest.mark.parametrize("m", [True, False, 2.0, "5", None, np.int64(5)])

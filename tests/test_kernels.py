@@ -6,6 +6,7 @@ once and calls the same kernel.  The recorded float.hex values pin the
 bits of both layers.
 """
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,35 @@ def test_optimum_matches_recorded_bits(case):
     got = (opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit)
     assert all(type(v) is float for v in got)
     assert tuple(v.hex() for v in got) == PINNED_OPTIMA[case]
+
+
+def _exact_optima_digest():
+    """sha256 over float.hex of (r1, r2, p_b, profit) of 200 random exact-mode optima.
+
+    Both kinds alternate; of each 4 consecutive pairs one has both wages 0
+    and one has both wages 5, the others keep their drawn wages.
+    """
+    rng = np.random.default_rng(130013)
+    digest = hashlib.sha256()
+    for i in range(200):
+        b = random_bundle(rng, (COMPLEMENT, SUBSTITUTE)[i % 2])
+        wage = (None, 0.0, None, 5.0)[i // 2 % 4]
+        if wage is not None:
+            b = _with_wage(b, wage)
+        opt = optimize_bundle(b, demand_mode=EXACT_GEOMETRY)
+        for v in (opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit):
+            digest.update(v.hex().encode())
+    return digest.hexdigest()
+
+
+# recorded before the bracket lattice stopped calling np.linspace and the
+# exact complement demand stopped evaluating the line-only geometry on
+# interior lattices; PINNED_OPTIMA's six exact rows alone pin few of these bits
+EXACT_OPTIMA_DIGEST = "0a7b2270b9d9c5f6a15da1ab1ae37d4f342ca4c75794237dc9e384ecfd412ae6"
+
+
+def test_exact_optima_match_recorded_digest():
+    assert _exact_optima_digest() == EXACT_OPTIMA_DIGEST
 
 
 def _function_cases():
