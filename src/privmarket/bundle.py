@@ -21,7 +21,8 @@ here because G is concave in each coordinate wherever u1, u2 > 0; their
 reproduces the ascent's fee on the shipped substitute bundle.  Exact
 demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
 geometry, so its ascent starts from closed forms, not a grid.  A solve
-validates its box once, at the eight corners; its lattices and ascents
+builds its box [0, cap1] x [0, cap2] x [0, p_hi] once and checks it once,
+on floats and at its eight corners (_check_box); its lattices and ascents
 then run on the unchecked `_profit`.
 """
 from __future__ import annotations
@@ -166,8 +167,12 @@ class BundlingDecision:
 
 def _profit(bundle: BundleSpec, r1, r2, p_b, demand_mode):
     """gross_profit_bundle without checks, for (r1, r2, p_b) in the feasible box."""
-    u1 = _quality(r1, bundle.s1.quality)
-    u2 = _quality(r2, bundle.s2.quality)
+    return _profit_at(bundle, r1, r2, _quality(r1, bundle.s1.quality),
+                      _quality(r2, bundle.s2.quality), p_b, demand_mode)
+
+
+def _profit_at(bundle: BundleSpec, r1, r2, u1, u2, p_b, demand_mode):
+    """_profit with the qualities u1 = u(r1) and u2 = u(r2) already evaluated."""
     buy = _buy_complement if bundle.kind == COMPLEMENT else _buy_substitute
     n = bundle.n
     return (
@@ -238,8 +243,8 @@ def _stationary_point(bundle: BundleSpec, root: float, sigma: float):
 
 
 def _fee_upper_bound(bundle: BundleSpec, demand_mode: str) -> float:
-    u1_0 = evaluate_quality(0.0, bundle.s1.quality)
-    u2_0 = evaluate_quality(0.0, bundle.s2.quality)
+    u1_0 = float(_quality(0.0, bundle.s1.quality))
+    u2_0 = float(_quality(0.0, bundle.s2.quality))
     if demand_mode == PAPER_FORM:
         return (1.0 + bundle.gamma) * math.sqrt(u1_0 * u2_0 / bundle.demand_factor)
     return (1.0 + bundle.gamma) * (u1_0 + u2_0)
@@ -312,8 +317,9 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
     round.  Concavity of every slice makes the sweep converge to a joint
     maximum (in exact mode a local one).  Every point lies in the box
     [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2, p_hi), that the
-    caller has validated, so the slices and qualities are evaluated by the
-    unchecked kernels (_profit, _quality).
+    caller has checked, so the slices and qualities are evaluated by the
+    unchecked kernels (_profit_at, _quality); a slice evaluates the
+    quality of the coordinate it holds fixed once, not once per round.
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     m, n = bundle.market.m, bundle.n
@@ -348,14 +354,18 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
             kappa2 = sigma * m * cube * b.alpha3 / (k * u1)
             r2, clamp2 = _privacy_update(b, n * bundle.s2.c, kappa2, cap2)
         else:
+            u1, u2 = _quality(r1, a), _quality(r2, b)
             p = _bracket_max(
-                lambda t: _profit(bundle, r1, r2, t, demand_mode), 0.0, p_hi, bracket_tol
+                lambda t: _profit_at(bundle, r1, r2, u1, u2, t, demand_mode), 0.0, p_hi, bracket_tol
             )
             r1 = _bracket_max(
-                lambda t: _profit(bundle, t, r2, p, demand_mode), 0.0, cap1, bracket_tol
+                lambda t: _profit_at(bundle, t, r2, _quality(t, a), u2, p, demand_mode),
+                0.0, cap1, bracket_tol,
             )
+            u1 = _quality(r1, a)
             r2 = _bracket_max(
-                lambda t: _profit(bundle, r1, t, p, demand_mode), 0.0, cap2, bracket_tol
+                lambda t: _profit_at(bundle, r1, t, u1, _quality(t, b), p, demand_mode),
+                0.0, cap2, bracket_tol,
             )
             clamp1 = r1 <= edge or r1 >= cap1 - edge
             clamp2 = r2 <= edge or r2 >= cap2 - edge
@@ -371,38 +381,61 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
     return r1, r2, p, tuple(clamped)
 
 
-def _exact_ascent(bundle: BundleSpec, root: float, box):
+def _exact_ascent(bundle: BundleSpec, box, point):
     """Exact-mode coordinate ascent from closed-form starts, one per set of active services.
 
     Both services: the stationary point of the linear form at the exact
-    interior factor sigma (left out when nan).  One service, the other's
-    privacy at its cap: its standalone optimum, quality scaled by 1 + gamma
-    for complements.  The ascent runs from the most profitable start;
-    ending at a cap below 1, where a service's quality vanishes, it also
-    runs from the others and keeps the best end.  Far from the paper's
-    services local maxima that no start reaches can exist (README).
+    interior factor sigma (left out when nan); for complements sigma = 0.5
+    in both forms, so the caller passes the point it has, and substitutes
+    compute theirs at 0.5 - gamma^2.  One service, the other's privacy at
+    its cap: its standalone optimum, quality scaled by 1 + gamma for
+    complements.  The ascent runs from the most profitable start; ending at
+    a cap below 1, where a service's quality vanishes, it also runs from
+    the others and keeps the best end.  Far from the paper's services local
+    maxima that no start reaches can exist (README).  Returns the best end
+    (r1, r2, p, clamped) followed by its profit.
     """
     cap1, cap2, p_hi = box
     if bundle.kind == COMPLEMENT:
-        sigma, scale = 0.5, 1.0 + bundle.gamma
+        scale = 1.0 + bundle.gamma
     else:
         sigma, scale = 0.5 - bundle.gamma**2, 1.0
-        root = _fee_root(bundle, sigma)
+        point = _stationary_point(bundle, _fee_root(bundle, sigma), sigma)
     m, n = bundle.market.m * scale, bundle.n
     r1, r2 = (min(max(_stationary_privacy(svc.quality, m, n, svc.c), 0.0), cap)
               for svc, cap in ((bundle.s1, cap1), (bundle.s2, cap2)))
     starts = [(r1, cap2, 0.5 * scale * _quality(r1, bundle.s1.quality)),
               (cap1, r2, 0.5 * scale * _quality(r2, bundle.s2.quality))]
-    point = _stationary_point(bundle, root, sigma)
     if not any(map(math.isnan, point)):
         starts.insert(0, point)
-    axes = [np.clip(axis, 0.0, hi) for axis, hi in zip(zip(*starts), (cap1, cap2, p_hi))]
-    order = np.argsort(-_profit(bundle, *axes, EXACT_GEOMETRY), kind="stable")
-    first, *others = [tuple(float(axis[i]) for axis in axes) for i in order]
+    # np.clip's value on numbers that are not nan (max(0.0, -0.0) is 0.0, as in np.clip)
+    starts = [tuple(min(hi, max(0.0, x)) for x, hi in zip(start, box)) for start in starts]
+    order = np.argsort(-_profit(bundle, *np.array(starts).T, EXACT_GEOMETRY), kind="stable")
+    first, *others = [starts[i] for i in order]
     ends = [_coordinate_ascent(bundle, EXACT_GEOMETRY, first, box)]
     if any(r >= cap - _EXACT_EDGE and cap < 1.0 for r, cap in zip(ends[0][:2], (cap1, cap2))):
         ends += [_coordinate_ascent(bundle, EXACT_GEOMETRY, start, box) for start in others]
-    return max(ends, key=lambda end: _profit(bundle, *end[:3], EXACT_GEOMETRY))
+    profits = [float(_profit(bundle, *end[:3], EXACT_GEOMETRY)) for end in ends]
+    best = max(range(len(ends)), key=profits.__getitem__)  # the first end on a tie
+    return (*ends[best], profits[best])
+
+
+def _check_box(bundle: BundleSpec, box, demand_mode: str):
+    """gross_profit_bundle's checks of the box's eight corners, on floats.
+
+    Each corner coordinate takes two values, so checking the caps, p_hi,
+    and u(0) and u(cap) of each service applies every rule of that array
+    call; the profit is then evaluated at the corners, where a nan marks
+    a box outside its domain.
+    """
+    cap1, cap2, p_hi = box
+    _check_mode(demand_mode)
+    _check_privacy(cap1, cap2)
+    _check_fee(p_hi)
+    _check_positive_quality(*(_quality(r, svc.quality) for svc, cap in
+                              ((bundle.s1, cap1), (bundle.s2, cap2)) for r in (0.0, cap)))
+    corners = np.meshgrid(*((0.0, hi) for hi in box), indexing="ij", sparse=True)
+    oracles._check_no_nan(_profit(bundle, *corners, demand_mode))
 
 
 def optimize_bundle(
@@ -422,44 +455,42 @@ def optimize_bundle(
     ``verify`` the result keeps an independent grid maximum as its
     certificate, and a candidate that loses to it by more than rounding is
     re-solved through the fallback.  Every lattice and ascent lies in one
-    box, which one `gross_profit_bundle` call on its eight corners validates
-    (with the grid's checks of its axes and of nan values) before they run
-    on the unchecked `_profit`; a closed-form complement needs no call.
+    box, built once from the two privacy caps and the fee bound and checked
+    once by `_check_box` (the rules of a validating `gross_profit_bundle`
+    call on its eight corners, on floats) before they run on the unchecked
+    `_profit`; a closed-form complement needs no box.
     """
     cap1, cap2 = privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality)
     root = _fee_root(bundle, bundle.demand_factor)
     fallback = True
+    point = None  # the complement's stationary point, which the exact ascent starts from
     if bundle.kind == COMPLEMENT:
-        r1, r2, p = _stationary_point(bundle, root, 0.5)
+        point = r1, r2, p = _stationary_point(bundle, root, 0.5)
         fallback = not (demand_mode == PAPER_FORM and 0.0 <= r1 <= cap1 and 0.0 <= r2 <= cap2
                         and 0.0 <= p < math.inf)
     clamped: tuple[str, ...] = ()
     if verify or fallback:
-        # the one validated call: the corners of the box every lattice and ascent stays in
-        box = oracles.bundle_grid(bundle, points=2, demand_mode=demand_mode)
-        corners = np.meshgrid(*(axis[:2] for axis in box.axes), indexing="ij", sparse=True)
-        oracles._check_no_nan(gross_profit_bundle(bundle, *corners, demand_mode))
-        limits = tuple(hi for _, hi, _ in box.axes)  # (cap1, cap2, p_hi)
+        box = (cap1, cap2, _fee_upper_bound(bundle, demand_mode))
+        _check_box(bundle, box, demand_mode)
 
     def lattice_max(points):
         return oracles.grid_maximize(
             lambda r1, r2, p: _profit(bundle, r1, r2, p, demand_mode),
-            oracles.bundle_grid(bundle, points=points, demand_mode=demand_mode),
+            oracles.GridSpec(tuple((0.0, hi, points) for hi in box)),
         )
 
-    grid = None
-    if verify and not fallback:
-        grid = lattice_max(verify_points)
+    grid = lattice_max(verify_points) if verify and not fallback else None
+    if not fallback:
         profit = float(_profit(bundle, r1, r2, p, demand_mode))
-        fallback = profit - grid.value < -1e-7 * (1.0 + abs(grid.value))
+        fallback = grid is not None and profit - grid.value < -1e-7 * (1.0 + abs(grid.value))
     if fallback and demand_mode == PAPER_FORM:
         r1, r2, p, clamped = _coordinate_ascent(bundle, demand_mode, lattice_max(seed_points).coords,
-                                                limits)
+                                                box)
+        profit = float(_profit(bundle, r1, r2, p, demand_mode))
     elif fallback:
-        r1, r2, p, clamped = _exact_ascent(bundle, root, limits)
+        r1, r2, p, clamped, profit = _exact_ascent(bundle, box, point)
     if fallback and verify and grid is None:
         grid = lattice_max(verify_points)
-    profit = float(_profit(bundle, r1, r2, p, demand_mode))
     return OptimumBundle(
         r1_star=r1,
         r2_star=r2,

@@ -153,8 +153,8 @@ def _unit(x):
 
 
 def _buy_separate(fee, u):
-    """prob_buy_separate without checks."""
-    return _unit(1.0 - fee / u)
+    """prob_buy_separate without checks; fee/u >= 0, so only the clamp at 0 can act."""
+    return np.maximum(1.0 - fee / u, 0.0)
 
 
 def prob_buy_separate(fee, quality):
@@ -167,9 +167,11 @@ def prob_buy_separate(fee, quality):
 def _linear_form(fee, u1, u2, gamma, factor):
     """1 - factor*fee^2/((1+gamma)^2*u1*u2), clamped to [0, 1].
 
+    The subtracted term is >= 0, +inf or nan for u1, u2 > 0 and factor > 0,
+    so only the clamp at 0 can act; np.minimum(., 1) would pass every value.
     x*x, not x**2: on a float, ** is pow(), which can be an ulp off numpy's square.
     """
-    return _unit(1.0 - factor * (fee * fee) / ((1.0 + gamma) * (1.0 + gamma) * u1 * u2))
+    return np.maximum(1.0 - factor * (fee * fee) / ((1.0 + gamma) * (1.0 + gamma) * u1 * u2), 0.0)
 
 
 def _nonbuy_area(q, u1, u2, width, height):

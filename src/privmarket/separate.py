@@ -114,8 +114,11 @@ class OptimumSeparate:
 
 
 def privacy_cap(params: QualityParams) -> float:
-    """Upper end of the feasible privacy interval: min(1, zero-quality point)."""
-    cap, step = min(1.0, max_privacy(params) - _CAP_MARGIN), _CAP_MARGIN
+    """Upper end of the feasible privacy interval: min(1, zero-quality point), at least 0.
+
+    A curve that reaches zero quality within the margin of r = 0 gets cap 0.
+    """
+    cap, step = max(0.0, min(1.0, max_privacy(params) - _CAP_MARGIN)), _CAP_MARGIN
     while _quality(cap, params) <= 0.0:  # the margin rounded away; u(0) > 0 ends this
         cap, step = max(cap - step, 0.0), 2.0 * step
     return cap

@@ -98,23 +98,35 @@ def test_optimum_matches_recorded_bits(case):
     assert tuple(v.hex() for v in got) == PINNED_OPTIMA[case]
 
 
-def _exact_optima_digest():
-    """sha256 over float.hex of (r1, r2, p_b, profit) of 200 random exact-mode optima.
+def _optimum_bits(opt):
+    """float.hex of (r1, r2, p_b, profit), then of the grid's coords and value when verified."""
+    values = [opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit]
+    if opt.grid is not None:
+        values += [*opt.grid.coords, opt.grid.value]
+    return tuple(float(v).hex() for v in values)
+
+
+def _optima_digest(seed, mode, verified=lambda i: False):
+    """sha256 over _optimum_bits of 200 random optima; solve i is verified at 40^3 if verified(i).
 
     Both kinds alternate; of each 4 consecutive pairs one has both wages 0
     and one has both wages 5, the others keep their drawn wages.
     """
-    rng = np.random.default_rng(130013)
+    rng = np.random.default_rng(seed)
     digest = hashlib.sha256()
     for i in range(200):
         b = random_bundle(rng, (COMPLEMENT, SUBSTITUTE)[i % 2])
         wage = (None, 0.0, None, 5.0)[i // 2 % 4]
         if wage is not None:
             b = _with_wage(b, wage)
-        opt = optimize_bundle(b, demand_mode=EXACT_GEOMETRY)
-        for v in (opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit):
-            digest.update(v.hex().encode())
+        opt = optimize_bundle(b, demand_mode=mode, verify=verified(i), verify_points=40)
+        for bits in _optimum_bits(opt):
+            digest.update(bits.encode())
     return digest.hexdigest()
+
+
+def _exact_optima_digest():
+    return _optima_digest(130013, EXACT_GEOMETRY)
 
 
 # recorded before the bracket lattice stopped calling np.linspace and the
@@ -125,6 +137,305 @@ EXACT_OPTIMA_DIGEST = "0a7b2270b9d9c5f6a15da1ab1ae37d4f342ca4c75794237dc9e384ecf
 
 def test_exact_optima_match_recorded_digest():
     assert _exact_optima_digest() == EXACT_OPTIMA_DIGEST
+
+
+# recorded before the solves built and checked their box once on floats and
+# the paper demand kernels dropped their clamp at 1; every 4th solve is
+# verified, shifted by one in each block of 8 so both kinds and every wage are
+PAPER_OPTIMA_DIGEST = "adf71512f148de02967ffc82fd436e1fb6092905b5d4b4867b70bab2f33082dc"
+
+
+def test_paper_optima_match_recorded_digest():
+    digest = _optima_digest(140014, PAPER_FORM, verified=lambda i: (i + i // 8) % 4 == 3)
+    assert digest == PAPER_OPTIMA_DIGEST
+
+
+def _with_quality(b, **alphas):
+    return dataclasses.replace(b, **{
+        name: dataclasses.replace(svc, quality=dataclasses.replace(svc.quality, **alphas))
+        for name, svc in (("s1", b.s1), ("s2", b.s2))})
+
+
+# each variant of a shipped bundle sets one input (both services' where
+# there are two) at its ceiling, at a tiny value, or at a wage of 0 or 5
+EXTREMES = {
+    "alpha1=1e100": lambda b: _with_quality(b, alpha1=1e100),
+    "alpha3=1e100": lambda b: _with_quality(b, alpha3=1e100),
+    "alpha2=5e-324": lambda b: _with_quality(b, alpha2=5e-324),
+    "quality~1e-160": lambda b: _with_quality(b, alpha1=1e-160, alpha2=1e-170, alpha3=50.0),
+    "c=1e100": lambda b: _with_wage(b, 1e100),
+    "gamma=edge": lambda b: dataclasses.replace(
+        b, gamma=1e100 if b.kind == COMPLEMENT else -0.5 + 2**-40),
+    "m=1e100": lambda b: dataclasses.replace(b, market=MarketSpec(m=int(1e100))),
+    "ceilings": lambda b: dataclasses.replace(
+        _with_wage(_with_quality(b, alpha1=1e100), 1e100), market=MarketSpec(m=int(1e100)),
+        gamma=1e100 if b.kind == COMPLEMENT else b.gamma),
+    "c=0": lambda b: _with_wage(b, 0.0),
+    "c=5": lambda b: _with_wage(b, 5.0),
+}
+
+
+def _extreme_outcome(variant, kind, mode, verify):
+    """The DomainError message of a solve, or _optimum_bits with fallback and clamped variables."""
+    b = EXTREMES[variant](_shipped(kind))
+    try:
+        with np.errstate(all="ignore"):
+            opt = optimize_bundle(b, demand_mode=mode, verify=verify, verify_points=9)
+    except DomainError as exc:
+        return str(exc)
+    return (*_optimum_bits(opt), opt.fallback, opt.clamped_variables)
+
+
+# recorded before the solves built and checked their box once on floats.  The
+# eight alpha3=1e100 rows raised "bad grid range [0.0, -1e-09]" there: for a
+# curve that reaches zero quality within privacy_cap's 1e-9 margin of r = 0,
+# privacy_cap returned -1e-9; they were re-recorded when it started to return 0.
+# The unverified exact "ceilings" complement ends at a nan profit without an
+# error, at the parent too: (1+gamma)^2*u1*u2 overflows inside the box while
+# its corners stay finite; a mend re-records that row
+_NAN = "objective produced NaN on the grid; domain is not valid"
+EXTREME_OUTCOMES = {
+    ("alpha1=1e100", "complement", "paper", False): (
+        "0x1.4434299522d90p-1", "0x1.f98c31f343bd9p-2", "0x1.06cd47b8db757p+332",
+        "0x1.5630a00e086b8p+341", False, ()),
+    ("alpha1=1e100", "complement", "paper", True): (
+        "0x1.4434299522d90p-1", "0x1.f98c31f343bd9p-2", "0x1.06cd47b8db757p+332",
+        "0x1.5630a00e086b8p+341", "0x0.0p+0", "0x0.0p+0", "0x1.1c7dcaca5649ap+332",
+        "0x1.5298f74bb192cp+341", False, ()),
+    ("alpha1=1e100", "complement", "exact", False): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.06cd47ab529bep+332",
+        "0x1.5630a00e086b9p+341", True, ("r1", "r2")),
+    ("alpha1=1e100", "complement", "exact", True): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.06cd47ab529bep+332",
+        "0x1.5630a00e086b9p+341", "0x0.0p+0", "0x0.0p+0", "0x1.e2cc4179bdc28p+331",
+        "0x1.52e0be3523617p+341", True, ("r1", "r2")),
+    ("alpha1=1e100", "substitute", "paper", False): (
+        "privacy update out of floating-point range (n*c = 20, kappa = 6.82253e+202); the "
+        "scenario's magnitudes overflow together"),
+    ("alpha1=1e100", "substitute", "paper", True): (
+        "privacy update out of floating-point range (n*c = 20, kappa = 6.82253e+202); the "
+        "scenario's magnitudes overflow together"),
+    ("alpha1=1e100", "substitute", "exact", False): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267c9de1375ep+331",
+        "0x1.1ad0e7915c933p+341", True, ("r1", "r2")),
+    ("alpha1=1e100", "substitute", "exact", True): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267c9de1375ep+331",
+        "0x1.1ad0e7915c933p+341", "0x0.0p+0", "0x0.0p+0", "0x1.8b04359226e4fp+331",
+        "0x1.176f02455b338p+341", True, ("r1", "r2")),
+    ("alpha3=1e100", "complement", "paper", False): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.d9f45f32c9ea8p+8", True, ("r1", "r2")),
+    ("alpha3=1e100", "complement", "paper", True): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.d9f45f32c9ea8p+8", "0x0.0p+0",
+        "0x0.0p+0", "0x1.a2fadf2d2e854p-1", "0x1.d4a9f57f164e3p+8", True, ("r1", "r2")),
+    ("alpha3=1e100", "complement", "exact", False): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.8309802b91b3ep-1", "0x1.d9f45f32c9ea8p+8", True, ("r1", "r2")),
+    ("alpha3=1e100", "complement", "exact", True): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.8309802b91b3ep-1", "0x1.d9f45f32c9ea8p+8", "0x0.0p+0",
+        "0x0.0p+0", "0x1.63a92a3055326p-1", "0x1.d51eeea9e7c51p+8", True, ("r1", "r2")),
+    ("alpha3=1e100", "substitute", "paper", False): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.6ace58a3a3defp+8", True, ("r1", "r2")),
+    ("alpha3=1e100", "substitute", "paper", True): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.6ace58a3a3defp+8", "0x0.0p+0",
+        "0x0.0p+0", "0x1.4ee2fbaf9aa08p-1", "0x1.6693c6ed9058dp+8", True, ("r1", "r2")),
+    ("alpha3=1e100", "substitute", "exact", False): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.3b9af29d13ddap-1", "0x1.72f1c170cd4a4p+8", True, ("r1", "r2")),
+    ("alpha3=1e100", "substitute", "exact", True): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.3b9af29d13ddap-1", "0x1.72f1c170cd4a4p+8", "0x0.0p+0",
+        "0x0.0p+0", "0x1.1f05532617c1cp-1", "0x1.6e0a621ce1186p+8", True, ("r1", "r2")),
+    ("alpha2=5e-324", "complement", "paper", False): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.8434c9edf3421p-1",
+        "0x1.f97a11987f68ap+8", True, ("r1", "r2")),
+    ("alpha2=5e-324", "complement", "paper", True): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.8434c9edf3421p-1",
+        "0x1.f97a11987f68ap+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.a43edc1379f52p-1", "0x1.f42b908e6e36fp+8", True, ("r1", "r2")),
+    ("alpha2=5e-324", "complement", "exact", False): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.8434c9ed23993p-1",
+        "0x1.f97a11987d88dp+8", True, ("r1", "r2")),
+    ("alpha2=5e-324", "complement", "exact", True): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.8434c9ed23993p-1",
+        "0x1.f97a11987d88dp+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.64b780346dc5ep-1", "0x1.f49f77633264ap+8", True, ("r1", "r2")),
+    ("alpha2=5e-324", "substitute", "paper", False): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.387e1202a52c5p-1",
+        "0x1.96e4277371bc5p+8", True, ("r1", "r2")),
+    ("alpha2=5e-324", "substitute", "paper", True): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.387e1202a52c5p-1",
+        "0x1.96e4277371bc5p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.52487393cf340p-1", "0x1.929e9b0efbac4p+8", True, ("r1", "r2")),
+    ("alpha2=5e-324", "substitute", "exact", False): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.3ece5b1b9a992p-1",
+        "0x1.9f1cb16bd5558p+8", True, ("r1", "r2")),
+    ("alpha2=5e-324", "substitute", "exact", True): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.3ece5b1b9a992p-1",
+        "0x1.9f1cb16bd5558p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.21f559b3d07c8p-1", "0x1.9a2ae53af6688p+8", True, ("r1", "r2")),
+    ("quality~1e-160", "complement", "paper", False): _NAN,
+    ("quality~1e-160", "complement", "paper", True): _NAN,
+    ("quality~1e-160", "complement", "exact", False): _NAN,
+    ("quality~1e-160", "complement", "exact", True): _NAN,
+    ("quality~1e-160", "substitute", "paper", False): _NAN,
+    ("quality~1e-160", "substitute", "paper", True): _NAN,
+    ("quality~1e-160", "substitute", "exact", False): _NAN,
+    ("quality~1e-160", "substitute", "exact", True): _NAN,
+    ("c=1e100", "complement", "paper", False): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1",
+        "0x1.d18bea752da50p+8", True, ("r1", "r2")),
+    ("c=1e100", "complement", "paper", True): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1",
+        "0x1.d18bea752da50p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.4f2f18f0f2043p-1", "0x1.cedf9112385cep+8", True, ("r1", "r2")),
+    ("c=1e100", "complement", "exact", False): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.da36e2eb1c433p-36",
+        "-0x1.c931e8ab87173p+303", True, ("r1", "r2")),
+    ("c=1e100", "complement", "exact", True): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.da36e2eb1c433p-36",
+        "-0x1.c931e8ab87173p+303", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.63a92a3055326p-1", "0x1.d186fcc3e68ffp+8", True, ("r1", "r2")),
+    ("c=1e100", "substitute", "paper", False): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1c8e42a0c8ac7p-1",
+        "0x1.7283e6c15aa09p+8", True, ("r1", "r2")),
+    ("c=1e100", "substitute", "paper", True): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1c8e42a0c8ac7p-1",
+        "0x1.7283e6c15aa09p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0be8c95948806p-1", "0x1.70a67e32ff050p+8", True, ("r1", "r2")),
+    ("c=1e100", "substitute", "exact", False): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.7eb1c432ca57bp-36",
+        "-0x1.c931e8ab87173p+303", True, ("r1", "r2")),
+    ("c=1e100", "substitute", "exact", True): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.7eb1c432ca57bp-36",
+        "-0x1.c931e8ab87173p+303", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.1f05532617c1cp-1", "0x1.79edca1555fd5p+8", True, ("r1", "r2")),
+    ("gamma=edge", "complement", "paper", False): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.92298d45e6227p+331", "0x1.05d30d4ed7291p+341", True,
+        ("r1", "r2")),
+    ("gamma=edge", "complement", "paper", True): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.92298d45e6227p+331", "0x1.05d30d4ed7291p+341", "0x0.0p+0",
+        "0x0.0p+0", "0x1.b35a7d381e9d1p+331", "0x1.031361745d77cp+341", True, ("r1", "r2")),
+    ("gamma=edge", "complement", "exact", False): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.92298d6acb08ap+331",
+        "0x1.05d30d4ed7023p+341", True, ("r1", "r2")),
+    ("gamma=edge", "complement", "exact", True): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.92298d6acb08ap+331",
+        "0x1.05d30d4ed7023p+341", "0x0.0p+0", "0x0.0p+0", "0x1.718f50d6abc89p+331",
+        "0x1.03502728910c5p+341", True, ("r1", "r2")),
+    ("gamma=edge", "substitute", "paper", False): (
+        "0x1.f6f8172323df4p-1", "0x1.0000000000000p+0", "0x1.05476ff6265ebp-2",
+        "0x1.53806641eb6afp+7", True, ("r2",)),
+    ("gamma=edge", "substitute", "paper", True): (
+        "0x1.f6f8172323df4p-1", "0x1.0000000000000p+0", "0x1.05476ff6265ebp-2",
+        "0x1.53806641eb6afp+7", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.eaf107dd7ab53p-3", "0x1.51c6390d3df9ep+7", True, ("r2",)),
+    ("gamma=edge", "substitute", "exact", False): (
+        "0x1.92fe68bc00000p-1", "0x1.937d28d400000p-1", "0x1.d48628330096ap-2",
+        "0x1.28882b53962e8p+8", True, ()),
+    ("gamma=edge", "substitute", "exact", True): (
+        "0x1.92fe68bc00000p-1", "0x1.937d28d400000p-1", "0x1.d48628330096ap-2",
+        "0x1.28882b53962e8p+8", "0x1.c000000000000p-1", "0x1.c000000000000p-1",
+        "0x1.a9374bc6ab421p-2", "0x1.25481a679fbe7p+8", True, ()),
+    ("m=1e100", "complement", "paper", False): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.26eb457786a1dp+331", True,
+        ("r1", "r2")),
+    ("m=1e100", "complement", "paper", True): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.26eb457786a1dp+331", "0x0.0p+0",
+        "0x0.0p+0", "0x1.a2fadf2d2e854p-1", "0x1.23d2a7ef9e1efp+331", True, ("r1", "r2")),
+    ("m=1e100", "complement", "exact", False): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.83098043124c4p-1",
+        "0x1.26eb45778675ep+331", True, ("r1", "r2")),
+    ("m=1e100", "complement", "exact", True): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.83098043124c4p-1",
+        "0x1.26eb45778675ep+331", "0x0.0p+0", "0x0.0p+0", "0x1.63a92a3055326p-1",
+        "0x1.24171c2239b49p+331", True, ("r1", "r2")),
+    ("m=1e100", "substitute", "paper", False): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.d773ae4b84d81p+330", True,
+        ("r1", "r2")),
+    ("m=1e100", "substitute", "paper", True): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.d773ae4b84d81p+330", "0x0.0p+0",
+        "0x0.0p+0", "0x1.4ee2fbaf9aa08p-1", "0x1.d2809f070f22dp+330", True, ("r1", "r2")),
+    ("m=1e100", "substitute", "exact", False): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af2990f5fep-1",
+        "0x1.e0fa24984204ep+330", True, ("r1", "r2")),
+    ("m=1e100", "substitute", "exact", True): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af2990f5fep-1",
+        "0x1.e0fa24984204ep+330", "0x0.0p+0", "0x0.0p+0", "0x1.1f05532617c1cp-1",
+        "0x1.db3cd4c6c5bd2p+330", True, ("r1", "r2")),
+    ("ceilings", "complement", "paper", False): _NAN,
+    ("ceilings", "complement", "paper", True): _NAN,
+    ("ceilings", "complement", "exact", False): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.0000000000000p+512", "nan", True,
+        ("r1", "r2")),
+    ("ceilings", "complement", "exact", True): _NAN,
+    ("ceilings", "substitute", "paper", False): (
+        "privacy update out of floating-point range (n*c = 1e+102, kappa = inf); the scenario's "
+        "magnitudes overflow together"),
+    ("ceilings", "substitute", "paper", True): (
+        "privacy update out of floating-point range (n*c = 1e+102, kappa = inf); the scenario's "
+        "magnitudes overflow together"),
+    ("ceilings", "substitute", "exact", False): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267c9ff408aap+331",
+        "0x1.4b036696a7c19p+663", True, ("r1", "r2")),
+    ("ceilings", "substitute", "exact", True): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267c9ff408aap+331",
+        "0x1.4b036696a7c19p+663", "0x0.0p+0", "0x0.0p+0", "0x1.8b04359226e4fp+331",
+        "0x1.470df09cae7d2p+663", True, ("r1", "r2")),
+    ("c=0", "complement", "paper", False): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.f7f45f32c9ea8p+8", True, ("r1", "r2")),
+    ("c=0", "complement", "paper", True): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.f7f45f32c9ea8p+8", "0x0.0p+0",
+        "0x0.0p+0", "0x1.a2fadf2d2e854p-1", "0x1.f2a9f57f164e3p+8", True, ("r1", "r2")),
+    ("c=0", "complement", "exact", False): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.83098075c7eacp-1",
+        "0x1.f7f45f32c99f8p+8", True, ("r1", "r2")),
+    ("c=0", "complement", "exact", True): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.83098075c7eacp-1",
+        "0x1.f7f45f32c99f8p+8", "0x0.0p+0", "0x0.0p+0", "0x1.63a92a3055326p-1",
+        "0x1.f31eeea9e7c51p+8", True, ("r1", "r2")),
+    ("c=0", "substitute", "paper", False): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.92ce58a3a3defp+8", True, ("r1", "r2")),
+    ("c=0", "substitute", "paper", True): (
+        "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.92ce58a3a3defp+8", "0x0.0p+0",
+        "0x0.0p+0", "0x1.4ee2fbaf9aa08p-1", "0x1.8e93c6ed9058dp+8", True, ("r1", "r2")),
+    ("c=0", "substitute", "exact", False): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af28d91695p-1",
+        "0x1.9af1c170ccbeap+8", True, ("r1", "r2")),
+    ("c=0", "substitute", "exact", True): (
+        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af28d91695p-1",
+        "0x1.9af1c170ccbeap+8", "0x0.0p+0", "0x0.0p+0", "0x1.1f05532617c1cp-1",
+        "0x1.960a621ce1186p+8", True, ("r1", "r2")),
+    ("c=5", "complement", "paper", False): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1",
+        "0x1.d18bea752da50p+8", True, ("r1", "r2")),
+    ("c=5", "complement", "paper", True): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1",
+        "0x1.d18bea752da50p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.4f2f18f0f2043p-1", "0x1.cedf9112385cep+8", True, ("r1", "r2")),
+    ("c=5", "complement", "exact", False): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.658a2cacd1b3cp-1",
+        "0x1.d18bea74f7d89p+8", True, ("r1", "r2")),
+    ("c=5", "complement", "exact", True): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.658a2cacd1b3cp-1",
+        "0x1.d18bea74f7d89p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.63a92a3055326p-1", "0x1.d186fcc3e68ffp+8", True, ("r1", "r2")),
+    ("c=5", "substitute", "paper", False): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1c8e42a0c8ac7p-1",
+        "0x1.7283e6c15aa09p+8", True, ("r1", "r2")),
+    ("c=5", "substitute", "paper", True): (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1c8e42a0c8ac7p-1",
+        "0x1.7283e6c15aa09p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0be8c95948806p-1", "0x1.70a67e32ff050p+8", True, ("r1", "r2")),
+    ("c=5", "substitute", "exact", False): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.224e0cc970261p-1",
+        "0x1.7a004b8593589p+8", True, ("r1", "r2")),
+    ("c=5", "substitute", "exact", True): (
+        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.224e0cc970261p-1",
+        "0x1.7a004b8593589p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.1f05532617c1cp-1", "0x1.79edca1555fd5p+8", True, ("r1", "r2")),
+}
+
+
+@pytest.mark.parametrize("case", list(EXTREME_OUTCOMES), ids=lambda case: "-".join(map(str, case)))
+def test_extreme_solve_matches_recorded_outcome(case):
+    assert _extreme_outcome(*case) == EXTREME_OUTCOMES[case]
 
 
 def _function_cases():
@@ -256,6 +567,59 @@ def test_gross_profit_bundle_is_its_kernel(kind, mode, r1, r2, p):
     _same_bits(gross_profit_bundle(b, r1, r2, p, mode), bundle._profit(b, r1, r2, p, mode))
 
 
+def _two_sided(x):
+    """1 - x clamped to [0, 1] at both ends, as the paper demand kernels once did."""
+    return np.minimum(np.maximum(1.0 - x, 0.0), 1.0)
+
+
+def _clamp_values(floats):
+    """A float of floats, -0.0 included, or a 3-element array of them."""
+    floats = st.one_of(st.just(-0.0), floats)
+    return st.one_of(floats, st.lists(floats, min_size=3, max_size=3).map(np.array))
+
+
+_FEES = _clamp_values(st.floats(0.0, 1e100))
+_QUALITIES = st.one_of(st.floats(5e-324, 1e100), st.lists(st.floats(5e-324, 1e100), min_size=3,
+                                                          max_size=3).map(np.array))
+_CLAMP_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+def _clamp_outcome(compute):
+    """The dtype, shape and bytes of compute(), or the type of its arithmetic error.
+
+    On Python floats an underflowed divisor raises ZeroDivisionError, in the
+    kernel as in the two-sided form.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(compute())
+    except ArithmeticError as exc:
+        return type(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@_CLAMP_SETTINGS
+@given(_FEES, _QUALITIES)
+def test_separate_demand_clamps_like_both_sides(fee, u):
+    assert (_clamp_outcome(lambda: demand._buy_separate(fee, u))
+            == _clamp_outcome(lambda: _two_sided(fee / u)))
+
+
+@pytest.mark.parametrize("kind, gammas", [
+    (COMPLEMENT, st.floats(0.0, 1e100)),
+    (SUBSTITUTE, st.floats(-0.5, 0.0, exclude_min=True, exclude_max=True)),
+])
+@_CLAMP_SETTINGS
+@given(data=st.data())
+def test_linear_form_clamps_like_both_sides(kind, gammas, data):
+    fee, u1, u2 = data.draw(_FEES), data.draw(_QUALITIES), data.draw(_QUALITIES)
+    gamma = data.draw(gammas)
+    factor = 0.5 if kind == COMPLEMENT else 0.5 + gamma * gamma
+    assert (_clamp_outcome(lambda: demand._linear_form(fee, u1, u2, gamma, factor))
+            == _clamp_outcome(lambda: _two_sided(
+                factor * (fee * fee) / ((1.0 + gamma) * (1.0 + gamma) * u1 * u2))))
+
+
 # a service whose quality is negative past r = 0.11
 LOW = ServiceSpec(QualityParams(0.5, 0.4, 2.0), n=100, c=0.2)
 NON_FINITE = (float("nan"), float("inf"), -float("inf"))
@@ -322,19 +686,27 @@ def test_unknown_demand_mode_raises():
             call("bogus")
 
 
-def _count_validated_calls(monkeypatch):
+def _spy(monkeypatch, *places):
+    """One list of the arguments of every call of the functions bound at (module, name) places."""
     calls = []
-    real = bundle.gross_profit_bundle
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def wrap(real):
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(bundle, "gross_profit_bundle", spy)
+    for module, name in places:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     return calls
 
 
+def _count_validated_calls(monkeypatch):
+    return _spy(monkeypatch, (bundle, "gross_profit_bundle"))
+
+
 @pytest.mark.parametrize("kind, variant, mode, verify", [
+    (COMPLEMENT, "shipped", PAPER_FORM, False),
     (SUBSTITUTE, "shipped", PAPER_FORM, False),
     (SUBSTITUTE, "shipped", PAPER_FORM, True),
     (COMPLEMENT, "shipped", PAPER_FORM, True),
@@ -344,13 +716,20 @@ def _count_validated_calls(monkeypatch):
       for variant in ("shipped", "c=0", "c=5") for verify in (False, True)),
 ])
 def test_solve_validates_once(kind, variant, mode, verify, monkeypatch):
-    # the box corners are the one validated call; the grids and the ascent's
-    # slices run on the kernel
+    # a solve that runs a grid or an ascent checks its box once, on floats;
+    # the grids and the ascent's slices run on the kernel, and nothing derives
+    # the box again; a closed-form complement builds no box
     b = _shipped(kind) if variant == "shipped" else _with_wage(_shipped(kind), float(variant[2:]))
-    calls = _count_validated_calls(monkeypatch)
+    checks = _spy(monkeypatch, (bundle, "_check_box"))
+    caps = _spy(monkeypatch, (bundle, "privacy_cap"), (separate, "privacy_cap"))
+    others = _spy(monkeypatch, (bundle.oracles, "bundle_grid"), (bundle, "evaluate_quality"),
+                  (quality, "evaluate_quality"), (bundle, "gross_profit_bundle"))
     opt = optimize_bundle(b, demand_mode=mode, verify=verify, verify_points=48)
-    assert opt.fallback or verify  # each case runs a grid or an ascent
-    assert len(calls) == 1
+    closed_form = (kind, variant, mode, verify) == (COMPLEMENT, "shipped", PAPER_FORM, False)
+    assert (opt.fallback or verify) != closed_form
+    assert len(checks) == (0 if closed_form else 1)
+    assert len(caps) == 2
+    assert others == []
 
 
 def test_closed_form_solve_makes_no_validated_call(monkeypatch):

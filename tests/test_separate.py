@@ -116,6 +116,19 @@ class TestOptimize:
             )
 
 
+    @pytest.mark.parametrize("params", [QualityParams(0.5, 0.4999999999, 1.0),
+                                        QualityParams(0.822, 0.004, 1e100)],
+                             ids=["alpha2~alpha1", "alpha3=1e100"])
+    def test_cap_is_zero_when_quality_vanishes_within_its_margin(self, params, market):
+        # the zero-quality point lies within privacy_cap's 1e-9 margin of r = 0;
+        # the cap was negative, and every grid over [0, cap] raised
+        assert privacy_cap(params) == 0.0
+        scenario = SeparateScenario(service=ServiceSpec(params, n=100, c=0.2), market=market)
+        assert optimize_separate(scenario).r_star == 0.0
+        best = grid_maximize(separate_objective(scenario), separate_grid(scenario, 20, 20))
+        assert best.coords[0] == 0.0
+
+
 class TestFixedPrivacyFee:
     def test_half_quality_rule(self, s1_scenario):
         assert optimal_fee_fixed_privacy(s1_scenario, 0.0) == pytest.approx(0.409, abs=1e-12)
