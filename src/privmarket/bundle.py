@@ -175,11 +175,13 @@ def _profit_at(bundle: BundleSpec, r1, r2, u1, u2, p_b, demand_mode):
     """_profit with the qualities u1 = u(r1) and u2 = u(r2) already evaluated."""
     buy = _buy_complement if bundle.kind == COMPLEMENT else _buy_substitute
     n = bundle.n
-    return (
-        bundle.market.m * p_b * buy(p_b, u1, u2, bundle.gamma, demand_mode)
-        - n * bundle.s1.c * (1.0 - r1)
-        - n * bundle.s2.c * (1.0 - r2)
-    )
+    # the buy probability is a fresh full-size array (or a number): finish it
+    # in place; x*y == y*x bit for bit, so this is m*p_b*buy - n*c1*(1-r1) - ...
+    profit = buy(p_b, u1, u2, bundle.gamma, demand_mode)
+    profit *= bundle.market.m * p_b
+    profit -= n * bundle.s1.c * (1.0 - r1)
+    profit -= n * bundle.s2.c * (1.0 - r2)
+    return profit
 
 
 def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM):
@@ -434,7 +436,8 @@ def _check_box(bundle: BundleSpec, box, demand_mode: str):
     _check_fee(p_hi)
     _check_positive_quality(*(_quality(r, svc.quality) for svc, cap in
                               ((bundle.s1, cap1), (bundle.s2, cap2)) for r in (0.0, cap)))
-    corners = np.meshgrid(*((0.0, hi) for hi in box), indexing="ij", sparse=True)
+    corners = (np.array((0.0, hi)).reshape(shape)
+               for hi, shape in zip(box, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
     oracles._check_no_nan(_profit(bundle, *corners, demand_mode))
 
 
@@ -491,6 +494,9 @@ def optimize_bundle(
         r1, r2, p, clamped, profit = _exact_ascent(bundle, box, point)
     if fallback and verify and grid is None:
         grid = lattice_max(verify_points)
+    if math.isnan(profit):  # a box's corners can be finite while (1+gamma)^2*u1*u2 overflows inside
+        raise DomainError(f"bundle profit is NaN at r1={r1}, r2={r2}, fee {p}; "
+                          "the scenario's magnitudes overflow together")
     return OptimumBundle(
         r1_star=r1,
         r2_star=r2,

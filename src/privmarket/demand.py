@@ -29,6 +29,14 @@ The input rules of every model live here, once each: _check_privacy
 (finite, > 0) and _check_contingency (the window of a bundle kind).  The
 buy rules, the profit functions of `separate` and `bundle`, `BundleSpec`
 and the Monte-Carlo `DemandRegion` and `simulate_market` all use them.
+The public bundle buy rules also apply _check_scaled_qualities
+((1+gamma)^2*u1*u2 must not underflow to 0); the profit kernels do not.
+
+The standalone and paper-form kernels allocate their full-size result
+once and finish it in place (_one_minus; the profit kernels then scale
+and subtract into it), so a paper grid block holds one full-size array.
+On numbers the same expressions run as scalar arithmetic, with the same
+result type.
 """
 from __future__ import annotations
 
@@ -152,9 +160,20 @@ def _unit(x):
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
+def _one_minus(x):
+    """max(1 - x, 0) for x >= 0, +inf or nan; an array x is overwritten with it.
+
+    x is a kernel's fresh full-size quotient, so an array is finished in
+    place: no allocation for 1 - x or for the clamp.  A number takes the
+    same two ufuncs without out=, which give np.maximum(1.0 - x, 0.0).
+    """
+    out = x if isinstance(x, np.ndarray) else None
+    return np.maximum(np.subtract(1.0, x, out=out), 0.0, out=out)
+
+
 def _buy_separate(fee, u):
     """prob_buy_separate without checks; fee/u >= 0, so only the clamp at 0 can act."""
-    return np.maximum(1.0 - fee / u, 0.0)
+    return _one_minus(fee / u)
 
 
 def prob_buy_separate(fee, quality):
@@ -170,8 +189,20 @@ def _linear_form(fee, u1, u2, gamma, factor):
     The subtracted term is >= 0, +inf or nan for u1, u2 > 0 and factor > 0,
     so only the clamp at 0 can act; np.minimum(., 1) would pass every value.
     x*x, not x**2: on a float, ** is pow(), which can be an ulp off numpy's square.
+    The quotient is the one full-size array; _one_minus finishes it in place.
     """
-    return np.maximum(1.0 - factor * (fee * fee) / ((1.0 + gamma) * (1.0 + gamma) * u1 * u2), 0.0)
+    return _one_minus(factor * (fee * fee) / ((1.0 + gamma) * (1.0 + gamma) * u1 * u2))
+
+
+def _check_scaled_qualities(u1, u2, gamma):
+    """(1+gamma)^2*u1*u2, the linear form's denominator, must not underflow to 0.
+
+    The one rule for tiny qualities of both bundle kinds and both modes: a
+    float would divide by 0 (ZeroDivisionError), an array would warn.
+    """
+    lo, _ = _extremes((1.0 + gamma) * (1.0 + gamma) * u1 * u2)
+    if not lo > 0.0:
+        raise DomainError("service qualities too small: (1+gamma)^2*u1*u2 underflows to 0")
 
 
 def _nonbuy_area(q, u1, u2, width, height):
@@ -211,12 +242,13 @@ def _buy_complement(fee, u1, u2, gamma, mode):
 
     In exact mode the line-only geometry is evaluated only when some point
     lies off the interior triangle; np.where would discard it otherwise.
+    [()] turns np.where's 0-d array for numbers into a number.
     """
     out = _linear_form(fee, u1, u2, gamma, 0.5)
     if mode == EXACT_GEOMETRY:
         triangle = fee <= (1.0 + gamma) * np.minimum(u1, u2)
         if not triangle.all():
-            out = np.where(triangle, out, _line_only_buy_probability(fee, u1, u2, gamma))
+            out = np.where(triangle, out, _line_only_buy_probability(fee, u1, u2, gamma))[()]
     return out
 
 
@@ -233,7 +265,9 @@ def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):
     _check_fee(fee)
     _check_positive_quality(u1, u2)
     _check_contingency(COMPLEMENT, gamma)
-    return _output(_buy_complement(*map(_as_input, (fee, u1, u2, gamma)), mode))
+    fee, u1, u2, gamma = map(_as_input, (fee, u1, u2, gamma))
+    _check_scaled_qualities(u1, u2, gamma)
+    return _output(_buy_complement(fee, u1, u2, gamma, mode))
 
 
 def _buy_substitute(fee, u1, u2, gamma, mode):
@@ -260,5 +294,7 @@ def prob_buy_substitute(fee, u1, u2, gamma, mode=PAPER_FORM):
     _check_fee(fee)
     _check_positive_quality(u1, u2)
     _check_contingency(SUBSTITUTE, gamma)
-    return _output(_buy_substitute(*map(_as_input, (fee, u1, u2, gamma)), mode))
+    fee, u1, u2, gamma = map(_as_input, (fee, u1, u2, gamma))
+    _check_scaled_qualities(u1, u2, gamma)
+    return _output(_buy_substitute(fee, u1, u2, gamma, mode))
 

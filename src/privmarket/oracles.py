@@ -8,10 +8,12 @@ from any derived probability formula, so agreement is meaningful.
 
 The grid runs on the calling thread in blocks of whole rows, at most
 `_BLOCK` points (one row when a row is larger), so its memory stays
-bounded and a block's float64 temporaries stay under glibc's 128 KiB mmap
-threshold: the heap reuses them and no block faults them in again.  The
-argmax pass over a block also finds a NaN.  The Monte-Carlo chunks run
-on one thread per usable core (`_map_parts`).
+bounded.  The paper-form profit kernels allocate one full-size float64
+array per block and finish it in place, and a block's values are freed
+before the next block is evaluated, so each block reuses the last one's
+memory: after a process's first grid no block faults pages in again.
+The argmax pass over a block also finds a NaN.  The Monte-Carlo chunks
+run on one thread per usable core (`_map_parts`).
 
 Randomness uses counter-based Philox streams, one per fixed-size chunk of
 draws; chunk sums are added in chunk order, so seeded bits do not depend
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
-_BLOCK = 1 << 14  # grid points per evaluation: 128 KiB per float64 temporary
+_BLOCK = 1 << 16  # grid points per evaluation: at most 512 KiB per full-size float64 array
 
 
 def _usable_cores() -> int:
@@ -117,11 +119,12 @@ def grid_maximize(objective: Callable, grid: GridSpec) -> GridMaxResult:
     lexicographically smallest index tuple (numpy's first flat argmax in C
     order), so the result does not depend on evaluation order.  The
     lattice is evaluated on the calling thread in blocks of whole rows of
-    its first axis, at most `_BLOCK` points each, so a float64 temporary
-    stays under glibc's 128 KiB mmap threshold (a block is one row when a
-    row is larger).  Block maxima are combined in index order, keeping the
-    earlier one on a tie.  numpy's argmax returns the first NaN, so a NaN
-    in a block is its maximum and raises DomainError.
+    its first axis, at most `_BLOCK` points each (a block is one row when
+    a row is larger), and a block's values are released before the next
+    block runs, so one block's worth of memory is live at a time.  Block
+    maxima are combined in index order, keeping the earlier one on a tie.
+    numpy's argmax returns the first NaN, so a NaN in a block is its
+    maximum and raises DomainError.
     """
     axes = [np.linspace(lo, hi, count) for lo, hi, count in grid.axes]
     first, *rest = np.meshgrid(*axes, indexing="ij", sparse=True)
@@ -136,6 +139,7 @@ def grid_maximize(objective: Callable, grid: GridSpec) -> GridMaxResult:
             values = np.broadcast_to(values, (hi - lo, *shape[1:]))
         flat = int(values.argmax())
         value = float(values.flat[flat])
+        del values  # freed before the next block, whose objective then reuses the memory
         if math.isnan(value):  # argmax returns the first NaN, so the maximum shows it
             _check_no_nan(value)
         # only a strictly larger value replaces: the earliest block wins a tie

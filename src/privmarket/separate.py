@@ -127,8 +127,10 @@ def privacy_cap(params: QualityParams) -> float:
 def _profit(scenario: SeparateScenario, r, p_s):
     """gross_profit_separate without checks, for (r, p_s) in the feasible box."""
     svc = scenario.service
-    u = _quality(r, svc.quality)
-    return scenario.market.m * p_s * _buy_separate(p_s, u) - svc.n * svc.c * (1.0 - r)
+    profit = _buy_separate(p_s, _quality(r, svc.quality))  # finished in place, as bundle._profit_at
+    profit *= scenario.market.m * p_s
+    profit -= svc.n * svc.c * (1.0 - r)
+    return profit
 
 
 def gross_profit_separate(scenario: SeparateScenario, r, p_s):

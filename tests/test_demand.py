@@ -270,6 +270,22 @@ class TestSubstitute:
         assert prob_buy_substitute(fee, u1, u2, gamma, EXACT_GEOMETRY) >= line_only - 1e-12
 
 
+@pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
+@pytest.mark.parametrize("rule, gamma", [(prob_buy_complement, 0.1), (prob_buy_substitute, -0.1)],
+                         ids=["complement", "substitute"])
+@pytest.mark.parametrize("u1", [1e-170, np.array([0.5, 1e-170])], ids=["float", "array"])
+def test_underflowing_quality_product_is_a_domain_error(rule, gamma, mode, u1):
+    # (1+gamma)^2*u1*u2 underflows to 0: floats once divided by it (ZeroDivisionError),
+    # arrays and the exact substitute warned; no floating-point error may come first
+    with np.errstate(divide="raise", over="raise", invalid="raise"), \
+            pytest.raises(DomainError, match="underflows to 0"):
+        rule(0.5, u1, 1e-170, gamma, mode)
+    # a product just above the underflow gives a probability
+    with np.errstate(all="ignore"):
+        buy = rule(0.5, u1 * 1e20, 1e-170, gamma, mode)
+    assert np.all((0.0 <= buy) & (buy <= 1.0))
+
+
 class TestContingency:
     def test_premium(self):
         assert degree_of_contingency(ContingencyInput(1.1, 0.5, 0.5)) == pytest.approx(0.1)

@@ -190,9 +190,10 @@ def _extreme_outcome(variant, kind, mode, verify):
 # eight alpha3=1e100 rows raised "bad grid range [0.0, -1e-09]" there: for a
 # curve that reaches zero quality within privacy_cap's 1e-9 margin of r = 0,
 # privacy_cap returned -1e-9; they were re-recorded when it started to return 0.
-# The unverified exact "ceilings" complement ends at a nan profit without an
-# error, at the parent too: (1+gamma)^2*u1*u2 overflows inside the box while
-# its corners stay finite; a mend re-records that row
+# The unverified exact "ceilings" complement ended at a nan profit without an
+# error: (1+gamma)^2*u1*u2 overflows inside the box while its corners stay
+# finite.  Its row was re-recorded when optimize_bundle began to reject a nan
+# profit.
 _NAN = "objective produced NaN on the grid; domain is not valid"
 EXTREME_OUTCOMES = {
     ("alpha1=1e100", "complement", "paper", False): (
@@ -362,8 +363,8 @@ EXTREME_OUTCOMES = {
     ("ceilings", "complement", "paper", False): _NAN,
     ("ceilings", "complement", "paper", True): _NAN,
     ("ceilings", "complement", "exact", False): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.0000000000000p+512", "nan", True,
-        ("r1", "r2")),
+        "bundle profit is NaN at r1=1.4551915228366852e-11, r2=1.4551915228366852e-11, fee "
+        "1.3407807929942597e+154; the scenario's magnitudes overflow together"),
     ("ceilings", "complement", "exact", True): _NAN,
     ("ceilings", "substitute", "paper", False): (
         "privacy update out of floating-point range (n*c = 1e+102, kappa = inf); the scenario's "
@@ -565,6 +566,51 @@ def test_gross_profit_separate_is_its_kernel(r, p):
 def test_gross_profit_bundle_is_its_kernel(kind, mode, r1, r2, p):
     b = BUNDLES[kind]
     _same_bits(gross_profit_bundle(b, r1, r2, p, mode), bundle._profit(b, r1, r2, p, mode))
+
+
+def _one_expression_profits(kind, mode):
+    """The profit kernels written as single expressions, as they were before they
+    finished their results in place: (bundle profit, standalone profit)."""
+    b = BUNDLES[kind]
+    buy = demand._buy_complement if kind == COMPLEMENT else demand._buy_substitute
+    svc = SCENARIO.service
+
+    def bundle_profit(r1, r2, p):
+        u1, u2 = quality._quality(r1, b.s1.quality), quality._quality(r2, b.s2.quality)
+        return (b.market.m * p * buy(p, u1, u2, b.gamma, mode)
+                - b.n * b.s1.c * (1.0 - r1) - b.n * b.s2.c * (1.0 - r2))
+
+    def separate_profit(r, p):
+        u = quality._quality(r, svc.quality)
+        return SCENARIO.market.m * p * np.maximum(1.0 - p / u, 0.0) - svc.n * svc.c * (1.0 - r)
+
+    return bundle_profit, separate_profit
+
+
+@pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
+@pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+@_KERNEL_SETTINGS
+@given(_values(0.0, 1.0), _values(0.0, 1.0), _values(0.0, 2.0))
+def test_in_place_kernels_keep_type_and_bits(kind, mode, r1, r2, p):
+    # fees up to 2 put points off the exact complement's interior triangle too
+    b = BUNDLES[kind]
+    bundle_profit, separate_profit = _one_expression_profits(kind, mode)
+    u1, u2 = quality._quality(r1, b.s1.quality), quality._quality(r2, b.s2.quality)
+    factor = b.demand_factor
+    cases = [
+        ((r1, r2, p), bundle._profit(b, r1, r2, p, mode), bundle_profit(r1, r2, p)),
+        ((r1, p), separate._profit(SCENARIO, r1, p), separate_profit(r1, p)),
+        ((r1, p), demand._buy_separate(p, u1), np.maximum(1.0 - p / u1, 0.0)),
+        ((r1, r2, p), demand._linear_form(p, u1, u2, b.gamma, factor), np.maximum(
+            1.0 - factor * (p * p) / ((1.0 + b.gamma) * (1.0 + b.gamma) * u1 * u2), 0.0)),
+    ]
+    for inputs, kernel, reference in cases:
+        # a Python float (np.float64 is one) for numbers, never a 0-d array
+        if all(isinstance(x, float) for x in inputs):
+            assert isinstance(kernel, float)
+        else:
+            assert isinstance(kernel, np.ndarray)
+        assert np.asarray(kernel).tobytes() == np.asarray(reference).tobytes()
 
 
 def _two_sided(x):

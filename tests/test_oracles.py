@@ -18,6 +18,7 @@ from privmarket import (
     EXACT_GEOMETRY,
     GridSpec,
     MarketSpec,
+    PAPER_FORM,
     ServiceSpec,
     SimResult,
     SimulationSpec,
@@ -241,17 +242,17 @@ def test_thread_pool_never_exceeds_parts(monkeypatch, s1_scenario):
 class TestGridBlocks:
     """grid_maximize against one np.argmax over the whole lattice.
 
-    121 x 60 x 60 splits along the first axis into blocks of 4 rows
-    (14,400 points), the last block of 1 row.
+    73 x 60 x 60 splits along the first axis into blocks of 18 rows
+    (64,800 points), the last block of 1 row.
     """
 
-    GRID = GridSpec(axes=((0.0, 1.0, 121), (0.0, 2.0, 60), (-1.0, 1.0, 60)))
+    GRID = GridSpec(axes=((0.0, 1.0, 73), (0.0, 2.0, 60), (-1.0, 1.0, 60)))
     BLOCK_ROWS = oracles._BLOCK // (60 * 60)
     AXES = [np.linspace(lo, hi, count) for lo, hi, count in GRID.axes]
 
     def _full_argmax(self, objective):
         mesh = np.meshgrid(*self.AXES, indexing="ij", sparse=True)
-        values = np.broadcast_to(np.asarray(objective(*mesh), dtype=float), (121, 60, 60))
+        values = np.broadcast_to(np.asarray(objective(*mesh), dtype=float), (73, 60, 60))
         index = np.unravel_index(int(np.argmax(values)), values.shape)
         return tuple(int(i) for i in index), float(values[index])
 
@@ -266,7 +267,7 @@ class TestGridBlocks:
         return lambda x, y, z: -((x - x0) ** 2) - (y - y0) ** 2 - (z - z0) ** 2
 
     def test_grid_splits_with_ragged_last_block(self):
-        assert self.BLOCK_ROWS == 4 and 121 % self.BLOCK_ROWS == 1
+        assert self.BLOCK_ROWS == 18 and 73 % self.BLOCK_ROWS == 1
 
     def test_constant_objective(self):
         self._check(lambda x, y, z: np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape)),
@@ -282,7 +283,7 @@ class TestGridBlocks:
                     (self.BLOCK_ROWS - 1, 0, 30))
 
     def test_maximum_in_last_block(self):
-        self._check(self._peak(120, 37, 45), (120, 37, 45))
+        self._check(self._peak(72, 37, 45), (72, 37, 45))
 
     def test_maximum_in_last_row_of_a_block(self):
         row = 2 * self.BLOCK_ROWS - 1
@@ -324,7 +325,9 @@ class TestGridBlocks:
         assert threads == {threading.get_ident()}
 
     def test_bundle_grid_memory_stays_within_a_few_blocks(self, sb1_bundle):
-        # one block is evaluated at a time, so only a block's temporaries are live
+        # one block is evaluated at a time, and a block's profit is one float
+        # temporary finished in place; numpy's ufunc buffers add about 140 KiB,
+        # and a second live block (the last one's values) would pass 2 blocks
         grid = bundle_grid(sb1_bundle, points=120)
         objective = bundle_objective(sb1_bundle)
         tracemalloc.start()
@@ -333,7 +336,22 @@ class TestGridBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * oracles._BLOCK * 8  # 768 KiB: six float temporaries of one block
+        assert peak < 2 * oracles._BLOCK * 8  # 1 MiB: one float temporary of one block, plus buffers
+
+    @pytest.mark.parametrize("points", [40, 120])
+    @pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
+    def test_library_lattices_do_not_depend_on_the_block_size(self, sb1_bundle, sb2_bundle,
+                                                              s1_scenario, mode, points,
+                                                              monkeypatch):
+        solves = [lambda b=b: optimize_bundle(b, mode, verify=True, verify_points=points)
+                  for b in (sb1_bundle, sb2_bundle)] + [lambda: s1_scenario.optimize(verify=True)]
+        for solve in solves:
+            optima = []
+            for block in (1 << 12, 1 << 14, 1 << 16):
+                monkeypatch.setattr(oracles, "_BLOCK", block)
+                optima.append(solve())
+            assert optima[0].grid is not None
+            assert optima[0] == optima[1] == optima[2]
 
 
 class TestParticipantReports:
