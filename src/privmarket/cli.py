@@ -153,39 +153,47 @@ def _cmd_decide(args) -> int:
     return EXIT_OK
 
 
-def _parse_values(text):
+def _parse_values(text, flag, count):
+    """The comma-separated floats of a flag's value, exactly count of them."""
     try:
         parts = [float(v) for v in text.split(",")]
     except ValueError:
-        raise ScenarioError(f"cannot parse --values {text!r} as comma-separated floats") from None
-    if len(parts) != 3:
-        raise ScenarioError("--values needs exactly v1,v2,v12")
+        raise ScenarioError(f"cannot parse {flag} {text!r} as comma-separated floats") from None
+    if len(parts) != count:
+        raise ScenarioError(f"{flag} needs exactly {count} comma-separated values")
     return parts
 
 
 def _read_coalition_file(path) -> CharacteristicFunction:
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows or [c.strip() for c in rows[0]] != ["coalition", "value"]:
+        rows = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
+    if not rows or [c.strip() for c in rows[0][1]] != ["coalition", "value"]:
         raise ScenarioError(f"coalition file {path} must start with header 'coalition,value'")
     values = {}
-    players: list[str] = []
-    for row in rows[1:]:
+    players: dict[str, None] = {}  # in order of first appearance
+    for line_no, row in rows[1:]:
         if len(row) != 2:
-            raise ScenarioError(f"coalition file {path}: expected two columns per row")
+            raise ScenarioError(f"coalition file {path}: expected two columns per row",
+                                line=line_no)
         members = tuple(p.strip() for p in row[0].split("+") if p.strip())
-        values[frozenset(members)] = float(row[1])
-        for p in members:
-            if p not in players:
-                players.append(p)
+        coalition = frozenset(members)
+        if coalition in values:
+            raise ScenarioError(f"coalition file {path}: duplicate coalition {row[0]!r}",
+                                line=line_no)
+        try:
+            values[coalition] = float(row[1])
+        except ValueError:
+            raise ScenarioError(f"coalition file {path}: cannot parse {row[1]!r} as float",
+                                line=line_no) from None
+        players.update(dict.fromkeys(members))
     return CharacteristicFunction(players=tuple(players), values=values)
 
 
 def _cmd_share(args) -> int:
     fallback = False
     if args.values:
-        v1, v2, v12 = _parse_values(args.values)
+        v1, v2, v12 = _parse_values(args.values, "--values", 3)
         cf = CharacteristicFunction.from_two_player(v1, v2, v12, names=("1", "2"))
     elif args.coalitions:
         cf = _read_coalition_file(args.coalitions)
@@ -220,21 +228,11 @@ def _cmd_share(args) -> int:
     return EXIT_OK
 
 
-def _parse_at(text, want):
-    try:
-        parts = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ScenarioError(f"cannot parse --at {text!r} as comma-separated floats") from None
-    if len(parts) != want:
-        raise ScenarioError(f"--at needs exactly {want} comma-separated values")
-    return parts
-
-
 def _cmd_simulate(args) -> int:
     loaded = _load(args)
     target, label = _market(loaded, args)
     if args.at:
-        point = _parse_at(args.at, len(target.point_names))
+        point = _parse_values(args.at, "--at", len(target.point_names))
     else:
         point = target.optimize(args.demand_mode).point
     analytic = target.profit_surface(args.demand_mode)[0](*point)

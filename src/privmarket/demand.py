@@ -30,7 +30,8 @@ The input rules of every model live here, once each: _check_privacy
 buy rules, the profit functions of `separate` and `bundle`, `BundleSpec`
 and the Monte-Carlo `DemandRegion` and `simulate_market` all use them.
 The public bundle buy rules also apply _check_scaled_qualities
-((1+gamma)^2*u1*u2 must not underflow to 0); the profit kernels do not.
+(neither (1+gamma)^2*u1*u2 nor u1*u2 may underflow to 0); the profit
+kernels do not.
 
 The standalone and paper-form kernels allocate their full-size result
 once and finish it in place (_one_minus; the profit kernels then scale
@@ -195,14 +196,18 @@ def _linear_form(fee, u1, u2, gamma, factor):
 
 
 def _check_scaled_qualities(u1, u2, gamma):
-    """(1+gamma)^2*u1*u2, the linear form's denominator, must not underflow to 0.
+    """Neither (1+gamma)^2*u1*u2 nor u1*u2 may underflow to 0.
 
     The one rule for tiny qualities of both bundle kinds and both modes: a
-    float would divide by 0 (ZeroDivisionError), an array would warn.
+    float would divide by 0 (ZeroDivisionError), an array would warn.  The
+    paper form divides by the first product and the exact area by the
+    second, which a large gamma can send to 0 alone.
     """
-    lo, _ = _extremes((1.0 + gamma) * (1.0 + gamma) * u1 * u2)
+    lo, _ = _extremes(np.minimum((1.0 + gamma) * (1.0 + gamma) * u1 * u2, u1 * u2))
     if not lo > 0.0:
-        raise DomainError("service qualities too small: (1+gamma)^2*u1*u2 underflows to 0")
+        raise DomainError(
+            "service qualities too small: (1+gamma)^2*u1*u2 or u1*u2 underflows to 0"
+        )
 
 
 def _nonbuy_area(q, u1, u2, width, height):

@@ -23,32 +23,41 @@ Format (full-line # comments and blank lines ignored)::
     seed = 42
     sigma_z = 1.0
 
-A service carries either the three curve parameters or a fit-samples CSV
-path (relative paths resolve against the scenario file), never both.
-Unknown sections or keys are rejected with the offending line number.
+The section names are exactly [market], [service.<name>] (one section per
+service), [bundle] and [sim]; [market] and at least one service are
+required, and each section may appear only once.  A service carries
+either the three curve parameters or a fit-samples CSV path (relative
+paths resolve against the scenario file), never both.  Unknown sections
+or keys are rejected with the offending line number, and every value
+error names its section and line.
 """
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bundle import BundleSpec
 from .demand import MarketSpec
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, ScenarioError, _is_finite, _is_number
 from .oracles import SimulationSpec
 from .quality import FitResult, QualityParams, fit_quality_curve, load_samples
 from .separate import SeparateScenario, ServiceSpec
 
 __all__ = ["LoadedScenario", "SweepSpec", "load_scenario", "sweep_values"]
 
-_SECTION_KEYS = {
-    "market": {"M"},
-    "service": {"N", "c", "alpha1", "alpha2", "alpha3", "samples"},
-    "bundle": {"members", "gamma", "kind"},
-    "sim": {"draws", "seed", "sigma_z"},
+# section -> ({key: (type, least allowed value or None)}, required keys)
+_SCHEMA = {
+    "market": ({"M": (int, 1)}, ("M",)),
+    "service.<name>": ({"N": (int, 1), "c": (float, 0), "alpha1": (float, None),
+                        "alpha2": (float, None), "alpha3": (float, None),
+                        "samples": (str, None)}, ("N", "c")),
+    "bundle": ({"members": (str, None), "gamma": (float, None), "kind": (str, None)},
+               ("members", "gamma", "kind")),
+    "sim": ({"draws": (int, 1), "seed": (int, 0), "sigma_z": (float, 0)}, ()),
 }
 
-_SIM_DEFAULTS = {"draws": 100_000, "seed": 0, "sigma_z": 1.0}
+_ALPHAS = ("alpha1", "alpha2", "alpha3")
 
 
 @dataclass(frozen=True)
@@ -83,10 +92,15 @@ class SweepSpec:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise DomainError(f"sweep needs at least 2 steps, got {self.steps}")
-        if not (self.start <= self.stop):
-            raise DomainError(f"sweep range must satisfy start <= stop, got [{self.start}, {self.stop}]")
+        if not (_is_number(self.steps, int) and self.steps >= 2):
+            raise DomainError(f"sweep needs an integer of at least 2 steps, got {self.steps!r}")
+        if not (_is_finite(self.start) and _is_finite(self.stop) and self.start <= self.stop):
+            raise DomainError(
+                f"sweep range must be finite with start <= stop, got [{self.start}, {self.stop}]"
+            )
+        step = (self.stop - self.start) / (self.steps - 1)
+        if not math.isfinite(self.start + (self.steps - 1) * step):  # the largest value swept
+            raise DomainError(f"sweep range [{self.start}, {self.stop}] overflows a float")
 
 
 def sweep_values(sweep: SweepSpec) -> list[float]:
@@ -124,153 +138,110 @@ def _parse_sections(path: str):
     return sections
 
 
-def _known_keys(section_name: str):
-    base = section_name.split(".", 1)[0]
-    return _SECTION_KEYS.get(base)
-
-
-def _typed(section, key, entry, cast, check=None, describe=""):
+def _typed(section, key, entry, types):
+    """An entry's value cast to its key's type and checked against its least value."""
     value, line_no = entry
+    if key not in types:
+        raise ScenarioError("unknown key", section=section, key=key, line=line_no)
+    cast, least = types[key]
     try:
         out = cast(value)
     except ValueError:
         raise ScenarioError(
             f"cannot parse {value!r} as {cast.__name__}", section=section, key=key, line=line_no
         ) from None
-    if check is not None and not check(out):
+    if least is not None and not out >= least:
         raise ScenarioError(
-            f"value {out!r} out of range{': ' + describe if describe else ''}",
-            section=section,
-            key=key,
-            line=line_no,
+            f"value {out!r} out of range: {key} >= {least}", section=section, key=key, line=line_no
         )
     return out
 
 
-def load_scenario(path: str) -> LoadedScenario:
-    sections = _parse_sections(path)
-    base_dir = os.path.dirname(os.path.abspath(path))
+def _make(section, line, build, *args, key=None, **kwargs):
+    """build(*args, **kwargs); a DomainError or OSError becomes a ScenarioError at this line."""
+    try:
+        return build(*args, **kwargs)
+    except (DomainError, OSError) as exc:
+        raise ScenarioError(str(exc), section=section, key=key, line=line) from exc
 
-    market = None
+
+def _quality(name, line_no, entries, values, base_dir):
+    """A service's curve parameters and, for a samples path, the fit they came from."""
+    if "samples" in values:
+        if any(k in values for k in _ALPHAS):
+            raise ScenarioError(
+                "give either alpha1..alpha3 or a samples path, not both", section=name, line=line_no
+            )
+        path = os.path.join(base_dir, values["samples"])  # an absolute path stays as it is
+        fit = _make(name, entries["samples"][1],
+                    lambda: fit_quality_curve(load_samples(path)), key="samples")
+        return fit.params, fit
+    missing = [k for k in _ALPHAS if k not in values]
+    if missing:
+        raise ScenarioError(
+            f"missing key '{missing[0]}'; give alpha1..alpha3 or a samples path",
+            section=name, line=line_no,
+        )
+    return _make(name, line_no, QualityParams, **{k: values[k] for k in _ALPHAS}), None
+
+
+def load_scenario(path: str) -> LoadedScenario:
+    base_dir = os.path.dirname(os.path.abspath(path))
+    seen = set()
+    market = bundle_section = None
     services: dict[str, ServiceSpec] = {}
     fits: dict[str, FitResult] = {}
-    bundle_entry = None
-    sim_entries = {}
+    sim = SimulationSpec(draws=100_000)  # what an absent [sim] key takes
 
-    for name, line_no, entries in sections:
-        allowed = _known_keys(name)
-        if allowed is None:
-            raise ScenarioError(f"unknown section [{name}]", line=line_no)
-        for key, (value, key_line) in entries.items():
-            if key not in allowed:
-                raise ScenarioError("unknown key", section=name, key=key, line=key_line)
-        if name == "market":
-            if "M" not in entries:
-                raise ScenarioError("missing key 'M'", section=name, line=line_no)
-            m = _typed(name, "M", entries["M"], int, lambda v: v >= 1, "M >= 1")
-            market = MarketSpec(m=m)
-        elif name.startswith("service."):
-            svc_name = name.split(".", 1)[1]
-            if not svc_name:
-                raise ScenarioError("service sections are [service.<name>]", line=line_no)
-            if svc_name in services:
-                raise ScenarioError(f"duplicate service {svc_name!r}", section=name, line=line_no)
-            for required in ("N", "c"):
-                if required not in entries:
-                    raise ScenarioError(f"missing key '{required}'", section=name, line=line_no)
-            n = _typed(name, "N", entries["N"], int, lambda v: v >= 1, "N >= 1")
-            c = _typed(name, "c", entries["c"], float, lambda v: v >= 0, "c >= 0")
-            has_alphas = any(k in entries for k in ("alpha1", "alpha2", "alpha3"))
-            has_samples = "samples" in entries
-            if has_alphas and has_samples:
-                raise ScenarioError(
-                    "give either alpha1..alpha3 or a samples path, not both",
-                    section=name,
-                    line=line_no,
-                )
-            if has_samples:
-                sample_path = entries["samples"][0]
-                if not os.path.isabs(sample_path):
-                    sample_path = os.path.join(base_dir, sample_path)
-                try:
-                    fit = fit_quality_curve(load_samples(sample_path))
-                except (DomainError, OSError) as exc:
-                    raise ScenarioError(
-                        f"cannot fit samples: {exc}", section=name, key="samples",
-                        line=entries["samples"][1],
-                    ) from exc
-                fits[svc_name] = fit
-                params = fit.params
-            elif has_alphas:
-                for k in ("alpha1", "alpha2", "alpha3"):
-                    if k not in entries:
-                        raise ScenarioError(f"missing key '{k}'", section=name, line=line_no)
-                try:
-                    params = QualityParams(
-                        alpha1=_typed(name, "alpha1", entries["alpha1"], float),
-                        alpha2=_typed(name, "alpha2", entries["alpha2"], float),
-                        alpha3=_typed(name, "alpha3", entries["alpha3"], float),
-                    )
-                except DomainError as exc:
-                    raise ScenarioError(str(exc), section=name, line=line_no) from exc
-            else:
-                raise ScenarioError(
-                    "service needs alpha1..alpha3 or a samples path", section=name, line=line_no
-                )
-            try:
-                services[svc_name] = ServiceSpec(quality=params, n=n, c=c)
-            except DomainError as exc:
-                raise ScenarioError(str(exc), section=name, line=line_no) from exc
-        elif name == "bundle":
-            bundle_entry = (line_no, entries)
-        elif name == "sim":
-            rules = {"draws": (int, lambda v: v >= 1), "seed": (int, lambda v: v >= 0),
-                     "sigma_z": (float, lambda v: v >= 0)}
-            sim_entries = {key: _typed(name, key, entries[key], *rules[key]) for key in entries}
+    for name, line_no, entries in _parse_sections(path):
+        head, _, service = name.partition(".")
+        kind = "service.<name>" if head == "service" and service else name
+        if kind not in _SCHEMA:
+            raise ScenarioError(
+                f"unknown section [{name}]; the sections are "
+                + ", ".join(f"[{known}]" for known in _SCHEMA), line=line_no,
+            )
+        if name in seen:
+            raise ScenarioError("duplicate section", section=name, line=line_no)
+        seen.add(name)
+        types, required = _SCHEMA[kind]
+        values = {key: _typed(name, key, entry, types) for key, entry in entries.items()}
+        for key in required:
+            if key not in values:
+                raise ScenarioError(f"missing key '{key}'", section=name, line=line_no)
+        if kind == "market":
+            market = _make(name, line_no, MarketSpec, m=values["M"])
+        elif kind == "sim":
+            sim = _make(name, line_no, replace, sim, **values)
+        elif kind == "bundle":  # built once every service is known
+            bundle_section = (line_no, values, entries["members"][1])
+        else:
+            quality, fit = _quality(name, line_no, entries, values, base_dir)
+            if fit is not None:
+                fits[service] = fit
+            services[service] = _make(name, line_no, ServiceSpec,
+                                      quality=quality, n=values["N"], c=values["c"])
 
     if market is None:
         raise ScenarioError("scenario needs a [market] section")
     if not services:
         raise ScenarioError("scenario needs at least one [service.<name>] section")
 
-    bundle = None
-    members = None
-    if bundle_entry is not None:
-        line_no, entries = bundle_entry
-        for required in ("members", "gamma", "kind"):
-            if required not in entries:
-                raise ScenarioError(f"missing key '{required}'", section="bundle", line=line_no)
-        raw_members = [sname.strip() for sname in entries["members"][0].split(",")]
-        if len(raw_members) != 2 or raw_members[0] == raw_members[1]:
-            raise ScenarioError(
-                "members must name two distinct services",
-                section="bundle",
-                key="members",
-                line=entries["members"][1],
-            )
-        for sname in raw_members:
+    bundle = members = None
+    if bundle_section is not None:
+        line_no, values, members_line = bundle_section
+        members = tuple(sname.strip() for sname in values["members"].split(","))
+        if len(members) != 2 or members[0] == members[1]:
+            raise ScenarioError("members must name two distinct services",
+                                section="bundle", key="members", line=members_line)
+        for sname in members:
             if sname not in services:
-                raise ScenarioError(
-                    f"bundle references unknown service {sname!r}",
-                    section="bundle",
-                    key="members",
-                    line=entries["members"][1],
-                )
-        gamma = _typed("bundle", "gamma", entries["gamma"], float)
-        kind = entries["kind"][0]
-        try:
-            bundle = BundleSpec(
-                s1=services[raw_members[0]],
-                s2=services[raw_members[1]],
-                market=market,
-                gamma=gamma,
-                kind=kind,
-            )
-        except DomainError as exc:
-            raise ScenarioError(str(exc), section="bundle", line=line_no) from exc
-        members = (raw_members[0], raw_members[1])
+                raise ScenarioError(f"bundle references unknown service {sname!r}",
+                                    section="bundle", key="members", line=members_line)
+        bundle = _make("bundle", line_no, BundleSpec, s1=services[members[0]],
+                       s2=services[members[1]], market=market,
+                       gamma=values["gamma"], kind=values["kind"])
 
-    sim = SimulationSpec(**{**_SIM_DEFAULTS, **sim_entries})
     return LoadedScenario(
         market=market,
         services=services,

@@ -648,3 +648,42 @@ def test_share_without_inputs_is_validation_error(tmp_path, capsys):
     assert main(["share", "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("error: share needs")
     assert not (tmp_path / "run").exists()
+
+
+_APPENDED = S1_ONLY.count("\n") + 2  # the line of a section appended after a blank line
+
+
+@pytest.mark.parametrize("text, where", [
+    (S1_ONLY + "\n[service]\nc = -3\n", f"line {_APPENDED}"),
+    (S1_ONLY + "\n[market.x]\nM = 5\n", f"line {_APPENDED}"),
+    (S1_ONLY + "\n[sim]\ndraws = 10\n", f"section [sim], line {_APPENDED}"),
+    (S1_ONLY.replace("M = 1000", "M = 1" + "0" * 160), "section [market], line 1"),
+    (S1_ONLY.replace("seed = 7", f"seed = {2**64}"), "section [sim], line 11"),
+], ids=["service", "market.x", "repeated-sim", "huge-M", "seed-2^64"])
+def test_scenario_section_errors_exit_two_with_location(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["optimize", "separate", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert where in err
+
+
+def test_sweep_over_infinite_bounds_is_validation_error(s1_file, tmp_path, capsys):
+    argv = ["sweep", s1_file, "--param", "market.M", "--start=-inf", "--stop=inf",
+            "--steps", "3", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep range") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("A,x\nB,1\nA+B,3\n", "cannot parse 'x' as float (line 2)"),
+    ("A,1\nB,1\nA,2\nA+B,3\n", "duplicate coalition 'A' (line 4)"),
+], ids=["not-a-number", "repeated"])
+def test_bad_coalition_row_names_its_line(tmp_path, capsys, rows, message):
+    path = tmp_path / "coalitions.csv"
+    path.write_text("coalition,value\n" + rows)
+    assert main(["share", "--coalitions", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coalition file") and message in err

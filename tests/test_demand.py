@@ -271,8 +271,11 @@ class TestSubstitute:
 
 
 @pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
-@pytest.mark.parametrize("rule, gamma", [(prob_buy_complement, 0.1), (prob_buy_substitute, -0.1)],
-                         ids=["complement", "substitute"])
+# a large gamma keeps (1+gamma)^2*u1*u2 in range while u1*u2 underflows (the exact area's
+# denominator): the exact mode once returned nan where the paper mode returned 0
+@pytest.mark.parametrize("rule, gamma", [(prob_buy_complement, 0.1), (prob_buy_substitute, -0.1),
+                                         (prob_buy_complement, 1e100)],
+                         ids=["complement", "substitute", "complement-large-gamma"])
 @pytest.mark.parametrize("u1", [1e-170, np.array([0.5, 1e-170])], ids=["float", "array"])
 def test_underflowing_quality_product_is_a_domain_error(rule, gamma, mode, u1):
     # (1+gamma)^2*u1*u2 underflows to 0: floats once divided by it (ZeroDivisionError),

@@ -1,3 +1,7 @@
+import math
+import sys
+from pathlib import Path
+
 import pytest
 
 from privmarket import ScenarioError, SweepSpec, load_scenario, sweep_values
@@ -148,8 +152,68 @@ def test_sweep_spec_validation():
         SweepSpec(param="service.S1.c", start=0.0, stop=1.0, steps=1)
     with pytest.raises(DomainError):
         SweepSpec(param="service.S1.c", start=1.0, stop=0.0, steps=5)
+    with pytest.raises(DomainError):
+        SweepSpec(param="service.S1.c", start=0.0, stop=1.0, steps=2.5)
+    with pytest.raises(DomainError):
+        SweepSpec(param="market.M", start=-math.inf, stop=math.inf, steps=3)
+    with pytest.raises(DomainError):  # finite bounds, but the width overflows
+        SweepSpec(param="market.M", start=-1e308, stop=1e308, steps=3)
+    with pytest.raises(DomainError):  # the last value rounds past the largest float
+        SweepSpec(param="market.M", start=0.0, stop=sys.float_info.max, steps=4)
 
 
 def test_sweep_values_inclusive():
     values = sweep_values(SweepSpec(param="bundle.gamma", start=0.0, stop=0.5, steps=6))
     assert values == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+
+
+@pytest.mark.parametrize("section", ["service", "service.", "market.x", "sim.extra", "bundle.y"])
+def test_misnamed_section_rejected_with_location(tmp_path, section):
+    # each was once skipped unchecked: a [service] section with c = -3 loaded
+    text = GOOD + f"\n[{section}]\nc = -3\n"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_write(tmp_path, text))
+    assert f"unknown section [{section}]" in str(err.value)
+    assert f"line {GOOD.count(chr(10)) + 2}" in str(err.value)
+
+
+@pytest.mark.parametrize("section, body", [
+    ("market", "M = 500"),
+    ("sim", "draws = 10"),
+    ("bundle", "members = S1, S3\ngamma = 0.2\nkind = complement"),
+    ("service.S1", "N = 100\nc = 0.3\nalpha1 = 0.8\nalpha2 = 0.1\nalpha3 = 1.0"),
+], ids=["market", "sim", "bundle", "service.S1"])
+def test_repeated_section_rejected(tmp_path, section, body):
+    # a second [market], [sim] or [bundle] once replaced the first silently
+    text = GOOD + f"\n[{section}]\n{body}\n"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_write(tmp_path, text))
+    assert "duplicate section" in str(err.value)
+    assert f"section [{section}]" in str(err.value)
+    assert f"line {GOOD.count(chr(10)) + 2}" in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("M = 1000", "M = 1" + "0" * 160, "section [market], line 1"),
+    ("seed = 21", f"seed = {2**64}", "section [sim], line 23"),
+    ("sigma_z = 0.5", "sigma_z = inf", "section [sim], line 23"),
+], ids=["huge-M", "seed-2^64", "infinite-sigma_z"])
+def test_spec_errors_name_section_and_line(tmp_path, old, new, where):
+    # each value passes the loader's own range rule but not the spec's check,
+    # whose error once had no location
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_write(tmp_path, GOOD.replace(old, new)))
+    assert where in str(err.value)
+
+
+def _readme_scenario_block():
+    """The text of the README's ``ini`` example under "Scenario files"."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("```ini", lines.index("### Scenario files")) + 1
+    return "\n".join(lines[start:lines.index("```", start)]) + "\n"
+
+
+def test_readme_scenario_example_matches_shipped_file(tmp_path):
+    shipped = Path(__file__).resolve().parent.parent / "scenarios" / "bundle_complements.cfg"
+    documented = load_scenario(_write(tmp_path, _readme_scenario_block()))
+    assert documented == load_scenario(str(shipped))
