@@ -20,14 +20,17 @@ here because G is concave in each coordinate wherever u1, u2 > 0; their
 `fee_root` is the same quadratic's root with sigma = 0.5 + gamma^2, which
 reproduces the ascent's fee on the shipped substitute bundle.  Exact
 demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
-geometry, so its ascent starts from closed forms, not a grid.  A solve
-builds its box [0, cap1] x [0, cap2] x [0, p_hi] once and checks it once,
-on floats and at its eight corners (_check_box); its lattices and ascents
-then run on the unchecked `_profit`.
+geometry, so its ascent starts from closed forms, not a grid, and each of
+its sweeps takes the fee in closed form too (_exact_fee: the exact revenue
+is a cubic in the fee between breakpoints); only the privacy levels are
+searched.  A solve builds its box [0, cap1] x [0, cap2] x [0, p_hi] once
+and checks it once, on floats and at its eight corners (_check_box); its
+lattices and ascents then run on the unchecked `_profit`.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,7 @@ from .demand import (
     _check_mode,
     _check_positive_quality,
     _check_privacy,
+    _check_scaled_qualities,
     _output,
     prob_buy_complement,
     prob_buy_substitute,
@@ -310,18 +314,81 @@ def _bracket_max(fn, lo, hi, tol):
     return float(0.5 * (lo + hi))
 
 
+def _exact_fee(bundle: BundleSpec, u1, u2, p_hi) -> float:
+    """The fee in [0, p_hi] that maximizes the exact revenue m*p*buy(p) at qualities u1, u2.
+
+    The data costs do not depend on the fee, so the revenue alone picks it
+    (at a wage of 1e100 the profits of all fees round to one number).  It
+    is worked out in units of S = u1 + u2, which keep every term in float
+    range: y = p/S, lo <= hi the two u_i/S, g = 1 + gamma.  By
+    _nonbuy_area's inclusion-exclusion the revenue is a cubic in y between
+    breakpoints, concave on each piece below hi and falling above it:
+
+    - complements (box [0, 1]^2, s = y/g): a triangle up to s = lo, with
+      its peak at sqrt(2*lo*hi/3), then a trapezoid up to hi, a parabola
+      with vertex (2*hi + lo)/4; the two join smoothly, so the revenue is
+      concave up to hi, s*(1 - s)^2/(2*lo*hi) past it, which falls, and 0
+      past s = 1.  The box's maximum is the peak, or the top of the box
+      below it.
+    - substitutes (box [0, min(1, p/u1)] x [0, min(1, p/u2)], c = -gamma):
+      up to y = lo the linear form at factor 0.5 - gamma^2, with its peak
+      at g*sqrt(lo*hi/(1.5 - 3*c^2)); then the worse service's side of the
+      box stops growing, a kink where the slope jumps up, so a second
+      peak can follow: the smaller root of 3*c^2*y^2 - 4*g*lo*y +
+      g^2*lo*(2*hi + lo) (written without cancellation) until y = lo*g/c,
+      where the bundle line leaves the box and only the better service's
+      strip sells, so the revenue is y*(1 - y/hi) with vertex hi/2; past hi
+      it falls as for complements.  The better of the two peaks, each held
+      to its piece and to the box, wins on revenue.
+    """
+    g = 1.0 + bundle.gamma
+    u1, u2 = float(u1), float(u2)
+    total = u1 + u2
+    # a share that underflows to 0 is taken as the least normal float: no 0/0 below
+    lo = max(min(u1, u2) / total, sys.float_info.min)
+    hi = max(u1, u2) / total
+    top = p_hi / total
+    if bundle.kind == COMPLEMENT:
+        peak = math.sqrt(lo * hi / 1.5)
+        y = min(g * (peak if peak < lo else 0.5 * hi + 0.25 * lo), top)
+    else:
+        c = -bundle.gamma
+        bend = lo * g / c  # past it the bundle line misses the box
+        disc = lo * (4.0 * lo - 3.0 * c * c * (2.0 * hi + lo))
+        root = g * lo * (2.0 * hi + lo) / (2.0 * lo + math.sqrt(disc)) if disc >= 0.0 else math.inf
+        second = min(max(root, lo) if root <= bend else max(0.5 * hi, bend), hi)
+
+        def revenue(y):  # per m*S
+            x = y / g
+            if y <= lo:
+                area = x * x * (1.0 - 2.0 * c * c) / (2.0 * lo * hi)
+            elif y <= bend:
+                area = (lo * (2.0 * x - lo) - (c * x) ** 2) / (2.0 * lo * hi)
+            else:
+                area = y / hi
+            return y * (1.0 - area)
+
+        first = min(g * math.sqrt(lo * hi / (1.5 - 3.0 * c * c)), lo, top)
+        second = min(second, top)
+        y = first if revenue(first) >= revenue(second) else second
+    return min(y * total, p_hi)
+
+
 def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
     """Cyclic exact maximization over p, r1, r2 from a start in the box.
 
-    In paper mode each coordinate maximizer is closed form; in exact mode
-    a batched bracket search (_bracket_max) runs on the exact-geometry
-    profit, evaluating each slice on a lattice in one array call per
-    round.  Concavity of every slice makes the sweep converge to a joint
-    maximum (in exact mode a local one).  Every point lies in the box
-    [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2, p_hi), that the
-    caller has checked, so the slices and qualities are evaluated by the
-    unchecked kernels (_profit_at, _quality); a slice evaluates the
-    quality of the coordinate it holds fixed once, not once per round.
+    In paper mode each coordinate maximizer is closed form.  In exact mode
+    the fee is too (_exact_fee), and a batched bracket search
+    (_bracket_max) finds r1 and r2 on the exact-geometry profit,
+    evaluating each slice on a lattice in one array call per round; after
+    the last sweep the fee is updated once more, at the privacy levels that
+    sweep ended on.  Concavity of every privacy slice makes the sweep
+    converge to a joint maximum (in exact mode a local one).  Every point
+    lies in the box [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2,
+    p_hi), that the caller has checked, so the slices and qualities are
+    evaluated by the unchecked kernels (_profit_at, _quality); a slice
+    evaluates the quality of the coordinate it holds fixed once, not once
+    per round.
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     m, n = bundle.market.m, bundle.n
@@ -357,9 +424,7 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
             r2, clamp2 = _privacy_update(b, n * bundle.s2.c, kappa2, cap2)
         else:
             u1, u2 = _quality(r1, a), _quality(r2, b)
-            p = _bracket_max(
-                lambda t: _profit_at(bundle, r1, r2, u1, u2, t, demand_mode), 0.0, p_hi, bracket_tol
-            )
+            p = _exact_fee(bundle, u1, u2, p_hi)
             r1 = _bracket_max(
                 lambda t: _profit_at(bundle, t, r2, _quality(t, a), u2, p, demand_mode),
                 0.0, cap1, bracket_tol,
@@ -373,6 +438,8 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
             clamp2 = r2 <= edge or r2 >= cap2 - edge
         if max(abs(r1 - prev[0]), abs(r2 - prev[1]), abs(p - prev[2])) < sweep_tol:
             break
+    if not paper:  # the fee at the privacy levels the last sweep ended on
+        p = _exact_fee(bundle, _quality(r1, a), _quality(r2, b), p_hi)
     clamped = []
     if clamp1:
         clamped.append("r1")
@@ -428,17 +495,23 @@ def _check_box(bundle: BundleSpec, box, demand_mode: str):
     Each corner coordinate takes two values, so checking the caps, p_hi,
     and u(0) and u(cap) of each service applies every rule of that array
     call; the profit is then evaluated at the corners, where a nan marks
-    a box outside its domain.
+    a box outside its domain.  The exact mode also takes the public exact
+    buy rules' underflow rule (_check_scaled_qualities) at the caps.
     """
     cap1, cap2, p_hi = box
     _check_mode(demand_mode)
     _check_privacy(cap1, cap2)
     _check_fee(p_hi)
-    _check_positive_quality(*(_quality(r, svc.quality) for svc, cap in
-                              ((bundle.s1, cap1), (bundle.s2, cap2)) for r in (0.0, cap)))
+    u1_0, u1_cap, u2_0, u2_cap = (_quality(r, svc.quality) for svc, cap in
+                                  ((bundle.s1, cap1), (bundle.s2, cap2)) for r in (0.0, cap))
+    _check_positive_quality(u1_0, u1_cap, u2_0, u2_cap)
     corners = (np.array((0.0, hi)).reshape(shape)
                for hi, shape in zip(box, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
     oracles._check_no_nan(_profit(bundle, *corners, demand_mode))
+    if demand_mode == EXACT_GEOMETRY:
+        # the exact area divides by u1*u2, least at the caps; no corner shows its
+        # 0/0, since the area is 0 where the box has no width
+        _check_scaled_qualities(u1_cap, u2_cap, bundle.gamma)
 
 
 def optimize_bundle(

@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import oracles
 from .bundle import SUBSTITUTE, BundleSpec, bundling_decision
 from .demand import EXACT_GEOMETRY, PAPER_FORM
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, ScenarioError, _read_text
 from .quality import evaluate_quality, fit_quality_curve, load_samples
 from .scenario import LoadedScenario, SweepSpec, load_scenario, sweep_values
 from .separate import gross_profit_separate, optimal_fee_fixed_privacy
@@ -165,9 +165,8 @@ def _parse_values(text, flag, count):
 
 
 def _read_coalition_file(path) -> CharacteristicFunction:
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
+    reader = csv.reader(io.StringIO(_read_text(path, "coalition file")))
+    rows = [(reader.line_num, row) for row in reader if row and any(c.strip() for c in row)]
     if not rows or [c.strip() for c in rows[0][1]] != ["coalition", "value"]:
         raise ScenarioError(f"coalition file {path} must start with header 'coalition,value'")
     values = {}

@@ -229,7 +229,9 @@ def _nonbuy_area(q, u1, u2, width, height):
     flip = q > 0.5 * span
     q_low = np.maximum(np.where(flip, span - q, q), 0.0)
     h = np.minimum(q_low, np.minimum(a, b))
-    low = h * (2.0 * q_low - h) / (2.0 * u1 * u2)
+    num, den = h * (2.0 * q_low - h), 2.0 * u1 * u2
+    # 0 where h == 0 (no 0/0 when u1*u2 underflows); h != 0 lets a nan through
+    low = np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=h != 0)
     return np.where(flip, width * height - low, low)
 
 

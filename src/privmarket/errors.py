@@ -13,8 +13,30 @@ def _is_number(x, types=_REAL) -> bool:
 
 
 def _is_finite(x, types=_REAL) -> bool:
-    """x is a finite number of types; a string or None gives False, not a TypeError."""
-    return _is_number(x, types) and math.isfinite(x)
+    """x is a finite number of types; a string or None gives False, not a TypeError.
+
+    An int past float range gives False too, not math.isfinite's OverflowError.
+    """
+    if not _is_number(x, types):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _read_text(path, what: str) -> str:
+    """The text of a UTF-8 file; other bytes raise a DomainError that names the file.
+
+    A UnicodeDecodeError is a ValueError the callers would not catch, so
+    the CLI would end in a traceback instead of one error line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(
+            f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 class DomainError(ValueError):

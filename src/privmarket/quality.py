@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, _as_input, _extremes, _is_finite
+from .errors import DomainError, _as_input, _extremes, _is_finite, _read_text
 
 __all__ = [
     "QualityParams",
@@ -233,13 +233,16 @@ def fit_quality_curve(samples: Sequence[QualitySample], options: FitOptions | No
 
 
 def load_samples(path) -> list[QualitySample]:
-    """Read samples from two-column CSV text with header ``r,quality``."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != "r,quality":
+    """Read samples from two-column CSV text with header ``r,quality``.
+
+    Blank lines are skipped; an error names the row's line in the file.
+    """
+    lines = [(i, ln.strip()) for i, ln in
+             enumerate(_read_text(path, "sample file").split("\n"), start=1) if ln.strip()]
+    if not lines or lines[0][1].replace(" ", "") != "r,quality":
         raise DomainError(f"sample file {path} must start with header 'r,quality'")
     samples = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 2:
             raise DomainError(f"sample file {path} line {i}: expected two columns")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 from .bundle import BundleSpec
 from .demand import MarketSpec
-from .errors import DomainError, ScenarioError, _is_finite, _is_number
+from .errors import DomainError, ScenarioError, _is_finite, _is_number, _read_text
 from .oracles import SimulationSpec
 from .quality import FitResult, QualityParams, fit_quality_curve, load_samples
 from .separate import SeparateScenario, ServiceSpec
@@ -111,30 +111,29 @@ def sweep_values(sweep: SweepSpec) -> list[float]:
 def _parse_sections(path: str):
     sections: list[tuple[str, int, dict[str, tuple[str, int]]]] = []
     current = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip()
-                if not name:
-                    raise ScenarioError("empty section name", line=line_no)
-                current = (name, line_no, {})
-                sections.append(current)
-                continue
-            if "=" not in line:
-                raise ScenarioError("expected 'key = value' or '[section]'", line=line_no)
-            if current is None:
-                raise ScenarioError("key outside any section", line=line_no)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise ScenarioError("expected 'key = value'", section=current[0], line=line_no)
-            if key in current[2]:
-                raise ScenarioError("duplicate key", section=current[0], key=key, line=line_no)
-            current[2][key] = (value, line_no)
+    for line_no, raw in enumerate(_read_text(path, "scenario file").split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            if not name:
+                raise ScenarioError("empty section name", line=line_no)
+            current = (name, line_no, {})
+            sections.append(current)
+            continue
+        if "=" not in line:
+            raise ScenarioError("expected 'key = value' or '[section]'", line=line_no)
+        if current is None:
+            raise ScenarioError("key outside any section", line=line_no)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise ScenarioError("expected 'key = value'", section=current[0], line=line_no)
+        if key in current[2]:
+            raise ScenarioError("duplicate key", section=current[0], key=key, line=line_no)
+        current[2][key] = (value, line_no)
     return sections
 
 

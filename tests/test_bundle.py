@@ -27,7 +27,15 @@ from privmarket import (
 )
 
 import privmarket.bundle as bundle_mod
-from privmarket.bundle import _BRACKET_POINTS, _bracket_max, _coordinate_ascent, _lattice
+from privmarket.bundle import (
+    _BRACKET_POINTS,
+    _bracket_max,
+    _coordinate_ascent,
+    _lattice,
+    _profit_at,
+)
+from privmarket.quality import _quality
+from privmarket.separate import privacy_cap
 
 from conftest import assert_grid_agreement, fd_gradient, fd_hessian, hessians_close, random_bundle
 
@@ -320,6 +328,51 @@ class TestExactSeed:
         linear = 1.0 - (0.5 - gamma**2) * fee**2 / ((1.0 + gamma) ** 2 * u1 * u2)
         assert prob_buy_substitute(fee, u1, u2, gamma, EXACT_GEOMETRY) == pytest.approx(
             linear, rel=0, abs=1e-12)
+
+
+class TestExactFee:
+    """The exact ascent takes each fee in closed form (_exact_fee), not by a bracket search."""
+
+    @pytest.mark.parametrize("kind, seed", [(COMPLEMENT, 1701), (SUBSTITUTE, 1702)])
+    def test_never_below_a_dense_fee_lattice(self, kind, seed):
+        # 1,000 slices (r1, r2) of random bundles, each against a 200,001-point
+        # lattice of the kernel on [0, p_hi], evaluated in 2^14-point blocks; the
+        # fee may lose only by rounding, relative to the terms the profit nets out
+        rng = np.random.default_rng(seed)
+        steps = np.linspace(0.0, 1.0, 200_001)
+        between = 0
+        for _ in range(1000):
+            b = random_bundle(rng, kind)
+            r1, r2 = (rng.uniform(0.0, privacy_cap(svc.quality)) for svc in b.services)
+            u1, u2 = _quality(r1, b.s1.quality), _quality(r2, b.s2.quality)
+            p_hi = bundle_mod._fee_upper_bound(b, EXACT_GEOMETRY)
+            fee = bundle_mod._exact_fee(b, u1, u2, p_hi)
+            assert type(fee) is float and 0.0 <= fee <= p_hi
+            best = max(_profit_at(b, r1, r2, u1, u2, steps[i:i + (1 << 14)] * p_hi,
+                                  EXACT_GEOMETRY).max() for i in range(0, steps.size, 1 << 14))
+            scale = abs(best) + b.n * (b.s1.c + b.s2.c)
+            assert _profit_at(b, r1, r2, u1, u2, fee, EXACT_GEOMETRY) >= best - 1e-15 * scale
+            between += min(u1, u2) < fee < max(u1, u2)
+        # substitutes: the piece where only the worse service's side of the box is full
+        assert between >= (200 if kind == SUBSTITUTE else 0)
+
+    @pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+    def test_each_sweep_searches_only_the_privacy_levels(self, kind, sb1_bundle, sb2_bundle,
+                                                         monkeypatch):
+        b = sb1_bundle if kind == COMPLEMENT else sb2_bundle
+        box = (privacy_cap(b.s1.quality), privacy_cap(b.s2.quality),
+               bundle_mod._fee_upper_bound(b, EXACT_GEOMETRY))
+        sweeps, searches = [], []
+        real_fee, real_search = bundle_mod._exact_fee, bundle_mod._bracket_max
+        monkeypatch.setattr(bundle_mod, "_exact_fee",
+                            lambda *args: sweeps.append(len(searches)) or real_fee(*args))
+        monkeypatch.setattr(bundle_mod, "_bracket_max",
+                            lambda *args: searches.append(args[2]) or real_search(*args))
+        # from a corner of the box, so that the ascent takes more than one sweep
+        _coordinate_ascent(b, EXACT_GEOMETRY, (0.0, 0.0, 0.0), box)
+        # a fee, then r1 on [0, cap1] and r2 on [0, cap2], each sweep; one more fee at the end
+        assert len(sweeps) >= 3 and sweeps == [2 * i for i in range(len(sweeps))]
+        assert searches == [box[0], box[1]] * (len(sweeps) - 1)
 
 
 class TestFixedPrivacyFee:

@@ -687,3 +687,23 @@ def test_bad_coalition_row_names_its_line(tmp_path, capsys, rows, message):
     assert main(["share", "--coalitions", str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: coalition file") and message in err
+
+
+_NOT_UTF8 = bytes.fromhex("fffe00626164")
+
+
+@pytest.mark.parametrize("reader", ["scenario", "scenario-samples", "fit-samples", "coalitions"])
+def test_file_that_is_not_utf8_exits_two_naming_it(reader, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_NOT_UTF8)
+    scenario = tmp_path / "fit.cfg"
+    scenario.write_text(S1_ONLY.replace(
+        "alpha1 = 0.822\nalpha2 = 0.004\nalpha3 = 2.813", "samples = bad.bin"))
+    argv = {"scenario": ["optimize", "separate", str(bad)],
+            "scenario-samples": ["fit", str(scenario)],
+            "fit-samples": ["fit", "--samples", str(bad)],
+            "coalitions": ["share", "--coalitions", str(bad)]}[reader]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"{bad} is not UTF-8 text" in err

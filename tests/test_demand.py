@@ -14,7 +14,7 @@ from privmarket import (
     prob_buy_separate,
     prob_buy_substitute,
 )
-from privmarket.demand import _line_only_buy_probability
+from privmarket.demand import _line_only_buy_probability, _nonbuy_area
 from privmarket.quality import MAX_MAGNITUDE
 
 
@@ -287,6 +287,15 @@ def test_underflowing_quality_product_is_a_domain_error(rule, gamma, mode, u1):
     with np.errstate(all="ignore"):
         buy = rule(0.5, u1 * 1e20, 1e-170, gamma, mode)
     assert np.all((0.0 <= buy) & (buy <= 1.0))
+
+
+@pytest.mark.parametrize("q, width", [(np.array([0.0]), 1.0), (np.array([0.3]), 0.0), (0.0, 1.0)],
+                         ids=["fee-0", "no-width", "float"])
+def test_nonbuy_area_is_zero_where_nothing_lies_below_the_line(q, width):
+    # h = 0 with 2*u1*u2 underflowing to 0 once gave 0/0: nan and an invalid-value warning
+    with np.errstate(all="raise"):
+        area = _nonbuy_area(q, 1e-170, 1e-170, width, 1.0)
+    assert np.all(area == 0.0) and np.shape(area) == np.shape(q)
 
 
 class TestContingency:

@@ -205,3 +205,11 @@ def test_load_samples_requires_header(tmp_path):
     path.write_text("privacy,quality\n0.0,0.8\n")
     with pytest.raises(DomainError):
         load_samples(path)
+
+
+def test_load_samples_error_counts_blank_lines(tmp_path):
+    # the bad row is on the file's 4th line; blank lines were once left out of the count
+    path = tmp_path / "blank.csv"
+    path.write_text("r,quality\n\n0.0,0.8\n0.5,x\n")
+    with pytest.raises(DomainError, match=f"sample file {path} line 4: could not convert"):
+        load_samples(path)

@@ -209,3 +209,9 @@ def test_service_spec_accepts_real_numbers_only(field, value, accepted):
                    else "reservation wage c must lie in")
         with pytest.raises(DomainError, match=message):
             ServiceSpec(**values)
+
+
+def test_int_past_float_range_is_a_domain_error():
+    # math.isfinite raised OverflowError on such an int, so no DomainError was reached
+    with pytest.raises(DomainError, match="reservation wage c must lie in"):
+        ServiceSpec(quality=S1_PARAMS, n=100, c=10**400)
