@@ -434,6 +434,34 @@ def test_joint_overflow_is_a_validation_error(pair, command, tmp_path, capsys):
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"
 
+# the exit code of each command that reads --strict when --strict is set;
+# without it every case exits 0
+STRICT_EXITS = {
+    "optimize-substitute": (["optimize", "substitute", "bundle_substitutes.cfg"], 3),
+    "decide-substitute": (["decide", "bundle_substitutes.cfg"], 3),
+    "share-substitute": (["share", "bundle_substitutes.cfg"], 3),
+    "verify-substitute": (["verify", "bundle_substitutes.cfg"], 3),
+    "decide-exact-complement": (["decide", "bundle_complements.cfg", "--demand-mode", "exact"], 3),
+    "optimize-complement": (["optimize", "complement", "bundle_complements.cfg"], 0),
+    "optimize-separate": (["optimize", "separate", "s1.cfg"], 0),
+    "decide-complement": (["decide", "bundle_complements.cfg"], 0),
+    "share-complement": (["share", "bundle_complements.cfg"], 0),
+    "verify-complement": (["verify", "bundle_complements.cfg"], 0),
+    "share-values": (["share", "--values", "1,2,4"], 0),
+    "verify-service": (["verify", "bundle_substitutes.cfg", "--service", "S1"], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(STRICT_EXITS))
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_strict_exit_code_contract(case, strict, tmp_path, capsys):
+    argv, strict_code = STRICT_EXITS[case]
+    argv = [str(SHIPPED / a) if a.endswith(".cfg") else a for a in argv]
+    out = tmp_path / "run"
+    code = main(argv + ["--out", str(out)] + (["--strict"] if strict else []))
+    assert code == (strict_code if strict else 0)
+    assert capsys.readouterr().out == (out / f"{argv[0]}.csv").read_text()
+
 
 @pytest.mark.parametrize("command, scenario", [
     (["verify"], "bundle_complements.cfg"),
