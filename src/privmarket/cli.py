@@ -5,8 +5,10 @@ prints a CSV table, and writes the same table to <out>/<command>.csv.
 Numbers are rendered with 9 significant digits so identical inputs (and
 seed) give byte-identical outputs.
 
-Exit status: 0 on success, 2 on validation errors, 3 when --strict is set
-and a solver had to fall back from its closed form to the search path.
+Each command returns its rows and whether a solver fell back; `main`
+alone writes the table and maps every command's outcome to its exit
+status: 0 on success, 2 on validation errors, 3 when --strict is set and
+a solver had to fall back from its closed form to the search path.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .demand import EXACT_GEOMETRY, PAPER_FORM
 from .errors import DomainError, ScenarioError, _read_text
 from .quality import evaluate_quality, fit_quality_curve, load_samples
 from .scenario import LoadedScenario, SweepSpec, load_scenario, sweep_values
-from .separate import gross_profit_separate, optimal_fee_fixed_privacy
+from .separate import SeparateScenario, gross_profit_separate, optimal_fee_fixed_privacy
 from .sharing import CharacteristicFunction, core_check, core_interval_two, shapley_allocation
 
 EXIT_OK = 0
@@ -56,7 +58,7 @@ def _fmt(value):
     return str(value)
 
 
-def _emit(command: str, rows, out_dir: str) -> str:
+def _emit(command: str, rows, out_dir: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SCHEMAS[command])
@@ -64,11 +66,9 @@ def _emit(command: str, rows, out_dir: str) -> str:
         writer.writerow([_fmt(v) for v in row])
     text = buf.getvalue()
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{command}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(os.path.join(out_dir, f"{command}.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     sys.stdout.write(text)
-    return path
 
 
 def _load(args) -> LoadedScenario:
@@ -112,45 +112,38 @@ def _cells(point):
     return (point[0], point[1] if len(point) == 3 else "", point[-1])
 
 
-def _cmd_fit(args) -> int:
-    loaded = _load(args) if args.scenario else None
-    rows = []
+def _cmd_fit(args):
+    fits = list(_load(args).fits.items()) if args.scenario else []
     if args.samples:
-        fit = fit_quality_curve(load_samples(args.samples))
-        rows.append(["samples", fit.params.alpha1, fit.params.alpha2, fit.params.alpha3,
-                     fit.residual_sum_squares, fit.iterations, fit.converged])
-    if loaded is not None:
-        for name, fit in loaded.fits.items():
-            rows.append([name, fit.params.alpha1, fit.params.alpha2, fit.params.alpha3,
-                         fit.residual_sum_squares, fit.iterations, fit.converged])
-    if not rows:
+        fits.insert(0, ("samples", fit_quality_curve(load_samples(args.samples))))
+    if not fits:
         raise ScenarioError("fit needs --samples or a scenario with sample-driven services")
-    _emit("fit", rows, args.out)
-    return EXIT_OK
+    return [[name, fit.params.alpha1, fit.params.alpha2, fit.params.alpha3,
+             fit.residual_sum_squares, fit.iterations, fit.converged] for name, fit in fits], False
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args):
     loaded = _load(args)
     target, label = _market(loaded, args, args.kind)
     # substitutes are always certified: their optimum comes from the search path
     opt = target.optimize(args.demand_mode, verify=args.verify or args.kind == SUBSTITUTE)
     # a single service has no fallback path (blank cell)
     fallback = getattr(opt, "fallback", "")
-    _emit("optimize", [[target.kind, label, *_cells(opt.point), opt.profit, opt.interior,
-                        fallback, ";".join(opt.clamped_variables), opt.oracle_delta]], args.out)
-    return EXIT_FALLBACK if args.strict and fallback else EXIT_OK
+    return [[target.kind, label, *_cells(opt.point), opt.profit, opt.interior, fallback,
+             ";".join(opt.clamped_variables), opt.oracle_delta]], bool(fallback)
 
 
-def _cmd_decide(args) -> int:
+def _decision(args):
+    """The scenario bundle's bundling decision and the bundle's member names."""
     loaded = _load(args)
-    bundle = _require_bundle(loaded)
-    decision = bundling_decision(bundle, demand_mode=args.demand_mode)
-    target = "+".join(loaded.bundle_members)
-    _emit("decide", [[target, decision.bundle_profit, decision.separate_profits[0],
-                      decision.separate_profits[1], decision.recommend_bundle]], args.out)
-    if args.strict and decision.bundle_optimum.fallback:
-        return EXIT_FALLBACK
-    return EXIT_OK
+    decision = bundling_decision(_require_bundle(loaded), demand_mode=args.demand_mode)
+    return decision, loaded.bundle_members
+
+
+def _cmd_decide(args):
+    decision, members = _decision(args)
+    return [["+".join(members), decision.bundle_profit, *decision.separate_profits,
+             decision.recommend_bundle]], decision.bundle_optimum.fallback
 
 
 def _parse_values(text, flag, count):
@@ -189,7 +182,7 @@ def _read_coalition_file(path) -> CharacteristicFunction:
     return CharacteristicFunction(players=tuple(players), values=values)
 
 
-def _cmd_share(args) -> int:
+def _cmd_share(args):
     fallback = False
     if args.values:
         v1, v2, v12 = _parse_values(args.values, "--values", 3)
@@ -199,15 +192,10 @@ def _cmd_share(args) -> int:
     elif args.scenario is None:
         raise ScenarioError("share needs a scenario file, --values or --coalitions")
     else:
-        loaded = _load(args)
-        bundle = _require_bundle(loaded)
-        decision = bundling_decision(bundle, demand_mode=args.demand_mode)
+        decision, names = _decision(args)
         fallback = decision.bundle_optimum.fallback
-        names = loaded.bundle_members
-        cf = CharacteristicFunction.from_two_player(
-            decision.separate_profits[0], decision.separate_profits[1],
-            decision.bundle_profit, names=names,
-        )
+        cf = CharacteristicFunction.from_two_player(*decision.separate_profits,
+                                                    decision.bundle_profit, names=names)
     alloc = shapley_allocation(cf)
     verdict = core_check(cf, alloc)
     rows = []
@@ -221,13 +209,10 @@ def _cmd_share(args) -> int:
         else:
             lo = hi = ""
         rows.append([player, alone, alloc[player], lo, hi, verdict.in_core])
-    _emit("share", rows, args.out)
-    if args.strict and fallback:
-        return EXIT_FALLBACK
-    return EXIT_OK
+    return rows, fallback
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     loaded = _load(args)
     target, label = _market(loaded, args)
     if args.at:
@@ -238,11 +223,10 @@ def _cmd_simulate(args) -> int:
     result = oracles.simulate_market(target, point, loaded.sim)
     z = abs(result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0
     row = [label, *_cells(point), result.mean, result.std_error, result.draws, analytic, z]
-    _emit("simulate", [row], args.out)
-    return EXIT_OK
+    return [row], False
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     loaded = _load(args)
     target, label = _market(loaded, args)
     opt = target.optimize(args.demand_mode, verify=True)
@@ -250,12 +234,11 @@ def _cmd_verify(args) -> int:
     axes = target.profit_surface(args.demand_mode)[1].axes
     steps = [(hi - lo) / (count - 1) for lo, hi, count in axes]
     within = all(abs(c - g) <= step + 1e-12 for c, g, step in zip(opt.point, best.coords, steps))
-    _emit("verify", [[target.kind, label, *_cells(opt.point), opt.profit, best.value,
-                      opt.oracle_delta, within]], args.out)
-    return EXIT_FALLBACK if args.strict and getattr(opt, "fallback", False) else EXIT_OK
+    return [[target.kind, label, *_cells(opt.point), opt.profit, best.value, opt.oracle_delta,
+             within]], getattr(opt, "fallback", False)
 
 
-def _cmd_demand(args) -> int:
+def _cmd_demand(args):
     loaded = _load(args)
     target, _ = _market(loaded, args)
     *levels, p = target.optimize(PAPER_FORM).point
@@ -269,83 +252,121 @@ def _cmd_demand(args) -> int:
         est = oracles.estimate_buy_probability(region, loaded.sim)
         mc_mean, mc_se = est.mean, est.std_error
     u1, u2, _ = _cells((*qualities, fee))
-    _emit("demand", [[target.kind, fee, u1, u2, target.gamma, paper, exact, mc_mean, mc_se]],
-          args.out)
-    return EXIT_OK
+    return [[target.kind, fee, u1, u2, target.gamma, paper, exact, mc_mean, mc_se]], False
 
 
-def _apply_param(loaded: LoadedScenario, param: str, value: float) -> LoadedScenario:
+
+
+_SWEEP_PARAMS = ("market.M", "service.<name>.c", "service.<name>.N", "service.<name>.r",
+                 "bundle.gamma")
+
+
+def _sweep_row(loaded: LoadedScenario, args):
+    """The function from a swept value to its row, with --param resolved once.
+
+    A malformed path (no supported parameter, an unknown service,
+    bundle.gamma without a [bundle], or no one market to re-optimize)
+    raises here, before any value is swept.
+    """
+    param = args.param
     parts = param.split(".")
-    services = dict(loaded.services)
-    market = loaded.market
-    bundle = loaded.bundle
-    if parts == ["market", "M"]:
-        market = replace(market, m=int(round(value)))
-    elif len(parts) == 3 and parts[0] == "service" and parts[2] in ("c", "N"):
-        name = parts[1]
-        if name not in services:
-            raise ScenarioError(f"sweep references unknown service {name!r}")
-        svc = services[name]
-        services[name] = replace(svc, c=value) if parts[2] == "c" else replace(svc, n=int(round(value)))
-    elif parts == ["bundle", "gamma"]:
-        if bundle is None:
-            raise ScenarioError("sweep over bundle.gamma needs a [bundle] section")
-        bundle = replace(bundle, gamma=value)
-        return replace(loaded, bundle=bundle)
-    else:
-        raise ScenarioError(
-            f"unsupported sweep parameter {param!r}; use market.M, service.<name>.c, "
-            "service.<name>.N, service.<name>.r or bundle.gamma"
-        )
-    if bundle is not None and loaded.bundle_members is not None:
-        a, b = loaded.bundle_members
-        bundle = BundleSpec(s1=services[a], s2=services[b], market=market,
-                            gamma=bundle.gamma, kind=bundle.kind)
-    return replace(loaded, market=market, services=services, bundle=bundle)
-
-
-def _sweep_row(loaded: LoadedScenario, args, param: str, value: float):
-    parts = param.split(".")
-    fixed_privacy = len(parts) == 3 and parts[0] == "service" and parts[2] == "r"
-    if fixed_privacy:
-        name = parts[1]
+    name = parts[1] if len(parts) == 3 else None
+    if (param if name is None else f"{parts[0]}.<name>.{parts[2]}") not in _SWEEP_PARAMS:
+        raise ScenarioError(f"unsupported sweep parameter {param!r}; use "
+                            f"{', '.join(_SWEEP_PARAMS[:-1])} or {_SWEEP_PARAMS[-1]}")
+    key, bundle = parts[-1], loaded.bundle
+    if bundle is None and key == "gamma":
+        raise ScenarioError("sweep over bundle.gamma needs a [bundle] section")
+    if bundle is None and name is None:  # market.M re-optimizes one service
+        name = _pick_service(loaded, args)
+    if name is not None and name not in loaded.services:
+        raise ScenarioError(f"sweep references unknown service {name!r}")
+    if key == "r":
         scenario = loaded.separate(name)
-        fee = optimal_fee_fixed_privacy(scenario, value)
-        profit = gross_profit_separate(scenario, value, fee)
-        cost = scenario.service.n * scenario.service.c * (1.0 - value)
-        return [param, value, value, "", fee, profit, cost, profit + cost, ""]
-    sub = _apply_param(loaded, param, value)
-    # the bundle whenever the scenario has one, whatever --service names
-    if sub.bundle is not None:
-        target = sub.bundle
-    else:
-        target = sub.separate(parts[1] if parts[0] == "service" else _pick_service(sub, args))
-    opt = target.optimize(args.demand_mode)
-    # the privacy levels lead the point; zip leaves out the fee
-    cost = sum(svc.n * svc.c * (1.0 - r) for svc, r in zip(target.services, opt.point))
-    return [param, value, *_cells(opt.point), opt.profit, cost, opt.profit + cost, ""]
+
+        def fixed_privacy(value):
+            fee = optimal_fee_fixed_privacy(scenario, value)
+            profit = gross_profit_separate(scenario, value, fee)
+            cost = scenario.service.n * scenario.service.c * (1.0 - value)
+            return [param, value, value, "", fee, profit, cost, profit + cost, ""]
+        return fixed_privacy
+
+    def reoptimized(value):
+        market, services = loaded.market, dict(loaded.services)
+        if key == "M":
+            market = replace(market, m=int(round(value)))
+        elif key == "c":
+            services[name] = replace(services[name], c=value)
+        elif key == "N":
+            services[name] = replace(services[name], n=int(round(value)))
+        # the bundle whenever the scenario has one, whatever --service names
+        if bundle is None:
+            target = SeparateScenario(service=services[name], market=market)
+        else:
+            s1, s2 = (services[member] for member in loaded.bundle_members)
+            target = BundleSpec(s1=s1, s2=s2, market=market, kind=bundle.kind,
+                                gamma=value if key == "gamma" else bundle.gamma)
+        opt = target.optimize(args.demand_mode)
+        # the privacy levels lead the point; zip leaves out the fee
+        cost = sum(svc.n * svc.c * (1.0 - r) for svc, r in zip(target.services, opt.point))
+        return [param, value, *_cells(opt.point), opt.profit, cost, opt.profit + cost, ""]
+    return reoptimized
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     loaded = _load(args)
     sweep = SweepSpec(param=args.param, start=args.start, stop=args.stop, steps=args.steps)
+    row = _sweep_row(loaded, args)
     rows = []
     for value in sweep_values(sweep):
         try:
-            rows.append(_sweep_row(loaded, args, sweep.param, value))
-        except (DomainError, ScenarioError) as exc:
+            rows.append(row(value))
+        except DomainError as exc:
             rows.append([sweep.param, value, "", "", "", "", "", "", str(exc)])
-    _emit("sweep", rows, args.out)
-    return EXIT_OK
+    return rows, False
 
 
-# the shared flags; each command declares the ones it reads
+# every argument's argparse keywords; each command lists the ones it reads
 _FLAGS = {
-    "seed": dict(type=int, default=None, help="override the [sim] seed"),
-    "verify": dict(action="store_true", help="cross-check against oracles"),
-    "strict": dict(action="store_true", help="exit 3 when a solver falls back"),
-    "demand-mode": dict(choices=[PAPER_FORM, EXACT_GEOMETRY], default=PAPER_FORM),
-    "service": dict(default=None, help="service name for standalone commands"),
+    "kind": dict(choices=["separate", "complement", "substitute"]),
+    "scenario": dict(help="scenario file path"),
+    "--out": dict(default=".", help="output directory for CSV reports"),
+    "--seed": dict(type=int, default=None, help="override the [sim] seed"),
+    "--verify": dict(action="store_true", help="cross-check against oracles"),
+    "--strict": dict(action="store_true", help="exit 3 when a solver falls back"),
+    "--demand-mode": dict(choices=[PAPER_FORM, EXACT_GEOMETRY], default=PAPER_FORM),
+    "--service": dict(default=None, help="service name for standalone commands"),
+    "--samples": dict(default=None, help="fit a standalone r,quality CSV"),
+    "--values": dict(default=None, help="v1,v2,v12 for a two-player split"),
+    "--coalitions": dict(default=None, help="coalition,value CSV for K > 2"),
+    "--at": dict(default=None, help="decision point r,p or r1,r2,pb (default: optimum)"),
+    "--fee": dict(type=float, default=None, help="fee to price (default: optimum)"),
+    "--param": dict(required=True, help=" | ".join(_SWEEP_PARAMS)),
+    "--start": dict(type=float, required=True),
+    "--stop": dict(type=float, required=True),
+    "--steps": dict(type=int, required=True),
+}
+
+# command: (handler, help, whether the scenario is required, arguments in usage order)
+_COMMANDS = {
+    "fit": (_cmd_fit, "fit quality curves from samples", False,
+            ("scenario", "--out", "--samples")),
+    "optimize": (_cmd_optimize, "maximize a profit surface", True,
+                 ("kind", "scenario", "--out", "--verify", "--strict", "--demand-mode",
+                  "--service")),
+    "decide": (_cmd_decide, "bundle-vs-separate recommendation", True,
+               ("scenario", "--out", "--strict", "--demand-mode")),
+    "share": (_cmd_share, "divide a bundle profit among providers", False,
+              ("scenario", "--out", "--strict", "--demand-mode", "--values", "--coalitions")),
+    "simulate": (_cmd_simulate, "Monte-Carlo profit at a decision point", True,
+                 ("scenario", "--out", "--seed", "--demand-mode", "--service", "--at")),
+    "verify": (_cmd_verify, "grid-oracle certification of an optimum", True,
+               ("scenario", "--out", "--strict", "--demand-mode", "--service")),
+    "demand": (_cmd_demand, "buy probabilities in both demand modes", True,
+               ("scenario", "--out", "--seed", "--verify", "--service", "--fee")),
+    "sweep": (_cmd_sweep, "re-optimize along one parameter range", True,
+              ("scenario", "--out", "--demand-mode", "--service", "--param", "--start", "--stop",
+               "--steps")),
 }
 
 
@@ -353,61 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="privmarket",
                                      description="Privacy-aware pricing and bundling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, flags, scenario_required=True):
-        """The scenario, --out, and the shared flags this command reads."""
-        if scenario_required:
-            p.add_argument("scenario", help="scenario file path")
-        else:
-            p.add_argument("scenario", nargs="?", default=None, help="scenario file path")
-        p.add_argument("--out", default=".", help="output directory for CSV reports")
+    for name, (func, help_text, scenario_required, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=func)
         for flag in flags:
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
-
-    p_fit = sub.add_parser("fit", help="fit quality curves from samples")
-    common(p_fit, (), scenario_required=False)
-    p_fit.add_argument("--samples", default=None, help="fit a standalone r,quality CSV")
-    p_fit.set_defaults(func=_cmd_fit)
-
-    p_opt = sub.add_parser("optimize", help="maximize a profit surface")
-    p_opt.add_argument("kind", choices=["separate", "complement", "substitute"])
-    common(p_opt, ("verify", "strict", "demand-mode", "service"))
-    p_opt.set_defaults(func=_cmd_optimize)
-
-    p_dec = sub.add_parser("decide", help="bundle-vs-separate recommendation")
-    common(p_dec, ("strict", "demand-mode"))
-    p_dec.set_defaults(func=_cmd_decide)
-
-    p_share = sub.add_parser("share", help="divide a bundle profit among providers")
-    common(p_share, ("strict", "demand-mode"), scenario_required=False)
-    p_share.add_argument("--values", default=None, help="v1,v2,v12 for a two-player split")
-    p_share.add_argument("--coalitions", default=None, help="coalition,value CSV for K > 2")
-    p_share.set_defaults(func=_cmd_share)
-
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo profit at a decision point")
-    common(p_sim, ("seed", "demand-mode", "service"))
-    p_sim.add_argument("--at", default=None, help="decision point r,p or r1,r2,pb (default: optimum)")
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="grid-oracle certification of an optimum")
-    common(p_ver, ("strict", "demand-mode", "service"))
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_dem = sub.add_parser("demand", help="buy probabilities in both demand modes")
-    common(p_dem, ("seed", "verify", "service"))
-    p_dem.add_argument("--fee", type=float, default=None, help="fee to price (default: optimum)")
-    p_dem.set_defaults(func=_cmd_demand)
-
-    p_sweep = sub.add_parser("sweep", help="re-optimize along one parameter range")
-    common(p_sweep, ("demand-mode", "service"))
-    p_sweep.add_argument("--param", required=True,
-                         help="market.M | service.<name>.c | service.<name>.N | "
-                              "service.<name>.r | bundle.gamma")
-    p_sweep.add_argument("--start", type=float, required=True)
-    p_sweep.add_argument("--stop", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
+            optional = flag == "scenario" and not scenario_required
+            command.add_argument(flag, **_FLAGS[flag], **({"nargs": "?"} if optional else {}))
     return parser
 
 
@@ -423,10 +395,12 @@ def main(argv=None) -> int:
     if extra:  # reported with the command's own usage line, which lists the flags it takes
         _commands(parser)[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args)
+        rows, fell_back = args.func(args)
+        _emit(args.command, rows, args.out)
     except (ScenarioError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_FALLBACK if fell_back and getattr(args, "strict", False) else EXIT_OK
 
 
 if __name__ == "__main__":

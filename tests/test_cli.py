@@ -705,6 +705,34 @@ def test_sweep_over_infinite_bounds_is_validation_error(s1_file, tmp_path, capsy
     assert err.startswith("error: sweep range") and "Traceback" not in err
 
 
+# a --param that names no parameter to sweep, and the message that says so
+MALFORMED_PARAMS = {
+    "bogus": (S1_ONLY, "bogus", "unsupported sweep parameter 'bogus'; use market.M, "
+              "service.<name>.c, service.<name>.N, service.<name>.r or bundle.gamma"),
+    "unknown-service-wage": (S1_ONLY, "service.S9.c", "sweep references unknown service 'S9'"),
+    "unknown-service-privacy": (S1_ONLY, "service.S9.r", "sweep references unknown service 'S9'"),
+    "gamma-without-bundle": (S1_ONLY, "bundle.gamma",
+                             "sweep over bundle.gamma needs a [bundle] section"),
+    "market-of-two-services": (SB1[:SB1.index("[bundle]")] + "[sim]\nseed = 7\n", "market.M",
+                               "scenario defines 2 services; pick one with --service"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_PARAMS))
+def test_malformed_sweep_param_is_validation_error(case, tmp_path, capsys):
+    text, param, message = MALFORMED_PARAMS[case]
+    path = tmp_path / "x.cfg"
+    path.write_text(text)
+    out = tmp_path / "run"
+    argv = ["sweep", str(path), "--param", param, "--start", "1", "--stop", "2", "--steps", "2",
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (out / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("rows, message", [
     ("A,x\nB,1\nA+B,3\n", "cannot parse 'x' as float (line 2)"),
     ("A,1\nB,1\nA,2\nA+B,3\n", "duplicate coalition 'A' (line 4)"),
