@@ -302,11 +302,17 @@ def _bracket_max(fn, lo, hi, tol):
     call) and keeps the two cells around the argmax, which must contain
     the maximizer of a unimodal function; rounds stop once the bracket is
     narrower than tol, or once a round leaves it unchanged (float spacing
-    wider than tol), and the bracket midpoint is returned.
+    wider than tol), and the bracket midpoint is returned.  numpy's argmax
+    returns the first NaN, so a NaN on the lattice is its maximum and
+    raises DomainError, as in oracles.grid_maximize.
     """
     while hi - lo > tol:
         grid = _lattice(lo, hi)
-        best = int(fn(grid).argmax())
+        values = fn(grid)
+        best = int(values.argmax())
+        if math.isnan(values[best]):
+            raise DomainError(f"bundle profit is NaN at privacy level {float(grid[best])}; "
+                              "the scenario's magnitudes overflow together")
         bracket = grid[max(best - 1, 0)], grid[min(best + 1, _BRACKET_POINTS - 1)]
         if bracket == (lo, hi):
             break

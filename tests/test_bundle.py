@@ -514,6 +514,17 @@ def test_bracket_max_ends_where_float_spacing_exceeds_the_tolerance():
     assert best == pytest.approx(1.234e8, rel=1e-15)
 
 
+def test_bracket_max_raises_on_a_nan_slice_value():
+    # argmax would pick the nan at the lattice point t = 0.25 over the maximum at t = 0.75
+    def fn(t):
+        values = -((t - 0.75) ** 2)
+        values[t == 0.25] = np.nan
+        return values
+
+    with pytest.raises(DomainError, match="NaN at privacy level 0.25.*overflow together"):
+        _bracket_max(fn, 0.0, 1.0, 1e-9)
+
+
 _BRACKET_TOL = 1e-9  # the tolerance the exact ascent passes to _bracket_max
 
 

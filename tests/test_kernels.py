@@ -203,7 +203,14 @@ def _extreme_outcome(variant, kind, mode, verify):
 # relative.  The exact quality~1e-160 substitute rows raised the NaN error at
 # a box corner, from a 0/0 in the exact area where the box has no width; that
 # area is 0 now, and the box check rejects the underflowing u1*u2 itself.
+# The two exact "ceilings" complement rows were re-recorded when the exact
+# ascent's privacy search began to raise on a NaN slice value instead of
+# following it: the unverified row had raised the final profit's NaN error,
+# and the verified one the NaN error of its verify grid, which runs after
+# the ascent.
 _NAN = "objective produced NaN on the grid; domain is not valid"
+_SLICE_NAN = ("bundle profit is NaN at privacy level 0.0; the scenario's magnitudes overflow "
+              "together")
 _UNDERFLOW = "service qualities too small: (1+gamma)^2*u1*u2 or u1*u2 underflows to 0"
 EXTREME_OUTCOMES = {
     ("alpha1=1e100", "complement", "paper", False): (
@@ -372,10 +379,8 @@ EXTREME_OUTCOMES = {
         "0x1.db3cd4c6c5bd2p+330", True, ("r1", "r2")),
     ("ceilings", "complement", "paper", False): _NAN,
     ("ceilings", "complement", "paper", True): _NAN,
-    ("ceilings", "complement", "exact", False): (
-        "bundle profit is NaN at r1=1.4551915228366852e-11, r2=1.4551915228366852e-11, fee "
-        "8.16496580927726e+199; the scenario's magnitudes overflow together"),
-    ("ceilings", "complement", "exact", True): _NAN,
+    ("ceilings", "complement", "exact", False): _SLICE_NAN,
+    ("ceilings", "complement", "exact", True): _SLICE_NAN,
     ("ceilings", "substitute", "paper", False): (
         "privacy update out of floating-point range (n*c = 1e+102, kappa = inf); the scenario's "
         "magnitudes overflow together"),
