@@ -606,11 +606,13 @@ def optimal_bundle_fee_fixed_privacy(bundle: BundleSpec, r1: float, r2: float) -
 
 
 def concavity_report_bundle(bundle: BundleSpec, r1: float, r2: float, p_b: float) -> ConcavityReport:
-    """Analytic Hessian of the complement profit in (r1, r2, p_b) order."""
-    if bundle.kind != COMPLEMENT:
-        raise DomainError("the bundle concavity report covers complement bundles only")
+    """Analytic Hessian of the paper-form profit in (r1, r2, p_b) order, either bundle kind.
+
+    Every entry is linear in the demand factor sigma, so its minors scale as
+    sigma, sigma^2 and sigma^3.
+    """
     a, b = bundle.s1.quality, bundle.s2.quality
-    m = bundle.market.m
+    m, sigma = bundle.market.m, bundle.demand_factor
     u1 = evaluate_quality(r1, a)
     u2 = evaluate_quality(r2, b)
     _check_positive_quality(u1, u2)
@@ -619,14 +621,14 @@ def concavity_report_bundle(bundle: BundleSpec, r1: float, r2: float, p_b: float
     x = a.alpha2 * math.exp(a.alpha3 * r1)
     y = b.alpha2 * math.exp(b.alpha3 * r2)
     try:
-        h00 = -0.5 * m * a.alpha3**2 * x * (a.alpha1 + x) * p_b**3 / (k * u1**3 * u2)
-        h01 = -0.5 * m * a.alpha3 * b.alpha3 * x * y * p_b**3 / (k * u1**2 * u2**2)
-        h02 = -1.5 * m * a.alpha3 * x * p_b**2 / (k * u1**2 * u2)
-        h11 = -0.5 * m * b.alpha3**2 * y * (b.alpha1 + y) * p_b**3 / (k * u1 * u2**3)
-        h12 = -1.5 * m * b.alpha3 * y * p_b**2 / (k * u1 * u2**2)
-        h22 = -3.0 * m * p_b / (k * u1 * u2)
+        h00 = -sigma * m * a.alpha3**2 * x * (a.alpha1 + x) * p_b**3 / (k * u1**3 * u2)
+        h01 = -sigma * m * a.alpha3 * b.alpha3 * x * y * p_b**3 / (k * u1**2 * u2**2)
+        h02 = -3.0 * sigma * m * a.alpha3 * x * p_b**2 / (k * u1**2 * u2)
+        h11 = -sigma * m * b.alpha3**2 * y * (b.alpha1 + y) * p_b**3 / (k * u1 * u2**3)
+        h12 = -3.0 * sigma * m * b.alpha3 * y * p_b**2 / (k * u1 * u2**2)
+        h22 = -6.0 * sigma * m * p_b / (k * u1 * u2)
         d2 = (
-            0.25 * m**2 * a.alpha3**2 * b.alpha3**2 * x * y * p_b**6
+            sigma**2 * m**2 * a.alpha3**2 * b.alpha3**2 * x * y * p_b**6
             * (a.alpha1 * b.alpha1 + x * b.alpha1 + a.alpha1 * y)
             / (k**2 * u1**4 * u2**4)
         )
@@ -634,7 +636,7 @@ def concavity_report_bundle(bundle: BundleSpec, r1: float, r2: float, p_b: float
             m**3 * p_b**7 * a.alpha3**2 * b.alpha3**2 * x * y
             * (a.alpha1 * y + x * b.alpha1 - 2.0 * a.alpha1 * b.alpha1)
         )
-        d3 = 0.375 * a2_cubic / (k**3 * u1**5 * u2**5)
+        d3 = 3.0 * sigma**3 * a2_cubic / (k**3 * u1**5 * u2**5)
     except (OverflowError, ZeroDivisionError) as exc:  # powers of u, p_b and k at 1e100
         raise _out_of_range(f"at r1={r1}, r2={r2}, fee {p_b}", exc) from None
     hessian = np.array([[h00, h01, h02], [h01, h11, h12], [h02, h12, h22]])

@@ -456,9 +456,22 @@ class TestConcavity:
         assert report.minors[2] == pytest.approx(np.linalg.det(h), rel=1e-9)
         assert np.all(np.linalg.eigvalsh(h) <= 1e-9)
 
-    def test_substitute_unsupported(self, sb2_bundle):
-        with pytest.raises(DomainError):
-            concavity_report_bundle(sb2_bundle, 0.3, 0.3, 0.5)
+    @pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+    def test_matches_finite_differences_on_random_bundles(self, kind):
+        # points inside the box where the paper demand is not clamped, so
+        # the profit is smooth within the finite-difference step
+        rng = np.random.default_rng(29 if kind == COMPLEMENT else 31)
+        for _ in range(100):
+            bundle = random_bundle(rng, kind)
+            r1 = rng.uniform(0.05, 0.95) * privacy_cap(bundle.s1.quality)
+            r2 = rng.uniform(0.05, 0.95) * privacy_cap(bundle.s2.quality)
+            u1, u2 = _quality(r1, bundle.s1.quality), _quality(r2, bundle.s2.quality)
+            p_max = (1.0 + bundle.gamma) * math.sqrt(u1 * u2 / bundle.demand_factor)
+            p = rng.uniform(0.1, 0.9) * p_max
+            report = concavity_report_bundle(bundle, r1, r2, p)
+            numeric = fd_hessian(lambda x: bundle_mod._profit(bundle, *x, bundle_mod.PAPER_FORM),
+                                 [r1, r2, p], h=1e-4)
+            assert hessians_close(report.hessian, numeric, rel=1e-4)
 
     @pytest.mark.parametrize("edit", ["alpha1", "gamma"])
     def test_magnitude_ceiling_is_a_validation_error(self, sb1_bundle, edit):
