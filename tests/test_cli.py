@@ -1,5 +1,6 @@
 import csv
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -659,6 +660,24 @@ def _readme_flag_table():
         command, flags = (cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
         table[command.split()[0]] = {flag.strip() for flag in flags.split(",") if flag.strip()}
     return table
+
+
+def _readme_cli_examples():
+    """The argv of each `privmarket ...` line in the README's CLI example block."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("```sh", lines.index("## CLI")) + 1
+    block = lines[start:lines.index("```", start)]
+    return [shlex.split(line)[1:] for line in block if line.startswith("privmarket ")]
+
+
+def test_readme_cli_examples_parse():
+    from privmarket.cli import _build_parser
+
+    examples = _readme_cli_examples()
+    assert len(examples) == 11
+    for argv in examples:
+        args = _build_parser().parse_args(argv)  # a usage error exits
+        assert args.command == argv[0]
 
 
 def test_readme_flag_table_matches_parser():
