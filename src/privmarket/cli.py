@@ -347,25 +347,24 @@ _FLAGS = {
     "--steps": dict(type=int, required=True),
 }
 
-# command: (handler, help, whether the scenario is required, arguments in usage order)
+# command: (handler, help, whether the scenario is required, arguments in
+# usage order); every command also takes --out
 _COMMANDS = {
-    "fit": (_cmd_fit, "fit quality curves from samples", False,
-            ("scenario", "--out", "--samples")),
+    "fit": (_cmd_fit, "fit quality curves from samples", False, ("scenario", "--samples")),
     "optimize": (_cmd_optimize, "maximize a profit surface", True,
-                 ("kind", "scenario", "--out", "--verify", "--strict", "--demand-mode",
-                  "--service")),
+                 ("kind", "scenario", "--verify", "--strict", "--demand-mode", "--service")),
     "decide": (_cmd_decide, "bundle-vs-separate recommendation", True,
-               ("scenario", "--out", "--strict", "--demand-mode")),
+               ("scenario", "--strict", "--demand-mode")),
     "share": (_cmd_share, "divide a bundle profit among providers", False,
-              ("scenario", "--out", "--strict", "--demand-mode", "--values", "--coalitions")),
+              ("scenario", "--strict", "--demand-mode", "--values", "--coalitions")),
     "simulate": (_cmd_simulate, "Monte-Carlo profit at a decision point", True,
-                 ("scenario", "--out", "--seed", "--demand-mode", "--service", "--at")),
+                 ("scenario", "--seed", "--demand-mode", "--service", "--at")),
     "verify": (_cmd_verify, "grid-oracle certification of an optimum", True,
-               ("scenario", "--out", "--strict", "--demand-mode", "--service")),
+               ("scenario", "--strict", "--demand-mode", "--service")),
     "demand": (_cmd_demand, "buy probabilities in both demand modes", True,
-               ("scenario", "--out", "--seed", "--verify", "--service", "--fee")),
+               ("scenario", "--seed", "--verify", "--service", "--fee")),
     "sweep": (_cmd_sweep, "re-optimize along one parameter range", True,
-              ("scenario", "--out", "--demand-mode", "--service", "--param", "--start", "--stop",
+              ("scenario", "--demand-mode", "--service", "--param", "--start", "--stop",
                "--steps")),
 }
 
@@ -377,7 +376,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text, scenario_required, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(func=func)
-        for flag in flags:
+        # argparse orders the positionals and the options apart, so --out
+        # can go first: it leads every command's options
+        for flag in ("--out", *flags):
             optional = flag == "scenario" and not scenario_required
             command.add_argument(flag, **_FLAGS[flag], **({"nargs": "?"} if optional else {}))
     return parser
