@@ -255,8 +255,6 @@ def _cmd_demand(args):
     return [[target.kind, fee, u1, u2, target.gamma, paper, exact, mc_mean, mc_se]], False
 
 
-
-
 _SWEEP_PARAMS = ("market.M", "service.<name>.c", "service.<name>.N", "service.<name>.r",
                  "bundle.gamma")
 
