@@ -15,10 +15,18 @@ Stationarity reduces to one quadratic in the fee,
 whose positive root gives p*; the privacy levels follow from
 X = alpha2*exp(alpha3*r1) = 3*n*c1*alpha1/(m*p*alpha3 + 3*n*c1) and the
 symmetric expression for r2.  For complements this is evaluated directly.
-Substitutes go straight to grid-seeded coordinate ascent, which is exact
-here because G is concave in each coordinate wherever u1, u2 > 0; their
-`fee_root` is the same quadratic's root with sigma = 0.5 + gamma^2, which
-reproduces the ascent's fee on the shipped substitute bundle.  Exact
+Substitutes, and complements whose stationary point leaves the box, ascend
+the fee-eliminated profit P(r1, r2) = C*sqrt(u1*u2) - n*c1*(1 - r1)
+- n*c2*(1 - r2), C = (2*m/3)*sqrt(k/(3*sigma)), k = (1+gamma)^2: G at
+its fee maximizer p(r) = sqrt(k*u1*u2/(3*sigma)).  P is concave on the
+box for both kinds (sqrt(u1*u2) is concave and nondecreasing, each u
+concave), and each sweep sets r1, then r2, to its closed-form maximizer
+of P.  The ascent starts from a 48^3 grid's best point, which only
+shortens it; the grid stays while the benchmark's closed loop keeps
+every op's result, since a faster `sweep` op would grow its peak memory
+past the bound (ROADMAP items 1a and 2).  The substitutes' `fee_root` is
+the same quadratic's root with sigma = 0.5 + gamma^2, which reproduces
+the ascent's fee on the shipped substitute bundle.  Exact
 demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
 geometry, so its ascent starts from closed forms, not a grid, and each of
 its sweeps takes the fee in closed form too (_exact_fee: the exact revenue
@@ -256,31 +264,23 @@ def _fee_upper_bound(bundle: BundleSpec, demand_mode: str) -> float:
     return (1.0 + bundle.gamma) * (u1_0 + u2_0)
 
 
-def _privacy_update(quality, cost, kappa, cap):
-    """Maximize the r-slice: smaller root of n*c*(a1-X)^2 = kappa*X in X.
+def _privacy_update(quality, cost, revenue, cap):
+    """(r, clamped) maximizing revenue*sqrt(u(r)) - cost*(1 - r) on [0, cap], P's r-slice.
 
-    Returns (r, clamped).  kappa bundles the fee/demand prefactor; cost is
-    n*c for the service being updated.
+    revenue is C*sqrt(u_j), cost is n*c.  With X = alpha2*exp(alpha3*r) and
+    t = revenue*alpha3/(2*cost), dP/dr = 0 at t*X = sqrt(alpha1 - X), whose
+    root X = 2*alpha1/(1 + hypot(1, 2*sqrt(alpha1)*t)) squares nothing.
     """
-    if kappa <= 0.0:
-        # revenue insensitive to this privacy level: cost alone decides
-        return (cap, True) if cost > 0 else (0.0, True)
     if cost == 0.0:
         return 0.0, True
-    a1 = quality.alpha1
-    b_term = 2.0 * cost * a1 + kappa
-    x = 2.0 * cost * a1 * a1 / (b_term + math.sqrt(kappa * kappa + 4.0 * cost * a1 * kappa))
-    if not x > 0.0:  # the root is positive; 0 or nan means the terms left float range
-        raise DomainError(
-            f"privacy update out of floating-point range (n*c = {cost:g}, kappa = {kappa:g}); "
-            "the scenario's magnitudes overflow together"
-        )
-    r = math.log(x / quality.alpha2) / quality.alpha3
-    if r < 0.0:
-        return 0.0, True
-    if r > cap:
-        return cap, True
-    return r, False
+    t = revenue * quality.alpha3 / (2.0 * cost)
+    x = 2.0 * quality.alpha1 / (1.0 + math.hypot(1.0, 2.0 * math.sqrt(quality.alpha1) * t))
+    if math.isnan(x):
+        raise DomainError(f"privacy update out of floating-point range (n*c = {cost:g}, "
+                          f"revenue {revenue:g}); the scenario's magnitudes overflow together")
+    # X underflows to 0 where the revenue term dwarfs the wage
+    r = math.log(x / quality.alpha2) / quality.alpha3 if x / quality.alpha2 > 0.0 else -math.inf
+    return min(max(r, 0.0), cap), not 0.0 <= r <= cap
 
 
 def _lattice(lo, hi):
@@ -381,10 +381,11 @@ def _exact_fee(bundle: BundleSpec, u1, u2, p_hi) -> float:
 
 
 def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
-    """Cyclic exact maximization over p, r1, r2 from a start in the box.
+    """Cyclic exact maximization over r1, r2 (and p) from a start in the box.
 
-    In paper mode each coordinate maximizer is closed form.  In exact mode
-    the fee is too (_exact_fee), and a batched bracket search
+    In paper mode each sweep sets r1 to P's maximizer at the current u2,
+    r2 at the new u1 (_privacy_update), then the fee to p(r).  In exact
+    mode the fee is closed form (_exact_fee), and a batched bracket search
     (_bracket_max) finds r1 and r2 on the exact-geometry profit,
     evaluating each slice on a lattice in one array call per round; after
     the last sweep the fee is updated once more, at the privacy levels that
@@ -397,11 +398,14 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
     per round.
     """
     a, b = bundle.s1.quality, bundle.s2.quality
-    m, n = bundle.market.m, bundle.n
+    n = bundle.n
     sigma = bundle.demand_factor
     k = (1.0 + bundle.gamma) ** 2
+    # P's revenue coefficient C, at the fee maximizer p(r) = sqrt(k*u1*u2/(3*sigma))
+    scale = (2.0 * bundle.market.m / 3.0) * math.sqrt(k / (3.0 * sigma))
     cap1, cap2, p_hi = box
     r1, r2, p = start
+    u2 = float(_quality(r2, b))
     clamp1 = clamp2 = False
     # near the optimum the profit is flat to float resolution over a
     # ~1e-6-wide plateau, so searched coordinates cannot be pinned tighter
@@ -409,25 +413,14 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
     paper = demand_mode == PAPER_FORM
     sweep_tol = _ASCENT_TOL if paper else 1e-6
     bracket_tol = 1e-9
-    edge = 1e-9 if paper else _EXACT_EDGE
     for _ in range(_ASCENT_SWEEPS):
         prev = (r1, r2, p)
         if paper:
+            r1, clamp1 = _privacy_update(a, n * bundle.s1.c, scale * math.sqrt(u2), cap1)
             u1 = float(_quality(r1, a))
+            r2, clamp2 = _privacy_update(b, n * bundle.s2.c, scale * math.sqrt(u1), cap2)
             u2 = float(_quality(r2, b))
             p = math.sqrt(k * u1 * u2 / (3.0 * sigma))
-            try:
-                cube = p**3
-            except OverflowError:
-                raise DomainError(
-                    f"bundle fee {p:g} overflows the coordinate ascent; "
-                    "the scenario's magnitudes overflow together"
-                ) from None
-            kappa1 = sigma * m * cube * a.alpha3 / (k * u2)
-            r1, clamp1 = _privacy_update(a, n * bundle.s1.c, kappa1, cap1)
-            u1 = float(_quality(r1, a))
-            kappa2 = sigma * m * cube * b.alpha3 / (k * u1)
-            r2, clamp2 = _privacy_update(b, n * bundle.s2.c, kappa2, cap2)
         else:
             u1, u2 = _quality(r1, a), _quality(r2, b)
             p = _exact_fee(bundle, u1, u2, p_hi)
@@ -440,20 +433,14 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
                 lambda t: _profit_at(bundle, r1, t, u1, _quality(t, b), p, demand_mode),
                 0.0, cap2, bracket_tol,
             )
-            clamp1 = r1 <= edge or r1 >= cap1 - edge
-            clamp2 = r2 <= edge or r2 >= cap2 - edge
+            clamp1 = r1 <= _EXACT_EDGE or r1 >= cap1 - _EXACT_EDGE
+            clamp2 = r2 <= _EXACT_EDGE or r2 >= cap2 - _EXACT_EDGE
         if max(abs(r1 - prev[0]), abs(r2 - prev[1]), abs(p - prev[2])) < sweep_tol:
             break
     if not paper:  # the fee at the privacy levels the last sweep ended on
         p = _exact_fee(bundle, _quality(r1, a), _quality(r2, b), p_hi)
-    clamped = []
-    if clamp1:
-        clamped.append("r1")
-    if clamp2:
-        clamped.append("r2")
-    if p <= 0.0:
-        clamped.append("p_b")
-    return r1, r2, p, tuple(clamped)
+    flags = (("r1", clamp1), ("r2", clamp2), ("p_b", p <= 0.0))
+    return r1, r2, p, tuple(name for name, clamped in flags if clamped)
 
 
 def _exact_ascent(bundle: BundleSpec, box, point):
@@ -532,15 +519,16 @@ def optimize_bundle(
     For complements in paper mode the closed-form stationary point is
     accepted when it is feasible (nonnegative fee, privacy levels inside
     their boxes).  Paper-mode substitutes and infeasible or distrusted
-    candidates take the fallback: a dense-grid seed refined by coordinate
-    ascent; the exact mode ascends from closed forms (_exact_ascent).  With
-    ``verify`` the result keeps an independent grid maximum as its
-    certificate, and a candidate that loses to it by more than rounding is
-    re-solved through the fallback.  Every lattice and ascent lies in one
-    box, built once from the two privacy caps and the fee bound and checked
-    once by `_check_box` (the rules of a validating `gross_profit_bundle`
-    call on its eight corners, on floats) before they run on the unchecked
-    `_profit`; a closed-form complement needs no box.
+    candidates take the fallback: in paper mode an ascent on the concave
+    fee-eliminated profit P from a seed_points^3 grid's best point, which
+    only shortens it; the exact mode ascends from closed forms
+    (_exact_ascent).  With ``verify`` the result keeps an independent grid
+    maximum as its certificate, and a candidate that loses to it by more
+    than rounding is re-solved through the fallback.  Every lattice and
+    ascent lies in one box, built once from the two privacy caps and the fee
+    bound and checked once by `_check_box` (the rules of a validating
+    `gross_profit_bundle` call on its eight corners, on floats) before they
+    run on the unchecked `_profit`; a closed-form complement needs no box.
     """
     cap1, cap2 = privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality)
     root = _fee_root(bundle, bundle.demand_factor)

@@ -221,7 +221,10 @@ def _cmd_simulate(args):
         point = target.optimize(args.demand_mode).point
     analytic = target.profit_surface(args.demand_mode)[0](*point)
     result = oracles.simulate_market(target, point, loaded.sim)
-    z = abs(result.mean - analytic) / result.std_error if result.std_error > 0 else 0.0
+    if result.std_error > 0:
+        z = abs(result.mean - analytic) / result.std_error
+    else:  # undefined (a blank cell) unless the mean is the analytic profit
+        z = 0.0 if result.mean == analytic else None
     row = [label, *_cells(point), result.mean, result.std_error, result.draws, analytic, z]
     return [row], False
 
@@ -279,6 +282,13 @@ def _sweep_row(loaded: LoadedScenario, args):
         name = _pick_service(loaded, args)
     if name is not None and name not in loaded.services:
         raise ScenarioError(f"sweep references unknown service {name!r}")
+    if bundle is not None and key in ("c", "N"):  # these re-optimize the bundle
+        if name not in loaded.bundle_members:
+            raise ScenarioError(f"sweep over {param} re-optimizes the bundle, which does not "
+                                f"include service {name!r}")
+        if key == "N":
+            raise ScenarioError(f"sweep over {param} cannot change one member's crowd size: "
+                                "bundled services share one")
     if key == "r":
         scenario = loaded.separate(name)
 

@@ -320,12 +320,14 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     def chunk_sums(chunk):
         index, k = chunk
         rng = _chunk_rng(sim.seed, index)
-        vals = m * fee * _bought(region, rng, k)
-        for j, (r, service) in enumerate(zip(levels, services)):
-            if j:
-                rng.standard_normal(2 * k)  # the first service's trace, which these flips follow
-            vals = vals - n * service.c * (rng.random(k) >= r)
-        return float(vals.sum()), float((vals * vals).sum())
+        # numpy's error state is per thread; sums out of float range raise below
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = m * fee * _bought(region, rng, k)
+            for j, (r, service) in enumerate(zip(levels, services)):
+                if j:
+                    rng.standard_normal(2 * k)  # the first service's trace; these flips follow it
+                vals = vals - n * service.c * (rng.random(k) >= r)
+            return float(vals.sum()), float((vals * vals).sum())
 
     total = 0.0
     total_sq = 0.0
@@ -338,6 +340,9 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
         std_error = math.sqrt(var / sim.draws)
     else:
         std_error = 0.0
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise DomainError(f"Monte-Carlo profit out of floating-point range (mean {mean:g}, "
+                          f"std_error {std_error:g}); the scenario's magnitudes overflow together")
     return SimResult(mean=mean, std_error=std_error, draws=sim.draws)
 
 

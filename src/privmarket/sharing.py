@@ -44,13 +44,10 @@ class CharacteristicFunction:
             values[empty] = 0.0
         elif values[empty] != 0.0:
             raise DomainError(f"the empty coalition must be worth 0, got {values[empty]}")
-        full = frozenset(self.players)
         for size in range(len(self.players) + 1):
             for combo in combinations(self.players, size):
                 if frozenset(combo) not in values:
                     raise DomainError(f"missing coalition value for {sorted(combo)}")
-        if full not in values:
-            raise DomainError("grand-coalition value is required")
         object.__setattr__(self, "values", values)
 
     def value(self, coalition: Iterable[str]) -> float:

@@ -247,6 +247,28 @@ class TestOptimizeSubstitute:
                 lambda r1, r2, p: gross_profit_bundle(bundle, r1, r2, p),
             )
 
+    def test_draw_that_stalled_the_fee_ascent_ends_above_its_grid(self):
+        # the fee-coordinate ascent stopped here at its 600-sweep cap, at -64.99819
+        rng = np.random.default_rng(11)
+        for i in range(316):
+            bundle = random_bundle(rng, (COMPLEMENT, SUBSTITUTE)[i % 2])
+        opt = optimize_bundle(bundle, verify=True, verify_points=60)
+        assert opt.profit == pytest.approx(-64.98285, abs=1e-5)
+        assert opt.profit >= opt.grid.value
+
+    @pytest.mark.parametrize("seed", [11, 7])
+    def test_ascent_from_the_box_corner_reaches_the_seeded_optimum(self, seed):
+        # P(r1, r2) is concave, so the seed grid only shortens the ascent
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            bundle = random_bundle(rng, SUBSTITUTE)
+            opt = optimize_bundle(bundle)
+            box = (privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality), math.inf)
+            *point, _ = _coordinate_ascent(bundle, bundle_mod.PAPER_FORM, (0.0, 0.0, 0.0), box)
+            profit = gross_profit_bundle(bundle, *point)
+            cost = bundle.n * (bundle.s1.c + bundle.s2.c)
+            assert profit >= opt.profit - 8 * math.ulp(max(abs(opt.profit) + cost, 1.0))
+
     def test_exact_geometry_mode(self, sb2_bundle):
         opt = optimize_bundle(sb2_bundle, demand_mode=EXACT_GEOMETRY, seed_points=24)
         assert opt.fallback
@@ -254,6 +276,37 @@ class TestOptimizeSubstitute:
         # clipped-geometry demand is higher, so the optimum cannot be worse
         paper = optimize_bundle(sb2_bundle)
         assert opt.profit >= paper.profit - 1e-6
+
+
+def _with_quality(bundle, alpha1):
+    return replace(bundle, s1=replace(bundle.s1, quality=replace(bundle.s1.quality, alpha1=alpha1)),
+                   s2=replace(bundle.s2, quality=replace(bundle.s2.quality, alpha1=alpha1)))
+
+
+def _with_s1(bundle, **fields):
+    return replace(bundle, s1=replace(bundle.s1, **fields))
+
+
+# paper-mode inputs whose fee-coordinate ascent raised "overflow together":
+# each magnitude is in range, and the ascent on the fee-eliminated profit solves them
+SOLVED_OVERFLOWS = {
+    "substitute-alpha1": lambda sb1, sb2: _with_quality(sb2, 1e100),
+    "substitute-ceilings": lambda sb1, sb2: replace(
+        _with_wages(_with_quality(sb2, 1e100), 1e100), market=MarketSpec(m=int(1e100))),
+    "complement-alpha1-wage": lambda sb1, sb2: _with_s1(
+        sb1, quality=replace(sb1.s1.quality, alpha1=1e100), c=1e100),
+    "complement-alpha1-gamma": lambda sb1, sb2: replace(
+        _with_s1(sb1, quality=replace(sb1.s1.quality, alpha1=1e100)), gamma=1e100),
+    "complement-M-gamma": lambda sb1, sb2: replace(sb1, market=MarketSpec(m=10**100), gamma=1e100),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVED_OVERFLOWS))
+def test_inputs_that_overflowed_end_above_their_grid(case, sb1_bundle, sb2_bundle):
+    bundle = SOLVED_OVERFLOWS[case](sb1_bundle, sb2_bundle)
+    opt = optimize_bundle(bundle, verify=True, verify_points=60)
+    assert opt.fallback
+    assert math.isfinite(opt.profit) and opt.profit >= opt.grid.value
 
 
 def _paper_like_bundle(rng, kind):

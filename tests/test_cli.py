@@ -181,6 +181,38 @@ def test_simulate_at_optimum(s1_file, tmp_path):
     assert float(row["abs_z"]) < 4.0
 
 
+@pytest.mark.parametrize("edits, at, mean, abs_z", [
+    # one draw: no spread, and its mean misses the analytic 192.34, so z is undefined
+    ([("draws = 50000", "draws = 1")], None, "0", ""),
+    # free data at a zero fee: every draw is the analytic profit 0
+    ([("c = 0.2", "c = 0")], "0.5,0", "0", "0"),
+], ids=["one-draw", "exact-mean"])
+def test_simulate_without_spread_reports_z_only_when_defined(edits, at, mean, abs_z, tmp_path):
+    cfg = tmp_path / "s.cfg"
+    text = S1_ONLY
+    for old, new in edits:
+        text = text.replace(old, new)
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "--out", str(out)] + (["--at", at] if at else [])) == 0
+    row, = _read(out / "simulate.csv")
+    assert (row["mean"], row["std_error"], row["abs_z"]) == (mean, "0", abs_z)
+
+
+def test_simulate_overflow_is_a_validation_error(tmp_path, capsys):
+    # the squared profits overflowed: a nan std_error and abs_z 0, with exit 0
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SB1.replace("M = 1000", "M = 1" + "0" * 100)
+                   .replace("gamma = 0.1", "gamma = 1e100"))
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "--at", "0.5,0.5,1e99", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.err.rstrip().endswith("overflow together")
+    assert not out.exists()
+
+
 def test_verify_separate(s1_file, tmp_path):
     out = tmp_path / "run"
     assert main(["verify", s1_file, "--out", str(out)]) == 0
@@ -383,16 +415,20 @@ def test_customer_count_has_a_ceiling(digits, code, tmp_path, capsys):
 
 
 # pairs of inputs that are each in range but overflow together, with the
-# commands whose solve runs into the overflow; every other command exits 0
+# commands whose solve runs into the overflow (every other command exits 0)
+# and whether each sweep row reports it.  The alpha1 pairs overflowed in the
+# bundle's fee-coordinate ascent until it moved onto the fee-eliminated
+# profit; alpha1-gamma still overflows in simulate's Monte-Carlo sums
 JOINT_OVERFLOW = {
     "alpha1-wage": ([("alpha1 = 0.822", "alpha1 = 1e100"), ("c = 0.2", "c = 1e100")],
-                    {"optimize complement", "decide", "verify", "simulate", "share", "demand"}),
+                    set(), False),
     "alpha1-gamma": ([("alpha1 = 0.822", "alpha1 = 1e100"), ("gamma = 0.1", "gamma = 1e100")],
-                     {"optimize complement", "decide", "verify", "simulate", "share", "demand"}),
+                     {"simulate"}, False),
     "alpha3-wage": ([("alpha3 = 2.813", "alpha3 = 1e100"), ("c = 0.1", "c = 1e100")],
-                    {"optimize complement", "decide", "verify", "simulate", "share", "demand"}),
+                    {"optimize complement", "decide", "verify", "simulate", "share", "demand"},
+                    True),
     "alpha2-alpha3": ([("alpha2 = 0.004", "alpha2 = 1e-300"), ("alpha3 = 2.813", "alpha3 = 1e3")],
-                      {"optimize separate", "decide", "share"}),
+                      {"optimize separate", "decide", "share"}, False),
 }
 
 
@@ -403,7 +439,7 @@ JOINT_OVERFLOW = {
                                       "--stop", "1000", "--steps", "2"]],
                          ids=lambda c: "-".join(c[:2]) if c[0] == "optimize" else c[0])
 def test_joint_overflow_is_a_validation_error(pair, command, tmp_path, capsys):
-    edits, overflowing = JOINT_OVERFLOW[pair]
+    edits, overflowing, sweep_rows_fail = JOINT_OVERFLOW[pair]
     text = SB1
     for old, new in edits:
         text = text.replace(old, new, 1)
@@ -421,7 +457,7 @@ def test_joint_overflow_is_a_validation_error(pair, command, tmp_path, capsys):
         return
     assert code == 0
     rows = _read(out / f"{command[0]}.csv")
-    if command[0] == "sweep" and pair != "alpha2-alpha3":
+    if command[0] == "sweep" and sweep_rows_fail:
         # sweep reports a failed solve in the row, as for any validation error
         assert all("overflow together" in row["error"] for row in rows)
         return
@@ -734,6 +770,12 @@ MALFORMED_PARAMS = {
                              "sweep over bundle.gamma needs a [bundle] section"),
     "market-of-two-services": (SB1[:SB1.index("[bundle]")] + "[sim]\nseed = 7\n", "market.M",
                                "scenario defines 2 services; pick one with --service"),
+    "bundle-member-crowd": (SB1, "service.S1.N", "sweep over service.S1.N cannot change one "
+                            "member's crowd size: bundled services share one"),
+    "wage-outside-bundle": (SB1.replace("[bundle]", SB2[SB2.index("[service.S2]"):
+                                                        SB2.index("[bundle]")] + "[bundle]"),
+                            "service.S2.c", "sweep over service.S2.c re-optimizes the bundle, "
+                            "which does not include service 'S2'"),
 }
 
 
@@ -762,6 +804,30 @@ def test_bad_coalition_row_names_its_line(tmp_path, capsys, rows, message):
     assert main(["share", "--coalitions", str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: coalition file") and message in err
+
+
+@pytest.mark.parametrize("text, tail", [
+    ("player,value\nA,1\n", " must start with header 'coalition,value'"),
+    ("coalition,value\nA,1\nB,1,2\n", ": expected two columns per row (line 3)"),
+], ids=["header", "column-count"])
+def test_malformed_coalition_file_is_validation_error(tmp_path, capsys, text, tail):
+    path = tmp_path / "coalitions.csv"
+    path.write_text(text)
+    assert main(["share", "--coalitions", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: coalition file {path}{tail}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["share", "--values", "1,x,3"], "cannot parse --values '1,x,3' as comma-separated floats"),
+    (["decide", "S1_FILE"], "this command needs a [bundle] section"),
+], ids=["values-not-floats", "decide-without-bundle"])
+def test_argument_the_command_cannot_use_is_validation_error(tmp_path, capsys, s1_file, argv,
+                                                             message):
+    argv = [s1_file if arg == "S1_FILE" else arg for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "run").exists()
 
 
 _NOT_UTF8 = bytes.fromhex("fffe00626164")

@@ -59,7 +59,10 @@ def _with_wage(b, c):
 # the closed-form stationary point instead of a seed grid: each point moved
 # by under 3e-8, inside the ascent's 1e-6 plateau, and no profit fell.  All
 # six exact rows were re-recorded when the exact fee became closed form
-# (bundle._exact_fee); the profits moved by at most 4.5e-16 relative
+# (bundle._exact_fee); the profits moved by at most 4.5e-16 relative.  The
+# shipped paper substitute was re-recorded when the paper ascent began to
+# update each privacy level on the fee-eliminated profit P(r1, r2): its point
+# moved in the last digits and its profit rose by 2 ulps
 PINNED_OPTIMA = {
     ("complement", "shipped", "paper"): (
         "0x1.3da687e314dacp-1", "0x1.0129b61871d33p-1", "0x1.7cef2bab05072p-1", "0x1.e370680eb2405p+8"),
@@ -74,7 +77,7 @@ PINNED_OPTIMA = {
     ("complement", "c=5", "exact"): (
         "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.658a2ce548753p-1", "0x1.d18bea74f7d8ap+8"),
     ("substitute", "shipped", "paper"): (
-        "0x1.687807341fef7p-1", "0x1.547d7d73086f7p-1", "0x1.2aca7c1e765ecp-1", "0x1.786e937631b67p+8"),
+        "0x1.687807341fedep-1", "0x1.547d7d73086b1p-1", "0x1.2aca7c1e76609p-1", "0x1.786e937631b69p+8"),
     ("substitute", "shipped", "exact"): (
         "0x1.64cbc04000000p-1", "0x1.4f09254800000p-1", "0x1.311ab52b9c055p-1", "0x1.804bc232c326fp+8"),
     ("substitute", "c=0", "paper"): (
@@ -143,8 +146,9 @@ def test_exact_optima_match_recorded_digest():
 
 # recorded before the solves built and checked their box once on floats and
 # the paper demand kernels dropped their clamp at 1; every 4th solve is
-# verified, shifted by one in each block of 8 so both kinds and every wage are
-PAPER_OPTIMA_DIGEST = "adf71512f148de02967ffc82fd436e1fb6092905b5d4b4867b70bab2f33082dc"
+# verified, shifted by one in each block of 8 so both kinds and every wage are;
+# re-recorded when the paper ascent moved onto the fee-eliminated profit
+PAPER_OPTIMA_DIGEST = "f9687ddddd4215bdd23327253fe2115e0a9904cdbc46ce7144b4121fd5f4a5eb"
 
 
 def test_paper_optima_match_recorded_digest():
@@ -208,6 +212,11 @@ def _extreme_outcome(variant, kind, mode, verify):
 # following it: the unverified row had raised the final profit's NaN error,
 # and the verified one the NaN error of its verify grid, which runs after
 # the ascent.
+# The paper substitute rows alpha1=1e100 and ceilings raised "privacy update
+# out of floating-point range" until the paper ascent updated each privacy
+# level on the fee-eliminated profit P(r1, r2), whose update squares nothing;
+# each now ends above its grid.  The paper gamma=edge substitute rows kept
+# their profit bits there, and their point moved in the last digits.
 _NAN = "objective produced NaN on the grid; domain is not valid"
 _SLICE_NAN = ("bundle profit is NaN at privacy level 0.0; the scenario's magnitudes overflow "
               "together")
@@ -228,11 +237,12 @@ EXTREME_OUTCOMES = {
         "0x1.5630a00e086b8p+341", "0x0.0p+0", "0x0.0p+0", "0x1.e2cc4179bdc28p+331",
         "0x1.52e0be3523617p+341", True, ("r1", "r2")),
     ("alpha1=1e100", "substitute", "paper", False): (
-        "privacy update out of floating-point range (n*c = 20, kappa = 6.82253e+202); the "
-        "scenario's magnitudes overflow together"),
+        "0x1.6a87c8f7f3292p-1", "0x1.515fc1ef47afbp-1", "0x1.a9cd6fd7ce7b8p+331",
+        "0x1.153714d07fc31p+341", True, ()),
     ("alpha1=1e100", "substitute", "paper", True): (
-        "privacy update out of floating-point range (n*c = 20, kappa = 6.82253e+202); the "
-        "scenario's magnitudes overflow together"),
+        "0x1.6a87c8f7f3292p-1", "0x1.515fc1ef47afbp-1", "0x1.a9cd6fd7ce7b8p+331",
+        "0x1.153714d07fc31p+341", "0x0.0p+0", "0x0.0p+0", "0x1.ccf1d8cc59799p+331",
+        "0x1.124e0bdbdb5f0p+341", True, ()),
     ("alpha1=1e100", "substitute", "exact", False): (
         "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267ca16924a8p+331",
         "0x1.1ad0e7915c933p+341", True, ("r1", "r2")),
@@ -338,10 +348,10 @@ EXTREME_OUTCOMES = {
         "0x1.05d30d4ed7022p+341", "0x0.0p+0", "0x0.0p+0", "0x1.718f50d6abc89p+331",
         "0x1.03502728910c5p+341", True, ("r1", "r2")),
     ("gamma=edge", "substitute", "paper", False): (
-        "0x1.f6f8172323df4p-1", "0x1.0000000000000p+0", "0x1.05476ff6265ebp-2",
+        "0x1.f6f8172323e43p-1", "0x1.0000000000000p+0", "0x1.05476ff6265c0p-2",
         "0x1.53806641eb6afp+7", True, ("r2",)),
     ("gamma=edge", "substitute", "paper", True): (
-        "0x1.f6f8172323df4p-1", "0x1.0000000000000p+0", "0x1.05476ff6265ebp-2",
+        "0x1.f6f8172323e43p-1", "0x1.0000000000000p+0", "0x1.05476ff6265c0p-2",
         "0x1.53806641eb6afp+7", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.eaf107dd7ab53p-3", "0x1.51c6390d3df9ep+7", True, ("r2",)),
     ("gamma=edge", "substitute", "exact", False): (
@@ -382,11 +392,12 @@ EXTREME_OUTCOMES = {
     ("ceilings", "complement", "exact", False): _SLICE_NAN,
     ("ceilings", "complement", "exact", True): _SLICE_NAN,
     ("ceilings", "substitute", "paper", False): (
-        "privacy update out of floating-point range (n*c = 1e+102, kappa = inf); the scenario's "
-        "magnitudes overflow together"),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.a9cd6fd7ce7b8p+331",
+        "0x1.44753a0452da8p+663", True, ("r1", "r2")),
     ("ceilings", "substitute", "paper", True): (
-        "privacy update out of floating-point range (n*c = 1e+102, kappa = inf); the scenario's "
-        "magnitudes overflow together"),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.a9cd6fd7ce7b8p+331",
+        "0x1.44753a0452da8p+663", "0x0.0p+0", "0x0.0p+0", "0x1.ccf1d8cc59799p+331",
+        "0x1.410d3934da1e7p+663", True, ("r1", "r2")),
     ("ceilings", "substitute", "exact", False): (
         "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267ca16924a8p+331",
         "0x1.4b036696a7c19p+663", True, ("r1", "r2")),

@@ -213,3 +213,11 @@ def test_load_samples_error_counts_blank_lines(tmp_path):
     path.write_text("r,quality\n\n0.0,0.8\n0.5,x\n")
     with pytest.raises(DomainError, match=f"sample file {path} line 4: could not convert"):
         load_samples(path)
+
+
+def test_load_samples_names_the_row_with_a_wrong_column_count(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("r,quality\n0.0,0.8\n0.5,0.7,1\n")
+    with pytest.raises(DomainError) as err:
+        load_samples(path)
+    assert str(err.value) == f"sample file {path} line 3: expected two columns"

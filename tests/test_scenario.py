@@ -206,6 +206,36 @@ def test_spec_errors_name_section_and_line(tmp_path, old, new, where):
     assert where in str(err.value)
 
 
+# the loader's messages for text that is malformed or incomplete, each with
+# the line, section or key it names
+LOAD_ERRORS = {
+    "empty-section-name": (GOOD.replace("[sim]", "[ ]"), "empty section name (line 23)"),
+    "key-outside-section": ("M = 1000\n" + GOOD, "key outside any section (line 1)"),
+    "empty-value": (GOOD.replace("M = 1000", "M ="),
+                    "expected 'key = value' (section [market], line 2)"),
+    "not-an-int": (GOOD.replace("M = 1000", "M = 1e3"),
+                   "cannot parse '1e3' as int (section [market], key 'M', line 2)"),
+    "missing-alpha": (GOOD.replace("alpha3 = 4.2\n", ""), "missing key 'alpha3'; give "
+                      "alpha1..alpha3 or a samples path (section [service.S3], line 11)"),
+    "missing-required-key": (GOOD.replace("N = 100\nc = 0.2\n", "c = 0.2\n"),
+                             "missing key 'N' (section [service.S1], line 4)"),
+    "no-market": (GOOD.replace("[market]\nM = 1000\n", ""), "scenario needs a [market] section"),
+    "no-service": (GOOD[:GOOD.index("[service.S1]")] + GOOD[GOOD.index("[sim]"):],
+                   "scenario needs at least one [service.<name>] section"),
+    "repeated-member": (GOOD.replace("members = S1, S3", "members = S1, S1"),
+                        "members must name two distinct services "
+                        "(section [bundle], key 'members', line 19)"),
+}
+
+
+@pytest.mark.parametrize("case", list(LOAD_ERRORS))
+def test_load_error_message_names_its_place(tmp_path, case):
+    text, message = LOAD_ERRORS[case]
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_write(tmp_path, text))
+    assert str(err.value) == message
+
+
 def _readme_scenario_block():
     """The text of the README's ``ini`` example under "Scenario files"."""
     lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()

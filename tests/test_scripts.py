@@ -1,5 +1,5 @@
-"""Smoke test of the experiment scripts: each runs, writes its CSVs, and
-every numeric cell is finite."""
+"""Smoke test of the experiment scripts: each runs without a RuntimeWarning,
+writes its CSVs, and every numeric cell is finite."""
 import csv
 import math
 import os
@@ -38,8 +38,10 @@ def test_experiment_script_writes_finite_csvs(script, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    # the RuntimeWarning rule pyproject.toml sets for in-process tests
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--points", "5", "--out", str(tmp_path)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script),
+         "--points", "5", "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -142,3 +143,24 @@ class TestCoreIntervalTwo:
     def test_superadditive_shapley_always_in_core(self, v1, v2, surplus):
         cf = CharacteristicFunction.from_two_player(v1, v2, v1 + v2 + surplus)
         assert core_check(cf, shapley_allocation(cf)).in_core
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CharacteristicFunction(players=(), values={}),
+     "player count must be in [1, 10], got 0"),
+    (lambda: CharacteristicFunction(players=("a", "a"), values={}), "player names must be unique"),
+    (lambda: CharacteristicFunction(players=("a",), values={frozenset(): 1.0, frozenset("a"): 2.0}),
+     "the empty coalition must be worth 0, got 1.0"),
+    # the coalition loop reaches the grand coalition too
+    (lambda: CharacteristicFunction(players=("a", "b"),
+                                    values={frozenset("a"): 1.0, frozenset("b"): 2.0}),
+     "missing coalition value for ['a', 'b']"),
+    (lambda: CharacteristicFunction.from_two_player(1.0, 2.0, 4.0).value({"1", "3"}),
+     "unknown players ['3']"),
+    (lambda: Allocation({"a": math.inf}), "payoff for 'a' must be finite, got inf"),
+], ids=["no-players", "duplicate-names", "empty-coalition-worth", "no-grand-coalition",
+        "unknown-player", "infinite-payoff"])
+def test_invalid_game_raises_its_message(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
