@@ -146,7 +146,7 @@ class BundleSpec:
         return rule(fee, *qualities, self.gamma, demand_mode)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimumBundle:
     r1_star: float
     r2_star: float
@@ -168,7 +168,7 @@ class OptimumBundle:
         return None if self.grid is None else self.profit - self.grid.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BundlingDecision:
     bundle_profit: float
     separate_profits: tuple[float, float]
@@ -502,8 +502,9 @@ def _check_box(bundle: BundleSpec, box, demand_mode: str):
                for hi, shape in zip(box, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
     oracles._check_no_nan(_profit(bundle, *corners, demand_mode))
     if demand_mode == EXACT_GEOMETRY:
-        # the exact area divides by u1*u2, least at the caps; no corner shows its
-        # 0/0, since the area is 0 where the box has no width
+        # the exact area divides by u1*u2, least at the caps; a large gamma can
+        # send it to 0 while the corners' interior form, which divides by
+        # (1+gamma)^2*u1*u2, stays finite
         _check_scaled_qualities(u1_cap, u2_cap, bundle.gamma)
 
 

@@ -16,7 +16,8 @@ arrays and broadcast.  The two agree on interior geometry and diverge
 once the fee pushes the boundary outside the square (and, for
 substitutes, by a (0.5+gamma^2) vs (0.5-gamma^2) factor; both are kept on
 purpose, see prob_buy_substitute).  On interior geometry the exact mode
-is the linear form with factor 0.5 or 0.5-gamma^2, whose stationary point
+is the linear form with factor 0.5 or 0.5-gamma^2, which both exact rules
+evaluate there bit for bit (_exact_buy), and whose stationary point
 starts the exact bundle solve (bundle._exact_ascent).
 
 Each public function validates its inputs once (floats by comparison,
@@ -36,8 +37,9 @@ kernels do not.
 The standalone and paper-form kernels allocate their full-size result
 once and finish it in place (_one_minus; the profit kernels then scale
 and subtract into it), so a paper grid block holds one full-size array.
-On numbers the same expressions run as scalar arithmetic, with the same
-result type.
+The exact kernels do the same with the non-buy area (_nonbuy_area,
+_exact_buy).  On numbers the same expressions run as scalar arithmetic,
+with the same result type.
 """
 from __future__ import annotations
 
@@ -156,16 +158,11 @@ def _output(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _unit(x):
-    """x clamped to [0, 1] (np.clip's value, at a third of its cost on floats)."""
-    return np.minimum(np.maximum(x, 0.0), 1.0)
-
-
 def _one_minus(x):
     """max(1 - x, 0) for x >= 0, +inf or nan; an array x is overwritten with it.
 
-    x is a kernel's fresh full-size quotient, so an array is finished in
-    place: no allocation for 1 - x or for the clamp.  A number takes the
+    x is a kernel's fresh full-size quotient or area, so an array is
+    finished in place: no allocation for 1 - x or for the clamp.  A number takes the
     same two ufuncs without out=, which give np.maximum(1.0 - x, 0.0).
     """
     out = x if isinstance(x, np.ndarray) else None
@@ -184,15 +181,23 @@ def prob_buy_separate(fee, quality):
     return _output(_buy_separate(_as_input(fee), _as_input(quality)))
 
 
+def _linear_terms(fee, u1, u2, gamma, factor):
+    """factor*fee^2 and (1+gamma)^2*u1*u2, the linear form's non-buy area as a quotient.
+
+    x*x, not x**2: on a float, ** is pow(), which can be an ulp off numpy's square.
+    """
+    return factor * (fee * fee), (1.0 + gamma) * (1.0 + gamma) * u1 * u2
+
+
 def _linear_form(fee, u1, u2, gamma, factor):
     """1 - factor*fee^2/((1+gamma)^2*u1*u2), clamped to [0, 1].
 
     The subtracted term is >= 0, +inf or nan for u1, u2 > 0 and factor > 0,
     so only the clamp at 0 can act; np.minimum(., 1) would pass every value.
-    x*x, not x**2: on a float, ** is pow(), which can be an ulp off numpy's square.
     The quotient is the one full-size array; _one_minus finishes it in place.
     """
-    return _one_minus(factor * (fee * fee) / ((1.0 + gamma) * (1.0 + gamma) * u1 * u2))
+    area, scale = _linear_terms(fee, u1, u2, gamma, factor)
+    return _one_minus(area / scale)
 
 
 def _check_scaled_qualities(u1, u2, gamma):
@@ -221,42 +226,60 @@ def _nonbuy_area(q, u1, u2, width, height):
     no cancellation.  For larger q the
     box's point reflection maps the region above the line onto
     {u1*x + u2*y <= a + b - q}, so the smaller piece is always the one
-    measured.  Broadcasts over arrays.
+    measured.  Broadcasts over arrays (a 0-d array for numbers); the area
+    is allocated once, as zeros of the full shape, and finished in place.
     """
     a = u1 * width
     b = u2 * height
     span = a + b
     flip = q > 0.5 * span
-    q_low = np.maximum(np.where(flip, span - q, q), 0.0)
-    h = np.minimum(q_low, np.minimum(a, b))
-    num, den = h * (2.0 * q_low - h), 2.0 * u1 * u2
+    num = np.where(flip, span - q, q)
+    del span
+    np.maximum(num, 0.0, out=num)  # q_low
+    h = np.minimum(num, np.minimum(a, b))
+    np.multiply(num, 2.0, out=num)
+    np.subtract(num, h, out=num)
+    np.multiply(h, num, out=num)  # h*(2*q_low - h)
+    area = np.zeros(num.shape)
     # 0 where h == 0 (no 0/0 when u1*u2 underflows); h != 0 lets a nan through
-    low = np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=h != 0)
-    return np.where(flip, width * height - low, low)
+    np.divide(num, 2.0 * u1 * u2, out=area, where=h != 0)
+    del num, h
+    return np.subtract(width * height, area, out=area, where=flip)
 
 
-def _line_only_buy_probability(fee, u1, u2, gamma):
-    """Exact buy probability when only the bundle line grants a purchase.
+def _exact_buy(fee, u1, u2, gamma, kind):
+    """The exact buy probability of either bundle kind: closed form inside, geometry outside.
 
-    Valid for any gamma > -1; used by the complement mode and as the
-    comparison baseline for the substitute-superset property.
+    On interior geometry (the triangle below the bundle line inside the unit
+    square, or the substitutes' corner box [0, fee/u1] x [0, fee/u2]) the
+    non-buy area is the linear form's term at factor 0.5 or 0.5 - gamma^2:
+    those points take _linear_form's bits.  Only if some point is off the
+    interior is the area measured on its box, with the interior's term
+    divided into it, and 1 minus it clamped to [0, 1] in place (the clamp at
+    1 passes the linear form's values).  [()] makes a 0-d array a number.
     """
-    return _unit(1.0 - _nonbuy_area(fee / (1.0 + gamma), u1, u2, 1.0, 1.0))
+    low = np.minimum(u1, u2)
+    if kind == COMPLEMENT:
+        factor, edge, width, height = 0.5, (1.0 + gamma) * low, 1.0, 1.0
+    else:
+        factor, edge = 0.5 - gamma * gamma, low
+    inside = fee <= edge
+    if inside.all():
+        return _linear_form(fee, u1, u2, gamma, factor)
+    if kind == SUBSTITUTE:
+        width, height = np.minimum(1.0, fee / u1), np.minimum(1.0, fee / u2)
+    area = _nonbuy_area(fee / (1.0 + gamma), u1, u2, width, height)
+    if inside.any():
+        np.divide(*_linear_terms(fee, u1, u2, gamma, factor), out=area, where=inside)
+    buy = _one_minus(area)
+    return np.minimum(buy, 1.0, out=buy)[()]
 
 
 def _buy_complement(fee, u1, u2, gamma, mode):
-    """prob_buy_complement without checks.
-
-    In exact mode the line-only geometry is evaluated only when some point
-    lies off the interior triangle; np.where would discard it otherwise.
-    [()] turns np.where's 0-d array for numbers into a number.
-    """
-    out = _linear_form(fee, u1, u2, gamma, 0.5)
-    if mode == EXACT_GEOMETRY:
-        triangle = fee <= (1.0 + gamma) * np.minimum(u1, u2)
-        if not triangle.all():
-            out = np.where(triangle, out, _line_only_buy_probability(fee, u1, u2, gamma))[()]
-    return out
+    """prob_buy_complement without checks; the exact mode is _exact_buy's."""
+    if mode == PAPER_FORM:
+        return _linear_form(fee, u1, u2, gamma, 0.5)
+    return _exact_buy(fee, u1, u2, gamma, COMPLEMENT)
 
 
 def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):
@@ -278,12 +301,10 @@ def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):
 
 
 def _buy_substitute(fee, u1, u2, gamma, mode):
-    """prob_buy_substitute without checks."""
+    """prob_buy_substitute without checks; the exact mode is _exact_buy's."""
     if mode == PAPER_FORM:
         return _linear_form(fee, u1, u2, gamma, 0.5 + gamma * gamma)
-    width = np.minimum(1.0, fee / u1)
-    height = np.minimum(1.0, fee / u2)
-    return _unit(1.0 - _nonbuy_area(fee / (1.0 + gamma), u1, u2, width, height))
+    return _exact_buy(fee, u1, u2, gamma, SUBSTITUTE)
 
 
 def prob_buy_substitute(fee, u1, u2, gamma, mode=PAPER_FORM):
@@ -293,9 +314,11 @@ def prob_buy_substitute(fee, u1, u2, gamma, mode=PAPER_FORM):
     exact mode: one minus the area of the corner region
     {t1 < fee/u1} & {t2 < fee/u2} & below the bundle line, measured in
     closed form on the box [0, min(1, fee/u1)] x [0, min(1, fee/u2)];
-    arrays broadcast.  The exact geometry yields a (0.5-gamma^2) factor
-    where the published expression carries (0.5+gamma^2); both are
-    preserved so the gap can be measured instead of silently resolved.
+    arrays broadcast; for fee <= min(u1, u2) that is, bit for bit, the
+    linear form 1 - (0.5-gamma^2)*fee^2/((1+gamma)^2*u1*u2).  The exact
+    geometry yields that (0.5-gamma^2) factor where the published expression
+    carries (0.5+gamma^2); both are preserved so the gap can be measured
+    instead of silently resolved.
     """
     _check_mode(mode)
     _check_fee(fee)

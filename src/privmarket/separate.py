@@ -93,7 +93,7 @@ class SeparateScenario:
         return prob_buy_separate(fee, *qualities)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptimumSeparate:
     r_star: float
     p_star: float

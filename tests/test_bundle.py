@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -564,6 +565,17 @@ class TestDecision:
 
         monkeypatch.setattr(bundle_mod, "optimize_bundle", tied_optimize)
         assert not bundle_mod.bundling_decision(sb1_bundle).recommend_bundle
+
+    def test_records_are_slotted(self, sb2_bundle):
+        # a caller may keep many optima: the records carry no per-instance __dict__
+        decision = bundling_decision(sb2_bundle)
+        verified = optimize_bundle(sb2_bundle, verify=True, verify_points=9)
+        for record in (decision, decision.bundle_optimum, decision.separate_optima[0], verified):
+            assert not hasattr(record, "__dict__")
+            assert pickle.loads(pickle.dumps(record)) == record
+            assert replace(record) == record
+        assert replace(verified, grid=None) != verified
+        assert replace(decision, recommend_bundle=True) != decision
 
 
 def test_bracket_max_ends_where_float_spacing_exceeds_the_tolerance():

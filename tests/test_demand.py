@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from privmarket import (
+    COMPLEMENT,
+    SUBSTITUTE,
     ContingencyInput,
     DomainError,
     EXACT_GEOMETRY,
@@ -14,7 +18,7 @@ from privmarket import (
     prob_buy_separate,
     prob_buy_substitute,
 )
-from privmarket.demand import _line_only_buy_probability, _nonbuy_area
+from privmarket.demand import _buy_complement, _nonbuy_area
 from privmarket.quality import MAX_MAGNITUDE
 
 
@@ -265,8 +269,9 @@ class TestSubstitute:
     )
     def test_corner_strips_enlarge_the_line_region(self, fee, u1, u2, gamma):
         # with the bundle line held fixed, substitute demand adds the two
-        # single-service strips, so it dominates the line-only region
-        line_only = _line_only_buy_probability(fee, u1, u2, gamma)
+        # single-service strips, so it dominates the line-only region: the
+        # exact complement rule, whose geometry holds for any gamma > -1
+        line_only = _buy_complement(fee, u1, u2, gamma, EXACT_GEOMETRY)
         assert prob_buy_substitute(fee, u1, u2, gamma, EXACT_GEOMETRY) >= line_only - 1e-12
 
 
@@ -296,6 +301,51 @@ def test_nonbuy_area_is_zero_where_nothing_lies_below_the_line(q, width):
     with np.errstate(all="raise"):
         area = _nonbuy_area(q, 1e-170, 1e-170, width, 1.0)
     assert np.all(area == 0.0) and np.shape(area) == np.shape(q)
+
+
+def _rational_nonbuy_area(kind, fee, u1, u2, gamma):
+    """The exact non-buy area at float inputs, by inclusion-exclusion in rationals."""
+    fee, u1, u2, gamma = map(Fraction, (fee, u1, u2, gamma))
+    width = height = Fraction(1)
+    if kind == SUBSTITUTE:
+        width, height = min(width, fee / u1), min(height, fee / u2)
+    q, a, b = fee / (1 + gamma), u1 * width, u2 * height
+
+    def corner(s):
+        return max(s, 0) ** 2 / (2 * u1 * u2)
+
+    return corner(q) - corner(q - a) - corner(q - b) + corner(q - a - b)
+
+
+@pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+def test_exact_nonbuy_area_is_rational_inclusion_exclusion_to_4_ulps(kind):
+    # the area each exact rule takes: the linear form's term on interior
+    # geometry, the clipped box's measure off it; the rule is 1 minus it, clamped
+    rng = np.random.default_rng(20)
+    sides = {True: 0, False: 0}
+    for _ in range(2000):
+        u1, u2 = rng.uniform(0.05, 1.0, 2)
+        if kind == COMPLEMENT:
+            gamma = rng.uniform(0.0, 2.0)
+            factor, edge, width, height = 0.5, (1.0 + gamma) * min(u1, u2), 1.0, 1.0
+        else:
+            gamma = rng.uniform(-0.49, -1e-6)
+            factor, edge = 0.5 - gamma * gamma, min(u1, u2)
+        fee = edge * rng.uniform(0.0, 2.5)
+        inside = fee <= edge
+        if inside:
+            area = factor * (fee * fee) / ((1.0 + gamma) * (1.0 + gamma) * u1 * u2)
+        else:
+            if kind == SUBSTITUTE:
+                width, height = min(1.0, fee / u1), min(1.0, fee / u2)
+            area = float(_nonbuy_area(fee / (1.0 + gamma), u1, u2, width, height))
+        sides[inside] += 1
+        exact = _rational_nonbuy_area(kind, fee, u1, u2, gamma)
+        # an ulp of the area's size: 2^-52 relative
+        assert abs(Fraction(area) - exact) <= 4 * exact * Fraction(2) ** -52
+        rule = _EXACT[kind](fee, u1, u2, gamma, EXACT_GEOMETRY)
+        assert rule == min(max(1.0 - area, 0.0), 1.0)
+    assert min(sides.values()) > 500
 
 
 class TestContingency:
