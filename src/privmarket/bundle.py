@@ -14,26 +14,30 @@ Stationarity reduces to one quadratic in the fee,
 
 whose positive root gives p*; the privacy levels follow from
 X = alpha2*exp(alpha3*r1) = 3*n*c1*alpha1/(m*p*alpha3 + 3*n*c1) and the
-symmetric expression for r2.  For complements this is evaluated directly.
-Substitutes, and complements whose stationary point leaves the box, ascend
-the fee-eliminated profit P(r1, r2) = C*sqrt(u1*u2) - n*c1*(1 - r1)
+symmetric expression for r2.  `optimize_bundle` takes one path per kind
+and demand mode.  A paper-mode complement takes that point; paper-mode
+substitutes, and complements whose point leaves the box, ascend the
+fee-eliminated profit P(r1, r2) = C*sqrt(u1*u2) - n*c1*(1 - r1)
 - n*c2*(1 - r2), C = (2*m/3)*sqrt(k/(3*sigma)), k = (1+gamma)^2: G at
 its fee maximizer p(r) = sqrt(k*u1*u2/(3*sigma)).  P is concave on the
 box for both kinds (sqrt(u1*u2) is concave and nondecreasing, each u
 concave), and each sweep sets r1, then r2, to its closed-form maximizer
-of P.  The ascent starts from a 48^3 grid's best point, which only
-shortens it; the grid stays while the benchmark's closed loop keeps
-every op's result, since a faster `sweep` op would grow its peak memory
-past the bound (ROADMAP items 1a and 2).  The substitutes' `fee_root` is
-the same quadratic's root with sigma = 0.5 + gamma^2, which reproduces
-the ascent's fee on the shipped substitute bundle.  Exact
+of P (_paper_ascent).  The ascent starts from a 48^3 grid's best point,
+which only shortens it; the grid stays while the benchmark's closed loop
+keeps every op's result, since a faster `sweep` op would grow its peak
+memory past the bound (ROADMAP items 1a and 2).  The substitutes'
+`fee_root` is the same quadratic's root with sigma = 0.5 + gamma^2, which
+reproduces the ascent's fee on the shipped substitute bundle.  Exact
 demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
-geometry, so its ascent starts from closed forms, not a grid, and each of
-its sweeps takes the fee in closed form too (_exact_fee: the exact revenue
-is a cubic in the fee between breakpoints); only the privacy levels are
-searched.  A solve builds its box [0, cap1] x [0, cap2] x [0, p_hi] once
-and checks it once, on floats and at its eight corners (_check_box); its
-lattices and ascents then run on the unchecked `_profit`.
+geometry, so the exact solve of either kind starts from closed forms
+(_exact_ascent), and each of its sweeps takes the fee in closed form too
+(_exact_fee: the exact revenue is a cubic in the fee between
+breakpoints); only the privacy levels are searched (_exact_sweeps).  A
+`verify` grid only certifies: it is attached to the result and changes
+no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
+[0, p_hi] once (_box, shared with `oracles.bundle_grid`) and checks it
+once, on floats and at its eight corners (_check_box), before its
+lattices and ascents run on the unchecked `_profit`.
 """
 from __future__ import annotations
 
@@ -50,8 +54,7 @@ from .demand import (
     PAPER_FORM,
     SUBSTITUTE,
     MarketSpec,
-    _buy_complement,
-    _buy_substitute,
+    _buy_bundle,
     _check_contingency,
     _check_fee,
     _check_mode,
@@ -59,8 +62,7 @@ from .demand import (
     _check_privacy,
     _check_scaled_qualities,
     _output,
-    prob_buy_complement,
-    prob_buy_substitute,
+    _prob_buy_bundle,
 )
 from .errors import DomainError, _as_input
 from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
@@ -87,8 +89,12 @@ __all__ = [
     "bundling_decision",
 ]
 
-_ASCENT_TOL = 1e-13
 _ASCENT_SWEEPS = 600
+_ASCENT_TOL = 1e-13  # the paper ascent's updates are exact
+# near an exact-mode optimum the profit is flat to float resolution over a
+# ~1e-6-wide plateau, so searched coordinates cannot be pinned tighter than that
+_SWEEP_TOL = 1e-6
+_BRACKET_TOL = 1e-9
 _BRACKET_POINTS = 129
 _STEPS = np.arange(_BRACKET_POINTS, dtype=float)
 _EXACT_EDGE = 1e-5  # an exact-mode coordinate this close to a bound is clamped
@@ -142,8 +148,7 @@ class BundleSpec:
                 oracles.bundle_grid(self, demand_mode=demand_mode))
 
     def buy_probability(self, fee, qualities, demand_mode: str = PAPER_FORM):
-        rule = prob_buy_complement if self.kind == COMPLEMENT else prob_buy_substitute
-        return rule(fee, *qualities, self.gamma, demand_mode)
+        return _prob_buy_bundle(fee, *qualities, self.gamma, self.kind, demand_mode)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,11 +190,10 @@ def _profit(bundle: BundleSpec, r1, r2, p_b, demand_mode):
 
 def _profit_at(bundle: BundleSpec, r1, r2, u1, u2, p_b, demand_mode):
     """_profit with the qualities u1 = u(r1) and u2 = u(r2) already evaluated."""
-    buy = _buy_complement if bundle.kind == COMPLEMENT else _buy_substitute
     n = bundle.n
     # the buy probability is a fresh full-size array (or a number): finish it
     # in place; x*y == y*x bit for bit, so this is m*p_b*buy - n*c1*(1-r1) - ...
-    profit = buy(p_b, u1, u2, bundle.gamma, demand_mode)
+    profit = _buy_bundle(p_b, u1, u2, bundle.gamma, bundle.kind, demand_mode)
     profit *= bundle.market.m * p_b
     profit -= n * bundle.s1.c * (1.0 - r1)
     profit -= n * bundle.s2.c * (1.0 - r2)
@@ -256,12 +260,14 @@ def _stationary_point(bundle: BundleSpec, root: float, sigma: float):
     return r1, r2, p
 
 
-def _fee_upper_bound(bundle: BundleSpec, demand_mode: str) -> float:
-    u1_0 = float(_quality(0.0, bundle.s1.quality))
-    u2_0 = float(_quality(0.0, bundle.s2.quality))
+def _box(bundle: BundleSpec, demand_mode: str):
+    """(cap1, cap2, p_hi): the privacy caps and the fee past which nothing sells at r = 0."""
+    u1_0, u2_0 = (float(_quality(0.0, svc.quality)) for svc in bundle.services)
     if demand_mode == PAPER_FORM:
-        return (1.0 + bundle.gamma) * math.sqrt(u1_0 * u2_0 / bundle.demand_factor)
-    return (1.0 + bundle.gamma) * (u1_0 + u2_0)
+        p_hi = (1.0 + bundle.gamma) * math.sqrt(u1_0 * u2_0 / bundle.demand_factor)
+    else:
+        p_hi = (1.0 + bundle.gamma) * (u1_0 + u2_0)
+    return privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality), p_hi
 
 
 def _privacy_update(quality, cost, revenue, cap):
@@ -380,22 +386,18 @@ def _exact_fee(bundle: BundleSpec, u1, u2, p_hi) -> float:
     return min(y * total, p_hi)
 
 
-def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
-    """Cyclic exact maximization over r1, r2 (and p) from a start in the box.
+def _clamped(*flags) -> tuple[str, ...]:
+    """The names of the flagged variables among (r1, r2, p_b)."""
+    return tuple(name for name, flag in zip(("r1", "r2", "p_b"), flags) if flag)
 
-    In paper mode each sweep sets r1 to P's maximizer at the current u2,
-    r2 at the new u1 (_privacy_update), then the fee to p(r).  In exact
-    mode the fee is closed form (_exact_fee), and a batched bracket search
-    (_bracket_max) finds r1 and r2 on the exact-geometry profit,
-    evaluating each slice on a lattice in one array call per round; after
-    the last sweep the fee is updated once more, at the privacy levels that
-    sweep ended on.  Concavity of every privacy slice makes the sweep
-    converge to a joint maximum (in exact mode a local one).  Every point
-    lies in the box [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2,
-    p_hi), that the caller has checked, so the slices and qualities are
-    evaluated by the unchecked kernels (_profit_at, _quality); a slice
-    evaluates the quality of the coordinate it holds fixed once, not once
-    per round.
+
+def _paper_ascent(bundle: BundleSpec, start, box):
+    """Cyclic exact maximization of the fee-eliminated profit P over r1, r2 from a start in the box.
+
+    Each sweep sets r1 to P's maximizer at the current u2, r2 at the new u1
+    (_privacy_update), then the fee to p(r); of the start, only r2 enters
+    the first sweep.  P is concave on [0, cap1] x [0, cap2], box = (cap1,
+    cap2, p_hi), so the sweeps converge to its maximum.
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     n = bundle.n
@@ -403,66 +405,73 @@ def _coordinate_ascent(bundle: BundleSpec, demand_mode: str, start, box):
     k = (1.0 + bundle.gamma) ** 2
     # P's revenue coefficient C, at the fee maximizer p(r) = sqrt(k*u1*u2/(3*sigma))
     scale = (2.0 * bundle.market.m / 3.0) * math.sqrt(k / (3.0 * sigma))
-    cap1, cap2, p_hi = box
+    cap1, cap2, _ = box
     r1, r2, p = start
     u2 = float(_quality(r2, b))
-    clamp1 = clamp2 = False
-    # near the optimum the profit is flat to float resolution over a
-    # ~1e-6-wide plateau, so searched coordinates cannot be pinned tighter
-    # than that; the paper mode uses exact updates instead
-    paper = demand_mode == PAPER_FORM
-    sweep_tol = _ASCENT_TOL if paper else 1e-6
-    bracket_tol = 1e-9
     for _ in range(_ASCENT_SWEEPS):
         prev = (r1, r2, p)
-        if paper:
-            r1, clamp1 = _privacy_update(a, n * bundle.s1.c, scale * math.sqrt(u2), cap1)
-            u1 = float(_quality(r1, a))
-            r2, clamp2 = _privacy_update(b, n * bundle.s2.c, scale * math.sqrt(u1), cap2)
-            u2 = float(_quality(r2, b))
-            p = math.sqrt(k * u1 * u2 / (3.0 * sigma))
-        else:
-            u1, u2 = _quality(r1, a), _quality(r2, b)
-            p = _exact_fee(bundle, u1, u2, p_hi)
-            r1 = _bracket_max(
-                lambda t: _profit_at(bundle, t, r2, _quality(t, a), u2, p, demand_mode),
-                0.0, cap1, bracket_tol,
-            )
-            u1 = _quality(r1, a)
-            r2 = _bracket_max(
-                lambda t: _profit_at(bundle, r1, t, u1, _quality(t, b), p, demand_mode),
-                0.0, cap2, bracket_tol,
-            )
-            clamp1 = r1 <= _EXACT_EDGE or r1 >= cap1 - _EXACT_EDGE
-            clamp2 = r2 <= _EXACT_EDGE or r2 >= cap2 - _EXACT_EDGE
-        if max(abs(r1 - prev[0]), abs(r2 - prev[1]), abs(p - prev[2])) < sweep_tol:
+        r1, clamp1 = _privacy_update(a, n * bundle.s1.c, scale * math.sqrt(u2), cap1)
+        u1 = float(_quality(r1, a))
+        r2, clamp2 = _privacy_update(b, n * bundle.s2.c, scale * math.sqrt(u1), cap2)
+        u2 = float(_quality(r2, b))
+        p = math.sqrt(k * u1 * u2 / (3.0 * sigma))
+        if max(abs(r1 - prev[0]), abs(r2 - prev[1]), abs(p - prev[2])) < _ASCENT_TOL:
             break
-    if not paper:  # the fee at the privacy levels the last sweep ended on
-        p = _exact_fee(bundle, _quality(r1, a), _quality(r2, b), p_hi)
-    flags = (("r1", clamp1), ("r2", clamp2), ("p_b", p <= 0.0))
-    return r1, r2, p, tuple(name for name, clamped in flags if clamped)
+    return r1, r2, p, _clamped(clamp1, clamp2, p <= 0.0)
 
 
-def _exact_ascent(bundle: BundleSpec, box, point):
+def _exact_sweeps(bundle: BundleSpec, start, box):
+    """Exact-mode coordinate ascent over r1 and r2 from a start in the box.
+
+    Each sweep takes the fee in closed form (_exact_fee), then r1, and r2 at
+    the new r1, by a bracket search (_bracket_max) of the exact profit, one
+    array call of the unchecked _profit_at per round (the fixed coordinate's
+    quality evaluated once); a last fee update follows the last sweep.
+    Concave privacy slices make the sweeps converge to a local maximum in
+    the checked box [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2, p_hi).
+    """
+    a, b = bundle.s1.quality, bundle.s2.quality
+    cap1, cap2, p_hi = box
+    r1, r2, p = start
+    for _ in range(_ASCENT_SWEEPS):
+        prev = (r1, r2, p)
+        u2 = _quality(r2, b)
+        p = _exact_fee(bundle, _quality(r1, a), u2, p_hi)
+        r1 = _bracket_max(
+            lambda t: _profit_at(bundle, t, r2, _quality(t, a), u2, p, EXACT_GEOMETRY),
+            0.0, cap1, _BRACKET_TOL,
+        )
+        u1 = _quality(r1, a)
+        r2 = _bracket_max(
+            lambda t: _profit_at(bundle, r1, t, u1, _quality(t, b), p, EXACT_GEOMETRY),
+            0.0, cap2, _BRACKET_TOL,
+        )
+        if max(abs(r1 - prev[0]), abs(r2 - prev[1]), abs(p - prev[2])) < _SWEEP_TOL:
+            break
+    p = _exact_fee(bundle, _quality(r1, a), _quality(r2, b), p_hi)
+    return r1, r2, p, _clamped(r1 <= _EXACT_EDGE or r1 >= cap1 - _EXACT_EDGE,
+                               r2 <= _EXACT_EDGE or r2 >= cap2 - _EXACT_EDGE, p <= 0.0)
+
+
+def _exact_ascent(bundle: BundleSpec, box):
     """Exact-mode coordinate ascent from closed-form starts, one per set of active services.
 
     Both services: the stationary point of the linear form at the exact
-    interior factor sigma (left out when nan); for complements sigma = 0.5
-    in both forms, so the caller passes the point it has, and substitutes
-    compute theirs at 0.5 - gamma^2.  One service, the other's privacy at
+    interior factor sigma, 0.5 for complements and 0.5 - gamma^2 for
+    substitutes (left out when nan).  One service, the other's privacy at
     its cap: its standalone optimum, quality scaled by 1 + gamma for
-    complements.  The ascent runs from the most profitable start; ending at
-    a cap below 1, where a service's quality vanishes, it also runs from
-    the others and keeps the best end.  Far from the paper's services local
+    complements.  The sweeps run from the most profitable start; ending at
+    a cap below 1, where a service's quality vanishes, they also run from
+    the others and keep the best end.  Far from the paper's services local
     maxima that no start reaches can exist (README).  Returns the best end
     (r1, r2, p, clamped) followed by its profit.
     """
     cap1, cap2, p_hi = box
     if bundle.kind == COMPLEMENT:
-        scale = 1.0 + bundle.gamma
+        sigma, scale = 0.5, 1.0 + bundle.gamma
     else:
         sigma, scale = 0.5 - bundle.gamma**2, 1.0
-        point = _stationary_point(bundle, _fee_root(bundle, sigma), sigma)
+    point = _stationary_point(bundle, _fee_root(bundle, sigma), sigma)
     m, n = bundle.market.m * scale, bundle.n
     r1, r2 = (min(max(_stationary_privacy(svc.quality, m, n, svc.c), 0.0), cap)
               for svc, cap in ((bundle.s1, cap1), (bundle.s2, cap2)))
@@ -474,9 +483,9 @@ def _exact_ascent(bundle: BundleSpec, box, point):
     starts = [tuple(min(hi, max(0.0, x)) for x, hi in zip(start, box)) for start in starts]
     order = np.argsort(-_profit(bundle, *np.array(starts).T, EXACT_GEOMETRY), kind="stable")
     first, *others = [starts[i] for i in order]
-    ends = [_coordinate_ascent(bundle, EXACT_GEOMETRY, first, box)]
+    ends = [_exact_sweeps(bundle, first, box)]
     if any(r >= cap - _EXACT_EDGE and cap < 1.0 for r, cap in zip(ends[0][:2], (cap1, cap2))):
-        ends += [_coordinate_ascent(bundle, EXACT_GEOMETRY, start, box) for start in others]
+        ends += [_exact_sweeps(bundle, start, box) for start in others]
     profits = [float(_profit(bundle, *end[:3], EXACT_GEOMETRY)) for end in ends]
     best = max(range(len(ends)), key=profits.__getitem__)  # the first end on a tie
     return (*ends[best], profits[best])
@@ -515,33 +524,26 @@ def optimize_bundle(
     seed_points: int = 48,
     verify_points: int = 120,
 ) -> OptimumBundle:
-    """Maximize the bundle profit over (r1, r2, p_b).
+    """Maximize the bundle profit over (r1, r2, p_b): one path per kind and demand mode.
 
-    For complements in paper mode the closed-form stationary point is
-    accepted when it is feasible (nonnegative fee, privacy levels inside
-    their boxes).  Paper-mode substitutes and infeasible or distrusted
-    candidates take the fallback: in paper mode an ascent on the concave
-    fee-eliminated profit P from a seed_points^3 grid's best point, which
-    only shortens it; the exact mode ascends from closed forms
-    (_exact_ascent).  With ``verify`` the result keeps an independent grid
-    maximum as its certificate, and a candidate that loses to it by more
-    than rounding is re-solved through the fallback.  Every lattice and
-    ascent lies in one box, built once from the two privacy caps and the fee
-    bound and checked once by `_check_box` (the rules of a validating
-    `gross_profit_bundle` call on its eight corners, on floats) before they
-    run on the unchecked `_profit`; a closed-form complement needs no box.
+    A paper-mode complement takes its closed-form stationary point when it
+    is feasible (nonnegative fee, privacy levels inside their boxes).  The
+    other paper solves take the fallback, the ascent on the concave
+    fee-eliminated profit P (_paper_ascent) from a seed_points^3 grid's best
+    point; the exact mode ascends from closed forms (_exact_ascent).  With
+    ``verify`` an independent verify_points^3 grid maximum is attached as the
+    result's certificate; it changes no returned value.  Lattices and
+    ascents run on the unchecked `_profit` in one box (_box), checked once
+    by `_check_box` (the rules of a validating `gross_profit_bundle` call on
+    its eight corners); a closed-form complement without ``verify`` skips it.
     """
-    cap1, cap2 = privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality)
+    box = _box(bundle, demand_mode)
     root = _fee_root(bundle, bundle.demand_factor)
     fallback = True
-    point = None  # the complement's stationary point, which the exact ascent starts from
-    if bundle.kind == COMPLEMENT:
-        point = r1, r2, p = _stationary_point(bundle, root, 0.5)
-        fallback = not (demand_mode == PAPER_FORM and 0.0 <= r1 <= cap1 and 0.0 <= r2 <= cap2
-                        and 0.0 <= p < math.inf)
-    clamped: tuple[str, ...] = ()
+    if bundle.kind == COMPLEMENT and demand_mode == PAPER_FORM:
+        r1, r2, p = _stationary_point(bundle, root, 0.5)
+        fallback = not (0.0 <= r1 <= box[0] and 0.0 <= r2 <= box[1] and 0.0 <= p < math.inf)
     if verify or fallback:
-        box = (cap1, cap2, _fee_upper_bound(bundle, demand_mode))
         _check_box(bundle, box, demand_mode)
 
     def lattice_max(points):
@@ -550,18 +552,16 @@ def optimize_bundle(
             oracles.GridSpec(tuple((0.0, hi, points) for hi in box)),
         )
 
-    grid = lattice_max(verify_points) if verify and not fallback else None
+    clamped: tuple[str, ...] = ()
     if not fallback:
         profit = float(_profit(bundle, r1, r2, p, demand_mode))
-        fallback = grid is not None and profit - grid.value < -1e-7 * (1.0 + abs(grid.value))
-    if fallback and demand_mode == PAPER_FORM:
-        r1, r2, p, clamped = _coordinate_ascent(bundle, demand_mode, lattice_max(seed_points).coords,
-                                                box)
+    elif demand_mode == PAPER_FORM:
+        r1, r2, p, clamped = _paper_ascent(bundle, lattice_max(seed_points).coords, box)
         profit = float(_profit(bundle, r1, r2, p, demand_mode))
-    elif fallback:
-        r1, r2, p, clamped, profit = _exact_ascent(bundle, box, point)
-    if fallback and verify and grid is None:
-        grid = lattice_max(verify_points)
+    else:
+        r1, r2, p, clamped, profit = _exact_ascent(bundle, box)
+    # the certificate changes nothing returned; a NaN surface raises its error first
+    grid = lattice_max(verify_points) if verify else None
     if math.isnan(profit):  # a box's corners can be finite while (1+gamma)^2*u1*u2 overflows inside
         raise DomainError(f"bundle profit is NaN at r1={r1}, r2={r2}, fee {p}; "
                           "the scenario's magnitudes overflow together")

@@ -17,13 +17,13 @@ once the fee pushes the boundary outside the square (and, for
 substitutes, by a (0.5+gamma^2) vs (0.5-gamma^2) factor; both are kept on
 purpose, see prob_buy_substitute).  On interior geometry the exact mode
 is the linear form with factor 0.5 or 0.5-gamma^2, which both exact rules
-evaluate there bit for bit (_exact_buy), and whose stationary point
+evaluate there bit for bit (_buy_bundle), and whose stationary point
 starts the exact bundle solve (bundle._exact_ascent).
 
 Each public function validates its inputs once (floats by comparison,
 arrays by one min/max reduction) and then calls its unchecked kernel
-(_buy_separate, _buy_complement, _buy_substitute); the profit kernels
-call those directly on points the solvers built inside the feasible box.
+(_buy_separate, or _buy_bundle for both bundle kinds in both modes); the
+profit kernels call those directly on points the solvers built in the box.
 
 The input rules of every model live here, once each: _check_privacy
 (finite, in [0, 1]), _check_fee (finite, >= 0), _check_positive_quality
@@ -37,8 +37,8 @@ kernels do not.
 The standalone and paper-form kernels allocate their full-size result
 once and finish it in place (_one_minus; the profit kernels then scale
 and subtract into it), so a paper grid block holds one full-size array.
-The exact kernels do the same with the non-buy area (_nonbuy_area,
-_exact_buy).  On numbers the same expressions run as scalar arithmetic,
+The exact mode does the same with the non-buy area (_nonbuy_area,
+_buy_bundle).  On numbers the same expressions run as scalar arithmetic,
 with the same result type.
 """
 from __future__ import annotations
@@ -247,17 +247,20 @@ def _nonbuy_area(q, u1, u2, width, height):
     return np.subtract(width * height, area, out=area, where=flip)
 
 
-def _exact_buy(fee, u1, u2, gamma, kind):
-    """The exact buy probability of either bundle kind: closed form inside, geometry outside.
+def _buy_bundle(fee, u1, u2, gamma, kind, mode):
+    """The buy probability of either bundle kind in either demand mode, without checks.
 
-    On interior geometry (the triangle below the bundle line inside the unit
-    square, or the substitutes' corner box [0, fee/u1] x [0, fee/u2]) the
-    non-buy area is the linear form's term at factor 0.5 or 0.5 - gamma^2:
-    those points take _linear_form's bits.  Only if some point is off the
-    interior is the area measured on its box, with the interior's term
-    divided into it, and 1 minus it clamped to [0, 1] in place (the clamp at
-    1 passes the linear form's values).  [()] makes a 0-d array a number.
+    The paper form is the linear form at factor 0.5 or 0.5 + gamma^2.  The
+    exact mode is the linear form at factor 0.5 or 0.5 - gamma^2 on interior
+    geometry (the triangle below the bundle line inside the unit square, or
+    the substitutes' corner box [0, fee/u1] x [0, fee/u2]), bit for bit.
+    Only if some point is off it is the area measured on its box, with the
+    interior's term divided in (its fee zeroed off the interior, where fee*fee
+    can overflow), and 1 minus it clamped to [0, 1] in place (the clamp at 1
+    passes the linear form's values).  [()] makes a 0-d array a number.
     """
+    if mode == PAPER_FORM:
+        return _linear_form(fee, u1, u2, gamma, 0.5 if kind == COMPLEMENT else 0.5 + gamma * gamma)
     low = np.minimum(u1, u2)
     if kind == COMPLEMENT:
         factor, edge, width, height = 0.5, (1.0 + gamma) * low, 1.0, 1.0
@@ -270,16 +273,21 @@ def _exact_buy(fee, u1, u2, gamma, kind):
         width, height = np.minimum(1.0, fee / u1), np.minimum(1.0, fee / u2)
     area = _nonbuy_area(fee / (1.0 + gamma), u1, u2, width, height)
     if inside.any():
-        np.divide(*_linear_terms(fee, u1, u2, gamma, factor), out=area, where=inside)
+        np.divide(*_linear_terms(np.where(inside, fee, 0.0), u1, u2, gamma, factor),
+                  out=area, where=inside)
     buy = _one_minus(area)
     return np.minimum(buy, 1.0, out=buy)[()]
 
 
-def _buy_complement(fee, u1, u2, gamma, mode):
-    """prob_buy_complement without checks; the exact mode is _exact_buy's."""
-    if mode == PAPER_FORM:
-        return _linear_form(fee, u1, u2, gamma, 0.5)
-    return _exact_buy(fee, u1, u2, gamma, COMPLEMENT)
+def _prob_buy_bundle(fee, u1, u2, gamma, kind, mode):
+    """The public bundle buy rules: every input rule of the kind, then _buy_bundle."""
+    _check_mode(mode)
+    _check_fee(fee)
+    _check_positive_quality(u1, u2)
+    _check_contingency(kind, gamma)
+    fee, u1, u2, gamma = map(_as_input, (fee, u1, u2, gamma))
+    _check_scaled_qualities(u1, u2, gamma)
+    return _output(_buy_bundle(fee, u1, u2, gamma, kind, mode))
 
 
 def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):
@@ -291,20 +299,7 @@ def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):
     region is the interior triangle (fee <= (1+gamma)*min(u1,u2)), so they
     are bit-equal there.
     """
-    _check_mode(mode)
-    _check_fee(fee)
-    _check_positive_quality(u1, u2)
-    _check_contingency(COMPLEMENT, gamma)
-    fee, u1, u2, gamma = map(_as_input, (fee, u1, u2, gamma))
-    _check_scaled_qualities(u1, u2, gamma)
-    return _output(_buy_complement(fee, u1, u2, gamma, mode))
-
-
-def _buy_substitute(fee, u1, u2, gamma, mode):
-    """prob_buy_substitute without checks; the exact mode is _exact_buy's."""
-    if mode == PAPER_FORM:
-        return _linear_form(fee, u1, u2, gamma, 0.5 + gamma * gamma)
-    return _exact_buy(fee, u1, u2, gamma, SUBSTITUTE)
+    return _prob_buy_bundle(fee, u1, u2, gamma, COMPLEMENT, mode)
 
 
 def prob_buy_substitute(fee, u1, u2, gamma, mode=PAPER_FORM):
@@ -320,11 +315,4 @@ def prob_buy_substitute(fee, u1, u2, gamma, mode=PAPER_FORM):
     carries (0.5+gamma^2); both are preserved so the gap can be measured
     instead of silently resolved.
     """
-    _check_mode(mode)
-    _check_fee(fee)
-    _check_positive_quality(u1, u2)
-    _check_contingency(SUBSTITUTE, gamma)
-    fee, u1, u2, gamma = map(_as_input, (fee, u1, u2, gamma))
-    _check_scaled_qualities(u1, u2, gamma)
-    return _output(_buy_substitute(fee, u1, u2, gamma, mode))
-
+    return _prob_buy_bundle(fee, u1, u2, gamma, SUBSTITUTE, mode)

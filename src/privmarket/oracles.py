@@ -171,15 +171,11 @@ def bundle_objective(bundle, demand_mode=None) -> Callable:
 
 
 def bundle_grid(bundle, points: int = 120, demand_mode=None) -> GridSpec:
-    from .bundle import _fee_upper_bound
+    """points^3 lattice of the box optimize_bundle solves and certifies in."""
+    from .bundle import _box
     from .demand import PAPER_FORM
-    from .separate import privacy_cap
 
-    mode = demand_mode or PAPER_FORM
-    cap1 = privacy_cap(bundle.s1.quality)
-    cap2 = privacy_cap(bundle.s2.quality)
-    p_hi = _fee_upper_bound(bundle, mode)
-    return GridSpec(axes=((0.0, cap1, points), (0.0, cap2, points), (0.0, p_hi, points)))
+    return GridSpec(axes=tuple((0.0, hi, points) for hi in _box(bundle, demand_mode or PAPER_FORM)))
 
 
 @dataclass(frozen=True)

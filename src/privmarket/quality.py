@@ -131,7 +131,8 @@ def evaluate_quality(r, params: QualityParams):
     """
     r = _as_input(r)
     _check_privacy_arg(r)
-    out = _quality(r, params)
+    with np.errstate(over="ignore"):  # exp(alpha3*r) past float range gives u = -inf
+        out = _quality(r, params)
     return float(out) if isinstance(r, float) else out
 
 
@@ -139,7 +140,11 @@ def quality_derivatives(r: float, params: QualityParams) -> QualityDerivatives:
     """First/second derivative in r plus the gradient in the parameters."""
     _check_privacy_arg(r)
     rr = float(_as_input(r))
-    e = math.exp(params.alpha3 * rr)
+    try:
+        e = math.exp(params.alpha3 * rr)
+    except OverflowError:
+        raise DomainError(f"quality derivatives overflow at r={rr}: exp(alpha3*r) leaves "
+                          "float range") from None
     return QualityDerivatives(
         du_dr=-params.alpha2 * params.alpha3 * e,
         d2u_dr2=-params.alpha2 * params.alpha3**2 * e,
@@ -151,7 +156,10 @@ def quality_derivatives(r: float, params: QualityParams) -> QualityDerivatives:
 
 def max_privacy(params: QualityParams) -> float:
     """Privacy level at which the quality curve crosses zero."""
-    return math.log(params.alpha1 / params.alpha2) / params.alpha3
+    ratio = params.alpha1 / params.alpha2
+    if ratio == math.inf:  # a subnormal alpha2; the logs of the two parts stay finite
+        return (math.log(params.alpha1) - math.log(params.alpha2)) / params.alpha3
+    return math.log(ratio) / params.alpha3
 
 
 def _validate_samples(samples: Sequence[QualitySample]) -> tuple[np.ndarray, np.ndarray]:

@@ -31,8 +31,9 @@ import privmarket.bundle as bundle_mod
 from privmarket.bundle import (
     _BRACKET_POINTS,
     _bracket_max,
-    _coordinate_ascent,
+    _exact_sweeps,
     _lattice,
+    _paper_ascent,
     _profit_at,
 )
 from privmarket.quality import _quality
@@ -265,7 +266,7 @@ class TestOptimizeSubstitute:
             bundle = random_bundle(rng, SUBSTITUTE)
             opt = optimize_bundle(bundle)
             box = (privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality), math.inf)
-            *point, _ = _coordinate_ascent(bundle, bundle_mod.PAPER_FORM, (0.0, 0.0, 0.0), box)
+            *point, _ = _paper_ascent(bundle, (0.0, 0.0, 0.0), box)
             profit = gross_profit_bundle(bundle, *point)
             cost = bundle.n * (bundle.s1.c + bundle.s2.c)
             assert profit >= opt.profit - 8 * math.ulp(max(abs(opt.profit) + cost, 1.0))
@@ -330,7 +331,7 @@ def _grid_seeded_exact_optimum(bundle, points=48):
     lattice = bundle_grid(bundle, points=points, demand_mode=EXACT_GEOMETRY)
     grid = grid_maximize(bundle_objective(bundle, EXACT_GEOMETRY), lattice)
     box = tuple(hi for _, hi, _ in lattice.axes)
-    *point, clamped = _coordinate_ascent(bundle, EXACT_GEOMETRY, grid.coords, box)
+    *point, clamped = _exact_sweeps(bundle, grid.coords, box)
     return point, clamped, gross_profit_bundle(bundle, *point, EXACT_GEOMETRY)
 
 
@@ -399,7 +400,7 @@ class TestExactFee:
             b = random_bundle(rng, kind)
             r1, r2 = (rng.uniform(0.0, privacy_cap(svc.quality)) for svc in b.services)
             u1, u2 = _quality(r1, b.s1.quality), _quality(r2, b.s2.quality)
-            p_hi = bundle_mod._fee_upper_bound(b, EXACT_GEOMETRY)
+            p_hi = bundle_mod._box(b, EXACT_GEOMETRY)[2]
             fee = bundle_mod._exact_fee(b, u1, u2, p_hi)
             assert type(fee) is float and 0.0 <= fee <= p_hi
             best = max(_profit_at(b, r1, r2, u1, u2, steps[i:i + (1 << 14)] * p_hi,
@@ -414,8 +415,7 @@ class TestExactFee:
     def test_each_sweep_searches_only_the_privacy_levels(self, kind, sb1_bundle, sb2_bundle,
                                                          monkeypatch):
         b = sb1_bundle if kind == COMPLEMENT else sb2_bundle
-        box = (privacy_cap(b.s1.quality), privacy_cap(b.s2.quality),
-               bundle_mod._fee_upper_bound(b, EXACT_GEOMETRY))
+        box = bundle_mod._box(b, EXACT_GEOMETRY)
         sweeps, searches = [], []
         real_fee, real_search = bundle_mod._exact_fee, bundle_mod._bracket_max
         monkeypatch.setattr(bundle_mod, "_exact_fee",
@@ -423,7 +423,7 @@ class TestExactFee:
         monkeypatch.setattr(bundle_mod, "_bracket_max",
                             lambda *args: searches.append(args[2]) or real_search(*args))
         # from a corner of the box, so that the ascent takes more than one sweep
-        _coordinate_ascent(b, EXACT_GEOMETRY, (0.0, 0.0, 0.0), box)
+        _exact_sweeps(b, (0.0, 0.0, 0.0), box)
         # a fee, then r1 on [0, cap1] and r2 on [0, cap2], each sweep; one more fee at the end
         assert len(sweeps) >= 3 and sweeps == [2 * i for i in range(len(sweeps))]
         assert searches == [box[0], box[1]] * (len(sweeps) - 1)

@@ -1,6 +1,7 @@
 import csv
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -848,3 +849,53 @@ def test_file_that_is_not_utf8_exits_two_naming_it(reader, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
     assert f"{bad} is not UTF-8 text" in err
+
+
+def _main_without_warnings(argv):
+    """cli.main(argv) with every RuntimeWarning recorded; returns (exit code, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        code = main(argv)
+    return code, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_subnormal_alpha2_caps_privacy_without_overflow(tmp_path, capsys):
+    # max_privacy took log(alpha1/alpha2) = log(inf), and privacy_cap walked
+    # down from r = 1 through exp overflows
+    cfg = tmp_path / "subnormal.cfg"
+    cfg.write_text((SHIPPED / "bundle_complements.cfg").read_text()
+                   .replace("alpha2 = 0.001", "alpha2 = 5e-324")
+                   .replace("alpha3 = 4.2", "alpha3 = 1e100"))
+    out = tmp_path / "run"
+    argv = ["optimize", "complement", str(cfg), "--out", str(out)]
+    assert _main_without_warnings(argv) == (0, [])
+    row = _read(out / "optimize.csv")[0]
+    assert (row["r2_star"], row["clamped"]) == ("0", "r2") and math.isfinite(float(row["profit"]))
+
+
+def test_sweep_past_the_zero_quality_point_warns_nothing(tmp_path, capsys):
+    # exp(alpha3*r) overflows in evaluate_quality; the rows already named the error
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text((SHIPPED / "s1.cfg").read_text().replace("alpha3 = 2.813", "alpha3 = 1e99"))
+    out = tmp_path / "run"
+    argv = ["sweep", str(cfg), "--param", "service.S1.r", "--start", "0", "--stop", "1",
+            "--steps", "3", "--out", str(out)]
+    assert _main_without_warnings(argv) == (0, [])
+    rows = _read(out / "sweep.csv")
+    assert [row["error"] for row in rows] == [""] + 2 * [
+        "service quality must be positive and finite, got -inf"]
+
+
+def test_exact_slice_past_the_interior_warns_nothing(tmp_path, capsys):
+    # the exact rule squared every fee of a mixed slice, and fee*fee overflowed
+    # at the points off the interior, whose values it then discarded
+    cfg = tmp_path / "huge.cfg"
+    text = (SHIPPED / "bundle_complements.cfg").read_text()
+    for old, new in (("alpha1 = 0.822", "alpha1 = 1e99"), ("alpha2 = 0.004", "alpha2 = 7"),
+                     ("gamma = 0.1", "gamma = 1e99")):
+        text = text.replace(old, new, 1)
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    argv = ["optimize", "complement", str(cfg), "--demand-mode", "exact", "--out", str(out)]
+    assert _main_without_warnings(argv) == (0, [])
+    assert math.isfinite(float(_read(out / "optimize.csv")[0]["profit"]))

@@ -18,7 +18,7 @@ from privmarket import (
     prob_buy_separate,
     prob_buy_substitute,
 )
-from privmarket.demand import _buy_complement, _nonbuy_area
+from privmarket.demand import _buy_bundle, _nonbuy_area
 from privmarket.quality import MAX_MAGNITUDE
 
 
@@ -271,7 +271,7 @@ class TestSubstitute:
         # with the bundle line held fixed, substitute demand adds the two
         # single-service strips, so it dominates the line-only region: the
         # exact complement rule, whose geometry holds for any gamma > -1
-        line_only = _buy_complement(fee, u1, u2, gamma, EXACT_GEOMETRY)
+        line_only = _buy_bundle(fee, u1, u2, gamma, COMPLEMENT, EXACT_GEOMETRY)
         assert prob_buy_substitute(fee, u1, u2, gamma, EXACT_GEOMETRY) >= line_only - 1e-12
 
 

@@ -476,6 +476,19 @@ def test_extreme_solve_matches_recorded_outcome(case):
     assert _extreme_outcome(*case) == EXTREME_OUTCOMES[case]
 
 
+def test_recorded_verified_solves_agree_with_the_unverified_ones():
+    # a verify grid only certifies: where both solves of a case succeed, the
+    # verified row is the unverified one with the grid's coords and value added
+    pairs = 0
+    for (variant, kind, mode, verify), plain in EXTREME_OUTCOMES.items():
+        verified = EXTREME_OUTCOMES.get((variant, kind, mode, True))
+        if verify or not (isinstance(plain, tuple) and isinstance(verified, tuple)):
+            continue
+        assert (*verified[:4], *verified[-2:]) == plain
+        pairs += 1
+    assert pairs == 34
+
+
 def _function_cases():
     sb1, sb2 = _shipped(COMPLEMENT), _shipped(SUBSTITUTE)
     s1 = load_scenario(str(SCENARIOS / "s1.cfg"))
@@ -562,6 +575,11 @@ def _values(lo, hi):
     return st.one_of(floats, st.lists(floats, min_size=3, max_size=3).map(np.array))
 
 
+def _bundle_kernel(kind):
+    """demand._buy_bundle of one kind, in the public rules' argument order."""
+    return lambda fee, u1, u2, gamma, mode: demand._buy_bundle(fee, u1, u2, gamma, kind, mode)
+
+
 def _same_bits(public, kernel):
     assert type(public) is float or isinstance(public, np.ndarray)
     assert np.asarray(public, dtype=float).tobytes() == np.asarray(kernel, dtype=float).tobytes()
@@ -581,8 +599,8 @@ def test_prob_buy_separate_is_its_kernel(fee, u):
 
 @pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
 @pytest.mark.parametrize("rule, kernel, gammas", [
-    (prob_buy_complement, demand._buy_complement, _values(0.0, 2.0)),
-    (prob_buy_substitute, demand._buy_substitute, _values(-0.49, -1e-6)),
+    (prob_buy_complement, _bundle_kernel(COMPLEMENT), _values(0.0, 2.0)),
+    (prob_buy_substitute, _bundle_kernel(SUBSTITUTE), _values(-0.49, -1e-6)),
 ], ids=[COMPLEMENT, SUBSTITUTE])
 @_KERNEL_SETTINGS
 @given(data=st.data())
@@ -611,7 +629,7 @@ def _one_expression_profits(kind, mode):
     """The profit kernels written as single expressions, as they were before they
     finished their results in place: (bundle profit, standalone profit)."""
     b = BUNDLES[kind]
-    buy = demand._buy_complement if kind == COMPLEMENT else demand._buy_substitute
+    buy = _bundle_kernel(kind)
     svc = SCENARIO.service
 
     def bundle_profit(r1, r2, p):
@@ -705,7 +723,7 @@ def test_linear_form_clamps_like_both_sides(kind, gammas, data):
                 factor * (fee * fee) / ((1.0 + gamma) * (1.0 + gamma) * u1 * u2))))
 
 
-_EXACT_KERNELS = {COMPLEMENT: demand._buy_complement, SUBSTITUTE: demand._buy_substitute}
+_EXACT_KERNELS = {kind: _bundle_kernel(kind) for kind in (COMPLEMENT, SUBSTITUTE)}
 _EXACT_RULES = {COMPLEMENT: prob_buy_complement, SUBSTITUTE: prob_buy_substitute}
 
 
@@ -962,6 +980,10 @@ def test_kernel_lattices_match_the_public_oracle(kind, mode, monkeypatch):
         assert opt.grid == real(bundle_objective(b, mode), bundle_grid(b, 25, mode))
         for result, grid in lattices:
             assert result == real(bundle_objective(b, mode), grid)
+        # the grid only certifies: the verified solve returns the unverified one
+        plain = optimize_bundle(b, demand_mode=mode)
+        assert (_optimum_bits(opt)[:4], opt.fallback, opt.clamped_variables) == (
+            _optimum_bits(plain), plain.fallback, plain.clamped_variables)
 
 
 @pytest.mark.parametrize("variant", ["shipped", "c=0", "c=5"])

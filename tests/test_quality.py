@@ -221,3 +221,18 @@ def test_load_samples_names_the_row_with_a_wrong_column_count(tmp_path):
     with pytest.raises(DomainError) as err:
         load_samples(path)
     assert str(err.value) == f"sample file {path} line 3: expected two columns"
+
+
+def test_max_privacy_of_a_subnormal_alpha2_is_finite():
+    # alpha1/alpha2 overflows to inf; log(alpha1) - log(alpha2) does not
+    params = QualityParams(0.867, 5e-324, 1e100)
+    assert max_privacy(params) == pytest.approx(7.44e-98, rel=1e-3)
+    from privmarket.separate import privacy_cap
+
+    assert privacy_cap(params) == 0.0
+
+
+def test_quality_derivatives_past_float_range_are_a_domain_error():
+    # exp(alpha3*r) overflowed as a bare OverflowError
+    with pytest.raises(DomainError, match="quality derivatives overflow"):
+        quality_derivatives(0.5, QualityParams(0.8, 0.1, 1e99))
