@@ -32,15 +32,18 @@ demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
 geometry, so the exact solve of either kind starts from closed forms
 (_exact_ascent), and each of its sweeps takes the fee in closed form too
 (_exact_fee: the exact revenue is a cubic in the fee between
-breakpoints); only the privacy levels are searched (_exact_sweeps).  A
-`verify` grid only certifies: it is attached to the result and changes
-no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
-[0, p_hi] once (_box, shared with `oracles.bundle_grid`) and checks it
-once, on floats and at its eight corners (_check_box), before its
-lattices and ascents run on the unchecked `_profit`.
+breakpoints), and so are a complement's privacy levels on interior
+geometry (_exact_slice); other slices, such as the substitutes' that can
+peak again past the kink at p = min(u1, u2), are bracket-searched
+(_exact_sweeps).  A `verify` grid only certifies: it is attached to the
+result and changes no returned value.  A solve builds its box [0, cap1] x
+[0, cap2] x [0, p_hi] once (_box, shared with `oracles.bundle_grid`) and
+checks it once, on floats and at its eight corners (_check_box), before
+its lattices and ascents run on the unchecked `_profit`.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -420,11 +423,36 @@ def _paper_ascent(bundle: BundleSpec, start, box):
     return r1, r2, p, _clamped(clamp1, clamp2, p <= 0.0)
 
 
+def _exact_slice(bundle: BundleSpec, svc: ServiceSpec, cap, p, u_other, profit):
+    """The r in [0, cap] maximizing the exact profit at fee p and the other quality u_other.
+
+    On interior geometry a complement slice is m*p*(1 - 0.5*p^2/(k*u*u_other))
+    - n*c*(1 - r) + const, k = (1+gamma)^2, stationary where X = alpha2*exp(alpha3*r)
+    meets X/(alpha1 - X)^2 = K = n*c*k*u_other/(m*0.5*p^3*alpha3): at the root
+    X = alpha1*t/((t + 0.5) + sqrt(t + 0.25)) < alpha1, t = K*alpha1, which
+    cancels nothing (a wage of 0 gives r = 0).  It is taken for a finite t > 0
+    and p <= (1+gamma)*min(u(r), u_other); else profit, the slice on an array
+    of r, is bracket-searched.
+    """
+    if bundle.kind == COMPLEMENT:
+        q, g, u_other = svc.quality, 1.0 + bundle.gamma, float(u_other)
+        den = bundle.market.m * 0.5 * p * p * p * q.alpha3
+        t = (bundle.n * svc.c * g * g * u_other / den if den > 0.0 else math.inf) * q.alpha1
+        if svc.c == 0.0 or 0.0 < t < math.inf:
+            x = q.alpha1 * t / ((t + 0.5) + math.sqrt(t + 0.25)) if svc.c else 0.0
+            r = math.log(x / q.alpha2) / q.alpha3 if x / q.alpha2 > 0.0 else -math.inf
+            r = min(max(r, 0.0), cap)
+            if p <= g * min(float(_quality(r, q)), u_other):
+                return r
+    return _bracket_max(profit, 0.0, cap, _BRACKET_TOL)
+
+
 def _exact_sweeps(bundle: BundleSpec, start, box):
     """Exact-mode coordinate ascent over r1 and r2 from a start in the box.
 
     Each sweep takes the fee in closed form (_exact_fee), then r1, and r2 at
-    the new r1, by a bracket search (_bracket_max) of the exact profit, one
+    the new r1 (_exact_slice): in closed form on an interior complement
+    slice, else by a bracket search (_bracket_max) of the exact profit, one
     array call of the unchecked _profit_at per round (the fixed coordinate's
     quality evaluated once); a last fee update follows the last sweep.
     Concave privacy slices make the sweeps converge to a local maximum in
@@ -437,15 +465,11 @@ def _exact_sweeps(bundle: BundleSpec, start, box):
         prev = (r1, r2, p)
         u2 = _quality(r2, b)
         p = _exact_fee(bundle, _quality(r1, a), u2, p_hi)
-        r1 = _bracket_max(
-            lambda t: _profit_at(bundle, t, r2, _quality(t, a), u2, p, EXACT_GEOMETRY),
-            0.0, cap1, _BRACKET_TOL,
-        )
+        r1 = _exact_slice(bundle, bundle.s1, cap1, p, u2, lambda t: _profit_at(
+            bundle, t, r2, _quality(t, a), u2, p, EXACT_GEOMETRY))
         u1 = _quality(r1, a)
-        r2 = _bracket_max(
-            lambda t: _profit_at(bundle, r1, t, u1, _quality(t, b), p, EXACT_GEOMETRY),
-            0.0, cap2, _BRACKET_TOL,
-        )
+        r2 = _exact_slice(bundle, bundle.s2, cap2, p, u1, lambda t: _profit_at(
+            bundle, r1, t, u1, _quality(t, b), p, EXACT_GEOMETRY))
         if max(abs(r1 - prev[0]), abs(r2 - prev[1]), abs(p - prev[2])) < _SWEEP_TOL:
             break
     p = _exact_fee(bundle, _quality(r1, a), _quality(r2, b), p_hi)
@@ -543,8 +567,6 @@ def optimize_bundle(
     if bundle.kind == COMPLEMENT and demand_mode == PAPER_FORM:
         r1, r2, p = _stationary_point(bundle, root, 0.5)
         fallback = not (0.0 <= r1 <= box[0] and 0.0 <= r2 <= box[1] and 0.0 <= p < math.inf)
-    if verify or fallback:
-        _check_box(bundle, box, demand_mode)
 
     def lattice_max(points):
         return oracles.grid_maximize(
@@ -553,15 +575,21 @@ def optimize_bundle(
         )
 
     clamped: tuple[str, ...] = ()
-    if not fallback:
-        profit = float(_profit(bundle, r1, r2, p, demand_mode))
-    elif demand_mode == PAPER_FORM:
-        r1, r2, p, clamped = _paper_ascent(bundle, lattice_max(seed_points).coords, box)
-        profit = float(_profit(bundle, r1, r2, p, demand_mode))
-    else:
-        r1, r2, p, clamped, profit = _exact_ascent(bundle, box)
-    # the certificate changes nothing returned; a NaN surface raises its error first
-    grid = lattice_max(verify_points) if verify else None
+    # the linear form's fee^2 and (1+gamma)^2*u1*u2, each below p_hi^2 on the box, can
+    # overflow together to inf/inf; its nan raises below, with no warnings first
+    overflows = box[2] * box[2] == math.inf
+    with np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext():
+        if verify or fallback:
+            _check_box(bundle, box, demand_mode)
+        if not fallback:
+            profit = float(_profit(bundle, r1, r2, p, demand_mode))
+        elif demand_mode == PAPER_FORM:
+            r1, r2, p, clamped = _paper_ascent(bundle, lattice_max(seed_points).coords, box)
+            profit = float(_profit(bundle, r1, r2, p, demand_mode))
+        else:
+            r1, r2, p, clamped, profit = _exact_ascent(bundle, box)
+        # the certificate changes nothing returned; a NaN surface raises its error first
+        grid = lattice_max(verify_points) if verify else None
     if math.isnan(profit):  # a box's corners can be finite while (1+gamma)^2*u1*u2 overflows inside
         raise DomainError(f"bundle profit is NaN at r1={r1}, r2={r2}, fee {p}; "
                           "the scenario's magnitudes overflow together")

@@ -346,7 +346,7 @@ def estimate_buy_probability(region: DemandRegion, sim: SimulationSpec) -> SimRe
     """Direct Monte-Carlo estimate of one buy probability from the raw rule."""
     def chunk_hits(chunk):
         index, k = chunk
-        return int(_bought(region, _chunk_rng(sim.seed, index), k).sum())
+        return int(np.count_nonzero(_bought(region, _chunk_rng(sim.seed, index), k)))
 
     hits = sum(_map_parts(chunk_hits, _chunks(sim.draws)))
     p_hat = hits / sim.draws

@@ -886,6 +886,28 @@ def test_sweep_past_the_zero_quality_point_warns_nothing(tmp_path, capsys):
         "service quality must be positive and finite, got -inf"]
 
 
+def test_overflowing_quality_scale_exits_two_without_warnings(tmp_path, capsys):
+    # with both alpha1 and gamma at 1e99, (1+gamma)^2*u1*u2 overflows and the
+    # linear form divides inf by inf: each solve printed overflow and invalid-value
+    # RuntimeWarnings before its NaN error
+    cfg = tmp_path / "overflow.cfg"
+    text = (SHIPPED / "bundle_complements.cfg").read_text()
+    for old, new in (("alpha1 = 0.822", "alpha1 = 1e99"), ("alpha1 = 0.867", "alpha1 = 1e99"),
+                     ("gamma = 0.1", "gamma = 1e99")):
+        text = text.replace(old, new, 1)
+    cfg.write_text(text)
+    errors = {"paper": "objective produced NaN on the grid; domain is not valid",
+              "exact": "bundle profit is NaN at privacy level 0.0; the scenario's magnitudes "
+                       "overflow together"}
+    runs = [([*command, str(cfg), "--demand-mode", mode], mode) for mode in errors
+            for command in (["optimize", "complement"], ["decide"], ["verify"], ["simulate"])]
+    runs.append((["demand", str(cfg), "--verify"], "paper"))
+    for argv, mode in runs:
+        assert _main_without_warnings([*argv, "--out", str(tmp_path / "run")]) == (2, []), argv
+        assert capsys.readouterr().err == f"error: {errors[mode]}\n", argv
+    assert not (tmp_path / "run").exists()
+
+
 def test_exact_slice_past_the_interior_warns_nothing(tmp_path, capsys):
     # the exact rule squared every fee of a mixed slice, and fee*fee overflowed
     # at the points off the interior, whose values it then discarded

@@ -65,20 +65,25 @@ def _with_wage(b, c):
 # moved in the last digits and its profit rose by 2 ulps.  The shipped and c=5
 # exact substitutes were re-recorded when the exact substitute rule began to
 # take the linear form on interior geometry: each profit rose by 1 ulp, and the
-# shipped point moved along the exact plateau
+# shipped point moved along the exact plateau.  The three exact complement rows
+# were re-recorded when each exact complement privacy slice on interior
+# geometry took its closed-form maximizer (bundle._exact_slice): the shipped
+# point moved by under 6e-8 and kept its profit bits; c=0 and c=5 moved from
+# the bracket search's midpoints 2^-36 inside the box onto its bounds, and
+# their profits rose by 1.4e-13 and 2.7e-11 relative
 PINNED_OPTIMA = {
     ("complement", "shipped", "paper"): (
         "0x1.3da687e314dacp-1", "0x1.0129b61871d33p-1", "0x1.7cef2bab05072p-1", "0x1.e370680eb2405p+8"),
     ("complement", "shipped", "exact"): (
-        "0x1.3da686e400000p-1", "0x1.0129b45400000p-1", "0x1.7cef2bb97570dp-1", "0x1.e370680eb2405p+8"),
+        "0x1.3da687e314daep-1", "0x1.0129b61871d34p-1", "0x1.7cef2bab05072p-1", "0x1.e370680eb2405p+8"),
     ("complement", "c=0", "paper"): (
         "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.f7f45f32c9ea8p+8"),
     ("complement", "c=0", "exact"): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.830980688a766p-1", "0x1.f7f45f32c99f8p+8"),
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.f7f45f32c9ea8p+8"),
     ("complement", "c=5", "paper"): (
         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1", "0x1.d18bea752da50p+8"),
     ("complement", "c=5", "exact"): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.658a2ce548753p-1", "0x1.d18bea74f7d8ap+8"),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1", "0x1.d18bea752da50p+8"),
     ("substitute", "shipped", "paper"): (
         "0x1.687807341fedep-1", "0x1.547d7d73086b1p-1", "0x1.2aca7c1e76609p-1", "0x1.786e937631b69p+8"),
     ("substitute", "shipped", "exact"): (
@@ -140,8 +145,11 @@ def _exact_optima_digest():
 # re-recorded when the exact fee became closed form (bundle._exact_fee), which
 # moves every exact fee by rounding at least; PINNED_OPTIMA's six exact rows
 # alone pin few of these bits; re-recorded when the exact substitute rule began
-# to take the linear form on interior geometry
-EXACT_OPTIMA_DIGEST = "91a5ec99ebb1d2ae955fe0376a7321c3022a73e27c4bad42f0aa34dff2b681c7"
+# to take the linear form on interior geometry; re-recorded when the exact
+# complement slices took their closed form on interior geometry: no complement
+# profit fell by more than 2e-16 of its revenue plus data cost, and every
+# substitute solve kept its bits
+EXACT_OPTIMA_DIGEST = "ba2aca59ac8dd9a99d3cb969d10cec6557dbffa18a50cf6be63a2d063eb126d9"
 
 
 def test_exact_optima_match_recorded_digest():
@@ -228,6 +236,15 @@ def _extreme_outcome(variant, kind, mode, verify):
 # plateau.  The quality~1e-160 rows now raise the NaN error at a box corner
 # like the other kinds and modes: a fee of 0 is interior, and the linear
 # form's (1+gamma)^2*u1*u2 underflows there.
+# The exact complement rows alpha1=1e100, alpha2=5e-324, c=1e100, gamma=edge,
+# m=1e100, c=0 and c=5 were re-recorded when each exact complement privacy
+# slice on interior geometry took its closed-form maximizer: no profit fell and
+# no fallback flag changed.  alpha1=1e100 moved from the clamped (r1, r2) next
+# to 0 to an interior point with the same profit bits.  c=1e100 rose from
+# -0x1.c93...p+303 to +0x1.d18...p+8: both levels now reach their caps of 1
+# exactly, where the 1e100 wages cost nothing.  The others moved from 2^-36
+# inside the box onto its bounds.  The exact ceilings complement's fee cubed
+# overflows, so its slices still take the bracket search and raise its NaN error.
 _NAN = "objective produced NaN on the grid; domain is not valid"
 _SLICE_NAN = ("bundle profit is NaN at privacy level 0.0; the scenario's magnitudes overflow "
               "together")
@@ -241,12 +258,12 @@ EXTREME_OUTCOMES = {
         "0x1.5630a00e086b8p+341", "0x0.0p+0", "0x0.0p+0", "0x1.1c7dcaca5649ap+332",
         "0x1.5298f74bb192cp+341", False, ()),
     ("alpha1=1e100", "complement", "exact", False): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.06cd47b8db757p+332",
-        "0x1.5630a00e086b8p+341", True, ("r1", "r2")),
+        "0x1.4434299522d90p-1", "0x1.f98c31f343bd7p-2", "0x1.06cd47b8db757p+332",
+        "0x1.5630a00e086b8p+341", True, ()),
     ("alpha1=1e100", "complement", "exact", True): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.06cd47b8db757p+332",
+        "0x1.4434299522d90p-1", "0x1.f98c31f343bd7p-2", "0x1.06cd47b8db757p+332",
         "0x1.5630a00e086b8p+341", "0x0.0p+0", "0x0.0p+0", "0x1.e2cc4179bdc28p+331",
-        "0x1.52e0be3523617p+341", True, ("r1", "r2")),
+        "0x1.52e0be3523617p+341", True, ()),
     ("alpha1=1e100", "substitute", "paper", False): (
         "0x1.6a87c8f7f3292p-1", "0x1.515fc1ef47afbp-1", "0x1.a9cd6fd7ce7b8p+331",
         "0x1.153714d07fc31p+341", True, ()),
@@ -289,11 +306,11 @@ EXTREME_OUTCOMES = {
         "0x1.f97a11987f68ap+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.a43edc1379f52p-1", "0x1.f42b908e6e36fp+8", True, ("r1", "r2")),
     ("alpha2=5e-324", "complement", "exact", False): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.8434c9edf3421p-1",
-        "0x1.f97a11987d88ap+8", True, ("r1", "r2")),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.8434c9edf3421p-1",
+        "0x1.f97a11987f68ap+8", True, ("r1", "r2")),
     ("alpha2=5e-324", "complement", "exact", True): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.8434c9edf3421p-1",
-        "0x1.f97a11987d88ap+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.8434c9edf3421p-1",
+        "0x1.f97a11987f68ap+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.64b780346dc5ep-1", "0x1.f49f77633264ap+8", True, ("r1", "r2")),
     ("alpha2=5e-324", "substitute", "paper", False): (
         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.387e1202a52c5p-1",
@@ -325,11 +342,11 @@ EXTREME_OUTCOMES = {
         "0x1.d18bea752da50p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.4f2f18f0f2043p-1", "0x1.cedf9112385cep+8", True, ("r1", "r2")),
     ("c=1e100", "complement", "exact", False): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.658a2ce548753p-1",
-        "-0x1.c931e8ab87173p+303", True, ("r1", "r2")),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1",
+        "0x1.d18bea752da50p+8", True, ("r1", "r2")),
     ("c=1e100", "complement", "exact", True): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.658a2ce548753p-1",
-        "-0x1.c931e8ab87173p+303", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1",
+        "0x1.d18bea752da50p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.63a92a3055326p-1", "0x1.d186fcc3e68ffp+8", True, ("r1", "r2")),
     ("c=1e100", "substitute", "paper", False): (
         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1c8e42a0c8ac7p-1",
@@ -352,12 +369,11 @@ EXTREME_OUTCOMES = {
         "0x0.0p+0", "0x0.0p+0", "0x1.92298d45e6227p+331", "0x1.05d30d4ed7291p+341", "0x0.0p+0",
         "0x0.0p+0", "0x1.b35a7d381e9d1p+331", "0x1.031361745d77cp+341", True, ("r1", "r2")),
     ("gamma=edge", "complement", "exact", False): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.92298d45e5e6ap+331",
-        "0x1.05d30d4ed7022p+341", True, ("r1", "r2")),
+        "0x0.0p+0", "0x0.0p+0", "0x1.92298d45e6227p+331", "0x1.05d30d4ed7291p+341", True,
+        ("r1", "r2")),
     ("gamma=edge", "complement", "exact", True): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.92298d45e5e6ap+331",
-        "0x1.05d30d4ed7022p+341", "0x0.0p+0", "0x0.0p+0", "0x1.718f50d6abc89p+331",
-        "0x1.03502728910c5p+341", True, ("r1", "r2")),
+        "0x0.0p+0", "0x0.0p+0", "0x1.92298d45e6227p+331", "0x1.05d30d4ed7291p+341", "0x0.0p+0",
+        "0x0.0p+0", "0x1.718f50d6abc89p+331", "0x1.03502728910c5p+341", True, ("r1", "r2")),
     ("gamma=edge", "substitute", "paper", False): (
         "0x1.f6f8172323e43p-1", "0x1.0000000000000p+0", "0x1.05476ff6265c0p-2",
         "0x1.53806641eb6afp+7", True, ("r2",)),
@@ -379,12 +395,11 @@ EXTREME_OUTCOMES = {
         "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.26eb457786a1dp+331", "0x0.0p+0",
         "0x0.0p+0", "0x1.a2fadf2d2e854p-1", "0x1.23d2a7ef9e1efp+331", True, ("r1", "r2")),
     ("m=1e100", "complement", "exact", False): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.830980688a766p-1",
-        "0x1.26eb45778675fp+331", True, ("r1", "r2")),
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.26eb457786a1dp+331", True,
+        ("r1", "r2")),
     ("m=1e100", "complement", "exact", True): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.830980688a766p-1",
-        "0x1.26eb45778675fp+331", "0x0.0p+0", "0x0.0p+0", "0x1.63a92a3055326p-1",
-        "0x1.24171c2239b49p+331", True, ("r1", "r2")),
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.26eb457786a1dp+331", "0x0.0p+0",
+        "0x0.0p+0", "0x1.63a92a3055326p-1", "0x1.24171c2239b49p+331", True, ("r1", "r2")),
     ("m=1e100", "substitute", "paper", False): (
         "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.d773ae4b84d81p+330", True,
         ("r1", "r2")),
@@ -422,12 +437,10 @@ EXTREME_OUTCOMES = {
         "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.f7f45f32c9ea8p+8", "0x0.0p+0",
         "0x0.0p+0", "0x1.a2fadf2d2e854p-1", "0x1.f2a9f57f164e3p+8", True, ("r1", "r2")),
     ("c=0", "complement", "exact", False): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.830980688a766p-1",
-        "0x1.f7f45f32c99f8p+8", True, ("r1", "r2")),
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.f7f45f32c9ea8p+8", True, ("r1", "r2")),
     ("c=0", "complement", "exact", True): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.830980688a766p-1",
-        "0x1.f7f45f32c99f8p+8", "0x0.0p+0", "0x0.0p+0", "0x1.63a92a3055326p-1",
-        "0x1.f31eeea9e7c51p+8", True, ("r1", "r2")),
+        "0x0.0p+0", "0x0.0p+0", "0x1.830980688ab00p-1", "0x1.f7f45f32c9ea8p+8", "0x0.0p+0",
+        "0x0.0p+0", "0x1.63a92a3055326p-1", "0x1.f31eeea9e7c51p+8", True, ("r1", "r2")),
     ("c=0", "substitute", "paper", False): (
         "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.92ce58a3a3defp+8", True, ("r1", "r2")),
     ("c=0", "substitute", "paper", True): (
@@ -448,11 +461,11 @@ EXTREME_OUTCOMES = {
         "0x1.d18bea752da50p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.4f2f18f0f2043p-1", "0x1.cedf9112385cep+8", True, ("r1", "r2")),
     ("c=5", "complement", "exact", False): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.658a2ce548753p-1",
-        "0x1.d18bea74f7d8ap+8", True, ("r1", "r2")),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1",
+        "0x1.d18bea752da50p+8", True, ("r1", "r2")),
     ("c=5", "complement", "exact", True): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.658a2ce548753p-1",
-        "0x1.d18bea74f7d8ap+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1",
+        "0x1.d18bea752da50p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.63a92a3055326p-1", "0x1.d186fcc3e68ffp+8", True, ("r1", "r2")),
     ("c=5", "substitute", "paper", False): (
         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1c8e42a0c8ac7p-1",
@@ -474,6 +487,38 @@ EXTREME_OUTCOMES = {
 @pytest.mark.parametrize("case", list(EXTREME_OUTCOMES), ids=lambda case: "-".join(map(str, case)))
 def test_extreme_solve_matches_recorded_outcome(case):
     assert _extreme_outcome(*case) == EXTREME_OUTCOMES[case]
+
+
+def test_exact_slice_falls_back_to_the_bracket_search_where_k_leaves_float_range():
+    # K = n*c*k*u_other/(m*0.5*p^3*alpha3) in bundle._exact_slice: the fee cubed
+    # overflowing (a float p**3 raises OverflowError there), the wage's term
+    # underflowing to K = 0, K overflowing, the fee cubed underflowing to 0, and
+    # inf/inf, each on the shipped complement's first slice
+    b = _shipped(COMPLEMENT)
+    cap = separate.privacy_cap(b.s1.quality)
+    u2 = float(evaluate_quality(0.5, b.s2.quality))
+
+    def peak(t):
+        return -(t - 0.3) * (t - 0.3)
+
+    searched = bundle._bracket_max(peak, 0.0, cap, bundle._BRACKET_TOL)
+    g = b.gamma
+    for gamma, wage, fee, u_other in ((g, 0.2, 1e103, u2), (g, 5e-324, 0.7, u2),
+                                      (g, 1e100, 1e-75, u2), (g, 0.2, 1e-110, u2),
+                                      (1e100, 1e100, 1e103, 1e99)):
+        calls = []
+        r = bundle._exact_slice(dataclasses.replace(b, gamma=gamma),
+                                dataclasses.replace(b.s1, c=wage), cap, fee, u_other,
+                                lambda t: calls.append(t) or peak(t))
+        assert calls and r == searched, (gamma, wage, fee)
+    # a wage of 0 is no underflow: r = 0, with no search
+    assert bundle._exact_slice(b, dataclasses.replace(b.s1, c=0.0), cap, 0.7, u2, None) == 0.0
+    # the ceilings complement's fee cubed overflows inside the solve
+    errors = {case: text for case, text in EXTREME_OUTCOMES.items()
+              if case[1:3] == (COMPLEMENT, EXACT_GEOMETRY) and isinstance(text, str)}
+    assert len(errors) == 4
+    for case, text in errors.items():
+        assert _extreme_outcome(*case) == text
 
 
 def test_recorded_verified_solves_agree_with_the_unverified_ones():
