@@ -2,30 +2,30 @@
 """Desk-scale bundling experiments.
 
 Covers the complement bundle (sentiment + activity) and the substitute
-bundle (two sentiment engines): contingency sweeps, the wage sweep with
-Shapley splits, and the bundle-vs-separate decisions.
+bundle (two sentiment engines) of scenarios/bundle_*.cfg: contingency
+sweeps, the wage sweep with Shapley splits, and the bundle-vs-separate
+decisions.
 """
 import argparse
 import csv
 import os
+from dataclasses import replace
+from pathlib import Path
 
 from privmarket import (
-    BundleSpec,
-    COMPLEMENT,
     CharacteristicFunction,
-    MarketSpec,
-    QualityParams,
-    SUBSTITUTE,
-    ServiceSpec,
     bundling_decision,
+    load_scenario,
     optimize_bundle,
     shapley_allocation,
 )
 
-S1 = QualityParams(0.822, 0.004, 2.813)
-S2 = QualityParams(0.856, 0.013, 1.861)
-S3 = QualityParams(0.867, 0.001, 4.2)
-MARKET = MarketSpec(m=1000)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def data_cost(bundle, r1, r2):
+    """Both services' wages for the unshared data at privacy levels r1 and r2."""
+    return bundle.n * (bundle.s1.c * (1 - r1) + bundle.s2.c * (1 - r2))
 
 
 def write_csv(path, header, rows):
@@ -43,16 +43,15 @@ def main():
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    sentiment = ServiceSpec(quality=S1, n=100, c=0.2)
-    sentiment_alt = ServiceSpec(quality=S2, n=100, c=0.2)
-    activity = ServiceSpec(quality=S3, n=100, c=0.1)
+    complements = load_scenario(str(SCENARIOS / "bundle_complements.cfg"))
+    substitutes = load_scenario(str(SCENARIOS / "bundle_substitutes.cfg"))
 
     rows = []
     for i in range(args.points):
         gamma = 0.5 * i / (args.points - 1)
-        bundle = BundleSpec(s1=sentiment, s2=activity, market=MARKET, gamma=gamma, kind=COMPLEMENT)
+        bundle = replace(complements.bundle, gamma=gamma)
         opt = optimize_bundle(bundle)
-        cost = 100 * (0.2 * (1 - opt.r1_star) + 0.1 * (1 - opt.r2_star))
+        cost = data_cost(bundle, opt.r1_star, opt.r2_star)
         rows.append([gamma, opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit, cost])
     write_csv(
         os.path.join(args.out, "complement_contingency_sweep.csv"),
@@ -63,9 +62,9 @@ def main():
     rows = []
     for i in range(args.points):
         gamma = -0.4 + (0.35) * i / (args.points - 1)
-        bundle = BundleSpec(s1=sentiment, s2=sentiment_alt, market=MARKET, gamma=gamma, kind=SUBSTITUTE)
+        bundle = replace(substitutes.bundle, gamma=gamma)
         opt = optimize_bundle(bundle)
-        cost = 100 * (0.2 * (1 - opt.r1_star) + 0.2 * (1 - opt.r2_star))
+        cost = data_cost(bundle, opt.r1_star, opt.r2_star)
         rows.append([gamma, opt.r1_star, opt.r2_star, opt.p_b_star, opt.profit, cost])
     write_csv(
         os.path.join(args.out, "substitute_contingency_sweep.csv"),
@@ -74,20 +73,19 @@ def main():
     )
 
     rows = []
+    base = complements.bundle
     for i in range(args.points):
         c1 = 0.05 + (0.4 - 0.05) * i / (args.points - 1)
-        svc = ServiceSpec(quality=S1, n=100, c=c1)
-        bundle = BundleSpec(s1=svc, s2=activity, market=MARKET, gamma=0.1, kind=COMPLEMENT)
-        decision = bundling_decision(bundle)
+        decision = bundling_decision(replace(base, s1=replace(base.s1, c=c1)))
         game = CharacteristicFunction.from_two_player(
             decision.separate_profits[0], decision.separate_profits[1],
-            decision.bundle_profit, names=("S1", "S3"),
+            decision.bundle_profit, names=complements.bundle_members,
         )
         alloc = shapley_allocation(game)
         rows.append([
             c1,
             decision.separate_profits[0], decision.separate_profits[1],
-            decision.bundle_profit, alloc["S1"], alloc["S3"],
+            decision.bundle_profit, *(alloc[name] for name in complements.bundle_members),
         ])
     write_csv(
         os.path.join(args.out, "wage_sweep_sharing.csv"),
@@ -96,11 +94,8 @@ def main():
     )
 
     rows = []
-    for label, bundle in (
-        ("complements", BundleSpec(s1=sentiment, s2=activity, market=MARKET, gamma=0.1, kind=COMPLEMENT)),
-        ("substitutes", BundleSpec(s1=sentiment, s2=sentiment_alt, market=MARKET, gamma=-0.1, kind=SUBSTITUTE)),
-    ):
-        decision = bundling_decision(bundle)
+    for label, loaded in (("complements", complements), ("substitutes", substitutes)):
+        decision = bundling_decision(loaded.bundle)
         rows.append([
             label, decision.bundle_profit,
             decision.separate_profits[0], decision.separate_profits[1],

@@ -3,23 +3,24 @@
 
 Writes plot-ready CSVs: the optimum itself, a reservation-wage sweep, a
 customer-base sweep, and a fixed-privacy sweep, all for the sentiment
-service parameterization.
+service of scenarios/s1.cfg.
 """
 import argparse
 import csv
 import os
+from dataclasses import replace
+from pathlib import Path
 
 from privmarket import (
     MarketSpec,
-    QualityParams,
     SeparateScenario,
-    ServiceSpec,
     gross_profit_separate,
+    load_scenario,
     optimal_fee_fixed_privacy,
     optimize_separate,
 )
 
-S1 = QualityParams(0.822, 0.004, 2.813)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_csv(path, header, rows):
@@ -37,7 +38,8 @@ def main():
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    base = SeparateScenario(service=ServiceSpec(quality=S1, n=100, c=0.2), market=MarketSpec(m=1000))
+    base = load_scenario(str(SCENARIOS / "s1.cfg")).separate("S1")
+    svc = base.service
     opt = optimize_separate(base)
     write_csv(
         os.path.join(args.out, "standalone_optimum.csv"),
@@ -48,10 +50,8 @@ def main():
     rows = []
     for i in range(args.points):
         c = 0.01 + (0.5 - 0.01) * i / (args.points - 1)
-        opt = optimize_separate(
-            SeparateScenario(service=ServiceSpec(quality=S1, n=100, c=c), market=base.market)
-        )
-        cost = 100 * c * (1 - opt.r_star)
+        opt = optimize_separate(replace(base, service=replace(svc, c=c)))
+        cost = svc.n * c * (1 - opt.r_star)
         rows.append([c, opt.r_star, opt.p_star, opt.profit, cost])
     write_csv(
         os.path.join(args.out, "wage_sweep.csv"),
@@ -62,8 +62,8 @@ def main():
     rows = []
     for i in range(args.points):
         m = int(100 + (5000 - 100) * i / (args.points - 1))
-        opt = optimize_separate(SeparateScenario(service=base.service, market=MarketSpec(m=m)))
-        cost = 100 * 0.2 * (1 - opt.r_star)
+        opt = optimize_separate(SeparateScenario(service=svc, market=MarketSpec(m=m)))
+        cost = svc.n * svc.c * (1 - opt.r_star)
         rows.append([m, opt.r_star, opt.p_star, opt.profit, cost])
     write_csv(
         os.path.join(args.out, "customer_sweep.csv"),
@@ -76,7 +76,7 @@ def main():
         r = i / (args.points - 1)
         fee = optimal_fee_fixed_privacy(base, r)
         profit = gross_profit_separate(base, r, fee)
-        cost = 100 * 0.2 * (1 - r)
+        cost = svc.n * svc.c * (1 - r)
         rows.append([r, fee, profit, profit + cost, cost])
     write_csv(
         os.path.join(args.out, "fixed_privacy_sweep.csv"),

@@ -29,9 +29,9 @@ memory past the bound (ROADMAP items 1a and 2).  The substitutes'
 `fee_root` is the same quadratic's root with sigma = 0.5 + gamma^2, which
 reproduces the ascent's fee on the shipped substitute bundle.  Exact
 demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
-geometry, so the exact solve of either kind starts from closed forms
-(_exact_ascent), and each of its sweeps takes the fee in closed form too
-(_exact_fee: the exact revenue is a cubic in the fee between
+geometry (demand._sigma), so the exact solve starts from P's box maximum
+at that sigma (_exact_ascent), and each of its sweeps takes the fee in
+closed form (_exact_fee: the exact revenue is a cubic in the fee between
 breakpoints), and so are a complement's privacy levels on interior
 geometry (_exact_slice); other slices, such as the substitutes' that can
 peak again past the kink at p = min(u1, u2), are bracket-searched
@@ -64,8 +64,9 @@ from .demand import (
     _check_positive_quality,
     _check_privacy,
     _check_scaled_qualities,
-    _output,
+    _no_joint_overflow,
     _prob_buy_bundle,
+    _sigma,
 )
 from .errors import DomainError, _as_input
 from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
@@ -132,8 +133,8 @@ class BundleSpec:
 
     @property
     def demand_factor(self) -> float:
-        """sigma in the linear demand form: 0.5 +- the substitute correction."""
-        return 0.5 if self.kind == COMPLEMENT else 0.5 + self.gamma**2
+        """sigma in the paper's linear demand form: 0.5, or 0.5 + gamma^2 for substitutes."""
+        return _sigma(self.kind, PAPER_FORM, self.gamma)
 
     # the market interface shared with SeparateScenario
     point_names = ("r1", "r2", "p_b")
@@ -211,9 +212,9 @@ def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM)
     r1, r2, p_b = (_as_input(v) for v in (r1, r2, p_b))
     _check_mode(demand_mode)
     _check_privacy(r1, r2)
-    _check_fee(p_b)
+    fee_hi = _check_fee(p_b)
     _check_positive_quality(_quality(r1, bundle.s1.quality), _quality(r2, bundle.s2.quality))
-    return _output(_profit(bundle, r1, r2, p_b, demand_mode))
+    return _no_joint_overflow("bundle profit", fee_hi, _profit, bundle, r1, r2, p_b, demand_mode)
 
 
 def _fee_root(bundle: BundleSpec, sigma: float) -> float:
@@ -394,17 +395,16 @@ def _clamped(*flags) -> tuple[str, ...]:
     return tuple(name for name, flag in zip(("r1", "r2", "p_b"), flags) if flag)
 
 
-def _paper_ascent(bundle: BundleSpec, start, box):
+def _paper_ascent(bundle: BundleSpec, sigma, start, box):
     """Cyclic exact maximization of the fee-eliminated profit P over r1, r2 from a start in the box.
 
-    Each sweep sets r1 to P's maximizer at the current u2, r2 at the new u1
-    (_privacy_update), then the fee to p(r); of the start, only r2 enters
-    the first sweep.  P is concave on [0, cap1] x [0, cap2], box = (cap1,
-    cap2, p_hi), so the sweeps converge to its maximum.
+    P is at demand factor sigma.  Each sweep sets r1 to P's maximizer at the
+    current u2, r2 at the new u1 (_privacy_update), then the fee to p(r); of
+    the start, only r2 enters the first sweep.  P is concave on [0, cap1] x
+    [0, cap2], box = (cap1, cap2, p_hi), so the sweeps converge to its maximum.
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     n = bundle.n
-    sigma = bundle.demand_factor
     k = (1.0 + bundle.gamma) ** 2
     # P's revenue coefficient C, at the fee maximizer p(r) = sqrt(k*u1*u2/(3*sigma))
     scale = (2.0 * bundle.market.m / 3.0) * math.sqrt(k / (3.0 * sigma))
@@ -436,7 +436,8 @@ def _exact_slice(bundle: BundleSpec, svc: ServiceSpec, cap, p, u_other, profit):
     """
     if bundle.kind == COMPLEMENT:
         q, g, u_other = svc.quality, 1.0 + bundle.gamma, float(u_other)
-        den = bundle.market.m * 0.5 * p * p * p * q.alpha3
+        sigma = _sigma(COMPLEMENT, EXACT_GEOMETRY, bundle.gamma)
+        den = bundle.market.m * sigma * p * p * p * q.alpha3
         t = (bundle.n * svc.c * g * g * u_other / den if den > 0.0 else math.inf) * q.alpha1
         if svc.c == 0.0 or 0.0 < t < math.inf:
             x = q.alpha1 * t / ((t + 0.5) + math.sqrt(t + 0.25)) if svc.c else 0.0
@@ -478,33 +479,26 @@ def _exact_sweeps(bundle: BundleSpec, start, box):
 
 
 def _exact_ascent(bundle: BundleSpec, box):
-    """Exact-mode coordinate ascent from closed-form starts, one per set of active services.
+    """Exact-mode coordinate ascent from three starts in the box, one per set of active services.
 
-    Both services: the stationary point of the linear form at the exact
-    interior factor sigma, 0.5 for complements and 0.5 - gamma^2 for
-    substitutes (left out when nan).  One service, the other's privacy at
-    its cap: its standalone optimum, quality scaled by 1 + gamma for
-    complements.  The sweeps run from the most profitable start; ending at
-    a cap below 1, where a service's quality vanishes, they also run from
-    the others and keep the best end.  Far from the paper's services local
-    maxima that no start reaches can exist (README).  Returns the best end
-    (r1, r2, p, clamped) followed by its profit.
+    Both services: P's maximum at the exact interior factor sigma (0.5, or
+    0.5 - gamma^2 for substitutes), by _paper_ascent from the box corner.
+    One service, the other's privacy at its cap: its standalone optimum,
+    quality scaled by 1 + gamma for complements.  The sweeps run from the
+    most profitable start; ending at a cap below 1, where a service's
+    quality vanishes, they also run from the others and keep the best end.
+    Far from the paper's services local maxima that no start reaches can
+    exist (README).  Returns the best end (r1, r2, p, clamped) and its profit.
     """
-    cap1, cap2, p_hi = box
-    if bundle.kind == COMPLEMENT:
-        sigma, scale = 0.5, 1.0 + bundle.gamma
-    else:
-        sigma, scale = 0.5 - bundle.gamma**2, 1.0
-    point = _stationary_point(bundle, _fee_root(bundle, sigma), sigma)
+    cap1, cap2, _ = box
+    scale = 1.0 + bundle.gamma if bundle.kind == COMPLEMENT else 1.0
     m, n = bundle.market.m * scale, bundle.n
     r1, r2 = (min(max(_stationary_privacy(svc.quality, m, n, svc.c), 0.0), cap)
               for svc, cap in ((bundle.s1, cap1), (bundle.s2, cap2)))
-    starts = [(r1, cap2, 0.5 * scale * _quality(r1, bundle.s1.quality)),
+    sigma = _sigma(bundle.kind, EXACT_GEOMETRY, bundle.gamma)
+    starts = [_paper_ascent(bundle, sigma, (0.0, 0.0, 0.0), box)[:3],
+              (r1, cap2, 0.5 * scale * _quality(r1, bundle.s1.quality)),
               (cap1, r2, 0.5 * scale * _quality(r2, bundle.s2.quality))]
-    if not any(map(math.isnan, point)):
-        starts.insert(0, point)
-    # np.clip's value on numbers that are not nan (max(0.0, -0.0) is 0.0, as in np.clip)
-    starts = [tuple(min(hi, max(0.0, x)) for x, hi in zip(start, box)) for start in starts]
     order = np.argsort(-_profit(bundle, *np.array(starts).T, EXACT_GEOMETRY), kind="stable")
     first, *others = [starts[i] for i in order]
     ends = [_exact_sweeps(bundle, first, box)]
@@ -554,7 +548,8 @@ def optimize_bundle(
     is feasible (nonnegative fee, privacy levels inside their boxes).  The
     other paper solves take the fallback, the ascent on the concave
     fee-eliminated profit P (_paper_ascent) from a seed_points^3 grid's best
-    point; the exact mode ascends from closed forms (_exact_ascent).  With
+    point; the exact mode ascends from the same ascent's box maximum at the
+    exact factor, or from a one-service closed form (_exact_ascent).  With
     ``verify`` an independent verify_points^3 grid maximum is attached as the
     result's certificate; it changes no returned value.  Lattices and
     ascents run on the unchecked `_profit` in one box (_box), checked once
@@ -562,10 +557,11 @@ def optimize_bundle(
     its eight corners); a closed-form complement without ``verify`` skips it.
     """
     box = _box(bundle, demand_mode)
-    root = _fee_root(bundle, bundle.demand_factor)
+    sigma = bundle.demand_factor
+    root = _fee_root(bundle, sigma)
     fallback = True
     if bundle.kind == COMPLEMENT and demand_mode == PAPER_FORM:
-        r1, r2, p = _stationary_point(bundle, root, 0.5)
+        r1, r2, p = _stationary_point(bundle, root, sigma)
         fallback = not (0.0 <= r1 <= box[0] and 0.0 <= r2 <= box[1] and 0.0 <= p < math.inf)
 
     def lattice_max(points):
@@ -584,7 +580,7 @@ def optimize_bundle(
         if not fallback:
             profit = float(_profit(bundle, r1, r2, p, demand_mode))
         elif demand_mode == PAPER_FORM:
-            r1, r2, p, clamped = _paper_ascent(bundle, lattice_max(seed_points).coords, box)
+            r1, r2, p, clamped = _paper_ascent(bundle, sigma, lattice_max(seed_points).coords, box)
             profit = float(_profit(bundle, r1, r2, p, demand_mode))
         else:
             r1, r2, p, clamped, profit = _exact_ascent(bundle, box)

@@ -16,9 +16,9 @@ arrays and broadcast.  The two agree on interior geometry and diverge
 once the fee pushes the boundary outside the square (and, for
 substitutes, by a (0.5+gamma^2) vs (0.5-gamma^2) factor; both are kept on
 purpose, see prob_buy_substitute).  On interior geometry the exact mode
-is the linear form with factor 0.5 or 0.5-gamma^2, which both exact rules
-evaluate there bit for bit (_buy_bundle), and whose stationary point
-starts the exact bundle solve (bundle._exact_ascent).
+is the linear form with factor 0.5 or 0.5-gamma^2 (_sigma), which both
+exact rules evaluate there bit for bit (_buy_bundle), and whose profit's
+box maximum starts the exact bundle solve (bundle._exact_ascent).
 
 Each public function validates its inputs once (floats by comparison,
 arrays by one min/max reduction) and then calls its unchecked kernel
@@ -32,7 +32,9 @@ buy rules, the profit functions of `separate` and `bundle`, `BundleSpec`
 and the Monte-Carlo `DemandRegion` and `simulate_market` all use them.
 The public bundle buy rules also apply _check_scaled_qualities
 (neither (1+gamma)^2*u1*u2 nor u1*u2 may underflow to 0); the profit
-kernels do not.
+kernels do not.  The public bundle buy rules and `gross_profit_bundle`
+raise the nan of a fee whose square overflows with (1+gamma)^2*u1*u2 as
+a DomainError (_no_joint_overflow); the kernels return it.
 
 The standalone and paper-form kernels allocate their full-size result
 once and finish it in place (_one_minus; the profit kernels then scale
@@ -133,9 +135,11 @@ def _check_positive_quality(*qualities):
 
 
 def _check_fee(fee):
+    """fee is finite and nonnegative; returns its largest value."""
     lo, hi = _extremes(fee)
     if not (0.0 <= lo and hi < math.inf):
         raise DomainError(f"fee must be nonnegative and finite, got {fee}")
+    return hi
 
 
 def _check_contingency(kind, gamma):
@@ -247,6 +251,13 @@ def _nonbuy_area(q, u1, u2, width, height):
     return np.subtract(width * height, area, out=area, where=flip)
 
 
+def _sigma(kind, mode, gamma):
+    """The linear form's factor: 0.5, or 0.5 +- gamma^2 for paper/exact substitutes."""
+    if kind == COMPLEMENT:
+        return 0.5
+    return 0.5 + gamma * gamma if mode == PAPER_FORM else 0.5 - gamma * gamma
+
+
 def _buy_bundle(fee, u1, u2, gamma, kind, mode):
     """The buy probability of either bundle kind in either demand mode, without checks.
 
@@ -259,18 +270,15 @@ def _buy_bundle(fee, u1, u2, gamma, kind, mode):
     can overflow), and 1 minus it clamped to [0, 1] in place (the clamp at 1
     passes the linear form's values).  [()] makes a 0-d array a number.
     """
+    factor = _sigma(kind, mode, gamma)
     if mode == PAPER_FORM:
-        return _linear_form(fee, u1, u2, gamma, 0.5 if kind == COMPLEMENT else 0.5 + gamma * gamma)
+        return _linear_form(fee, u1, u2, gamma, factor)
     low = np.minimum(u1, u2)
-    if kind == COMPLEMENT:
-        factor, edge, width, height = 0.5, (1.0 + gamma) * low, 1.0, 1.0
-    else:
-        factor, edge = 0.5 - gamma * gamma, low
-    inside = fee <= edge
+    inside = fee <= ((1.0 + gamma) * low if kind == COMPLEMENT else low)
     if inside.all():
         return _linear_form(fee, u1, u2, gamma, factor)
-    if kind == SUBSTITUTE:
-        width, height = np.minimum(1.0, fee / u1), np.minimum(1.0, fee / u2)
+    width, height = ((1.0, 1.0) if kind == COMPLEMENT else
+                     (np.minimum(1.0, fee / u1), np.minimum(1.0, fee / u2)))
     area = _nonbuy_area(fee / (1.0 + gamma), u1, u2, width, height)
     if inside.any():
         np.divide(*_linear_terms(np.where(inside, fee, 0.0), u1, u2, gamma, factor),
@@ -279,15 +287,33 @@ def _buy_bundle(fee, u1, u2, gamma, kind, mode):
     return np.minimum(buy, 1.0, out=buy)[()]
 
 
+def _no_joint_overflow(what, fee_hi, kernel, *args):
+    """_output(kernel(*args)), a DomainError where the result is nan: no warning.
+
+    On inputs in range the bundle kernels give nan only where the fee's
+    square overflows, with (1+gamma)^2*u1*u2 (inf/inf) or with m*p_b (inf*0);
+    fee_hi, the largest fee, rules the check out everywhere else.
+    """
+    if fee_hi * fee_hi < math.inf:
+        return _output(kernel(*args))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kernel(*args)
+    if np.isnan(out).any():
+        raise DomainError(f"{what} is NaN at fee {fee_hi:g}; "
+                          "the inputs' magnitudes overflow together")
+    return _output(out)
+
+
 def _prob_buy_bundle(fee, u1, u2, gamma, kind, mode):
     """The public bundle buy rules: every input rule of the kind, then _buy_bundle."""
     _check_mode(mode)
-    _check_fee(fee)
+    fee_hi = _check_fee(fee)
     _check_positive_quality(u1, u2)
     _check_contingency(kind, gamma)
     fee, u1, u2, gamma = map(_as_input, (fee, u1, u2, gamma))
     _check_scaled_qualities(u1, u2, gamma)
-    return _output(_buy_bundle(fee, u1, u2, gamma, kind, mode))
+    return _no_joint_overflow("bundle buy probability", fee_hi, _buy_bundle,
+                              fee, u1, u2, gamma, kind, mode)
 
 
 def prob_buy_complement(fee, u1, u2, gamma, mode=PAPER_FORM):

@@ -13,6 +13,7 @@ from privmarket import (
     DomainError,
     EXACT_GEOMETRY,
     MarketSpec,
+    PAPER_FORM,
     QualityParams,
     SUBSTITUTE,
     ServiceSpec,
@@ -28,6 +29,7 @@ from privmarket import (
 )
 
 import privmarket.bundle as bundle_mod
+import privmarket.demand as demand_mod
 from privmarket.bundle import (
     _BRACKET_POINTS,
     _bracket_max,
@@ -43,6 +45,16 @@ from conftest import assert_grid_agreement, fd_gradient, fd_hessian, hessians_cl
 
 
 class TestSpec:
+    def test_demand_factor_is_the_paper_kernels_factor(self, sb2_bundle, monkeypatch):
+        # gamma**2 and gamma*gamma differ in the last bit here
+        bundle = replace(sb2_bundle, gamma=-0.29348673337941544)
+        factors = []
+        real = demand_mod._linear_form
+        monkeypatch.setattr(demand_mod, "_linear_form",
+                            lambda *args: factors.append(args[-1]) or real(*args))
+        prob_buy_substitute(0.5, 0.8, 0.8, bundle.gamma)
+        assert [f.hex() for f in factors] == [bundle.demand_factor.hex()]
+
     def test_kind_gamma_coupling(self, s1_service, s3_service, market):
         with pytest.raises(DomainError):
             BundleSpec(s1=s1_service, s2=s3_service, market=market, gamma=-0.1, kind=COMPLEMENT)
@@ -71,6 +83,22 @@ class TestGrossProfit:
         r1 = math.log((0.822 - 0.811) / 0.004) / 2.813
         r2 = math.log((0.856 - 0.793) / 0.013) / 1.861
         assert gross_profit_bundle(sb2_bundle, r1, r2, 0.58) == pytest.approx(373.134591, abs=1e-5)
+
+    @pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
+    @pytest.mark.parametrize("as_fee", [float, np.float64, lambda v: np.array([0.5, v])],
+                             ids=["float", "numpy-scalar", "array"])
+    def test_fee_and_quality_scale_overflowing_together_is_a_domain_error(
+            self, sb1_bundle, mode, as_fee):
+        # fee^2 and (1+gamma)^2*u1*u2 both overflow: the profit was nan, after
+        # overflow and invalid-value RuntimeWarnings
+        huge = replace(_with_quality(sb1_bundle, 1e100), gamma=1e100)
+        with np.errstate(over="raise", invalid="raise"), \
+                pytest.raises(DomainError, match="NaN at fee 1e\\+200; .*overflow together"):
+            gross_profit_bundle(huge, 0.0, 0.0, as_fee(1e200), mode)
+        # a fee whose square overflows alone still sells nothing, with no warning
+        with np.errstate(over="raise", invalid="raise"):
+            profit = gross_profit_bundle(sb1_bundle, 0.0, 0.0, as_fee(1e200), mode)
+        assert np.ravel(profit)[-1] == gross_profit_bundle(sb1_bundle, 0.0, 0.0, 0.0, mode)
 
 
 class TestOptimizeComplement:
@@ -266,7 +294,7 @@ class TestOptimizeSubstitute:
             bundle = random_bundle(rng, SUBSTITUTE)
             opt = optimize_bundle(bundle)
             box = (privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality), math.inf)
-            *point, _ = _paper_ascent(bundle, (0.0, 0.0, 0.0), box)
+            *point, _ = _paper_ascent(bundle, bundle.demand_factor, (0.0, 0.0, 0.0), box)
             profit = gross_profit_bundle(bundle, *point)
             cost = bundle.n * (bundle.s1.c + bundle.s2.c)
             assert profit >= opt.profit - 8 * math.ulp(max(abs(opt.profit) + cost, 1.0))
@@ -372,6 +400,50 @@ class TestExactSeed:
             for name, profit in profits.items():
                 misses[name] += (best - profit) / abs(best) > 1e-9
         assert misses["closed form"] <= misses["16^3 grid"]
+
+    def test_complement_that_ended_on_a_lower_corner_reaches_the_higher_maximum(self):
+        # the starts once took the linear form's clipped stationary point, and all
+        # three collapsed onto the corner (1, cap2), where the sweeps ended at -140.9147
+        bundle = _with_wages(random_bundle(np.random.default_rng(3078761725), COMPLEMENT), 5.0)
+        opt = optimize_bundle(bundle, demand_mode=EXACT_GEOMETRY)
+        assert opt.profit >= -139.2853
+        assert opt.r2_star < bundle_mod._box(bundle, EXACT_GEOMETRY)[1] - 0.05
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([COMPLEMENT, SUBSTITUTE]),
+           st.sampled_from([None, 0.0, 5.0]))
+    @example(seed=3078761725, kind=COMPLEMENT, wage=5.0)  # start -139.2852, parent -140.9147
+    def test_not_below_the_fee_eliminated_maximum(self, seed, kind, wage):
+        # the maximum of P, the linear form's profit with the fee maximized out, at
+        # the exact interior factor starts the exact solve: its exact profit is a
+        # floor, to the resolution of the bracket search, whose substitute slices end
+        # up to 5e-10 inside a bound where P's maximum lies on it (1.1e-9 of the
+        # scale below at worst over 9,000 bundles; 2e-12 fails on a quarter of them)
+        bundle = _with_wages(random_bundle(np.random.default_rng(seed), kind), wage)
+        box = bundle_mod._box(bundle, EXACT_GEOMETRY)
+        sigma = 0.5 if kind == COMPLEMENT else 0.5 - bundle.gamma * bundle.gamma
+        *start, _ = _paper_ascent(bundle, sigma, (0.0, 0.0, 0.0), box)
+        floor = gross_profit_bundle(bundle, *start, EXACT_GEOMETRY)
+        opt = optimize_bundle(bundle, demand_mode=EXACT_GEOMETRY)
+        scale = abs(opt.profit) + bundle.n * (bundle.s1.c + bundle.s2.c)
+        assert opt.profit >= floor - 1e-8 * scale
+
+    def test_sweeps_that_end_at_a_cap_below_one_run_again_from_the_other_starts(self, monkeypatch):
+        # a substitute whose best-ranked start ends with r1 at its cap 0.4725, at
+        # -283.0732; the sweeps from the other starts reach -274.8242
+        rng = np.random.default_rng(2024)
+        for i in range(228):
+            bundle = random_bundle(rng, (COMPLEMENT, SUBSTITUTE)[i % 2])
+        bundle = _with_wages(bundle, 5.0)
+        ends = []
+        real = bundle_mod._exact_sweeps
+        monkeypatch.setattr(bundle_mod, "_exact_sweeps",
+                            lambda *args: ends.append(real(*args)) or ends[-1])
+        opt = optimize_bundle(bundle, demand_mode=EXACT_GEOMETRY)
+        cap1 = bundle_mod._box(bundle, EXACT_GEOMETRY)[0]
+        assert cap1 < 1.0 and ends[0][0] >= cap1 - bundle_mod._EXACT_EDGE
+        assert gross_profit_bundle(bundle, *ends[0][:3], EXACT_GEOMETRY) < -283.0
+        assert opt.profit >= -274.8243
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0),

@@ -908,6 +908,26 @@ def test_overflowing_quality_scale_exits_two_without_warnings(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_profit_at_a_fee_overflowing_with_the_quality_scale_exits_two_without_warnings(
+        tmp_path, capsys):
+    # fee^2 and (1+gamma)^2*u1*u2 overflow together at the --at point: the analytic
+    # profit was nan after overflow and invalid-value RuntimeWarnings, before the
+    # Monte-Carlo error
+    cfg = tmp_path / "overflow.cfg"
+    text = (SHIPPED / "bundle_complements.cfg").read_text()
+    for old, new in (("alpha1 = 0.822", "alpha1 = 1e100"), ("alpha1 = 0.867", "alpha1 = 1e100"),
+                     ("gamma = 0.1", "gamma = 1e100")):
+        text = text.replace(old, new, 1)
+    cfg.write_text(text)
+    for mode in ("paper", "exact"):
+        argv = ["simulate", str(cfg), "--at", "0,0,1e200", "--demand-mode", mode,
+                "--out", str(tmp_path / "run")]
+        assert _main_without_warnings(argv) == (2, []), mode
+        assert capsys.readouterr().err == ("error: bundle profit is NaN at fee 1e+200; "
+                                           "the inputs' magnitudes overflow together\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_exact_slice_past_the_interior_warns_nothing(tmp_path, capsys):
     # the exact rule squared every fee of a mixed slice, and fee*fee overflowed
     # at the points off the interior, whose values it then discarded

@@ -294,6 +294,24 @@ def test_underflowing_quality_product_is_a_domain_error(rule, gamma, mode, u1):
     assert np.all((0.0 <= buy) & (buy <= 1.0))
 
 
+@pytest.mark.parametrize("rule, fee, u, gamma, mode", [
+    (prob_buy_complement, 1e199, 1e99, 1e99, PAPER_FORM),
+    (prob_buy_substitute, 1e200, 1e200, -0.1, EXACT_GEOMETRY),
+], ids=["complement-paper", "substitute-exact"])
+@pytest.mark.parametrize("as_fee", [float, np.float64, lambda v: np.array([0.5, v])],
+                         ids=["float", "numpy-scalar", "array"])
+def test_fee_and_quality_scale_overflowing_together_is_a_domain_error(rule, fee, u, gamma, mode,
+                                                                     as_fee):
+    # fee^2 and (1+gamma)^2*u1*u2 both overflow and the linear form divided inf by
+    # inf: nan, silently on floats and after two RuntimeWarnings on numpy values
+    with np.errstate(over="raise", invalid="raise"), \
+            pytest.raises(DomainError, match="NaN at fee .*overflow together"):
+        rule(as_fee(fee), u, u, gamma, mode)
+    # the fee's square overflowing alone leaves no buyer, with no warning
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.ravel(rule(as_fee(fee), 1.0, 1.0, gamma, mode))[-1] == 0.0
+
+
 @pytest.mark.parametrize("q, width", [(np.array([0.0]), 1.0), (np.array([0.3]), 0.0), (0.0, 1.0)],
                          ids=["fee-0", "no-width", "float"])
 def test_nonbuy_area_is_zero_where_nothing_lies_below_the_line(q, width):
