@@ -35,11 +35,13 @@ closed form (_exact_fee: the exact revenue is a cubic in the fee between
 breakpoints), and so are a complement's privacy levels on interior
 geometry (_exact_slice); other slices, such as the substitutes' that can
 peak again past the kink at p = min(u1, u2), are bracket-searched
-(_exact_sweeps).  A `verify` grid only certifies: it is attached to the
-result and changes no returned value.  A solve builds its box [0, cap1] x
-[0, cap2] x [0, p_hi] once (_box, shared with `oracles.bundle_grid`) and
-checks it once, on floats and at its eight corners (_check_box), before
-its lattices and ascents run on the unchecked `_profit`.
+(_exact_sweeps), returning a point they evaluated.  Whichever path ran, a
+variable is clamped when the returned point lies on its bound (_clamped).
+A `verify` grid only certifies: it is attached to the result and changes
+no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
+[0, p_hi] once (_box, shared with `oracles.bundle_grid`) and checks it
+once, on floats and at its eight corners (_check_box), before its
+lattices and ascents run on the unchecked `_profit`.
 """
 from __future__ import annotations
 
@@ -101,7 +103,6 @@ _SWEEP_TOL = 1e-6
 _BRACKET_TOL = 1e-9
 _BRACKET_POINTS = 129
 _STEPS = np.arange(_BRACKET_POINTS, dtype=float)
-_EXACT_EDGE = 1e-5  # an exact-mode coordinate this close to a bound is clamped
 
 
 @dataclass(frozen=True)
@@ -207,13 +208,15 @@ def _profit_at(bundle: BundleSpec, r1, r2, u1, u2, p_b, demand_mode):
 def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM):
     """Bundle revenue minus both services' data costs; arrays OK in both demand modes.
 
-    Validates its inputs once, then evaluates the unchecked `_profit`.
+    Validates its inputs once (_check_scaled_qualities too), then evaluates the unchecked `_profit`.
     """
     r1, r2, p_b = (_as_input(v) for v in (r1, r2, p_b))
     _check_mode(demand_mode)
     _check_privacy(r1, r2)
     fee_hi = _check_fee(p_b)
-    _check_positive_quality(_quality(r1, bundle.s1.quality), _quality(r2, bundle.s2.quality))
+    u1, u2 = _quality(r1, bundle.s1.quality), _quality(r2, bundle.s2.quality)
+    _check_positive_quality(u1, u2)
+    _check_scaled_qualities(u1, u2, bundle.gamma)
     return _no_joint_overflow("bundle profit", fee_hi, _profit, bundle, r1, r2, p_b, demand_mode)
 
 
@@ -275,14 +278,14 @@ def _box(bundle: BundleSpec, demand_mode: str):
 
 
 def _privacy_update(quality, cost, revenue, cap):
-    """(r, clamped) maximizing revenue*sqrt(u(r)) - cost*(1 - r) on [0, cap], P's r-slice.
+    """The r maximizing revenue*sqrt(u(r)) - cost*(1 - r) on [0, cap], P's r-slice.
 
     revenue is C*sqrt(u_j), cost is n*c.  With X = alpha2*exp(alpha3*r) and
     t = revenue*alpha3/(2*cost), dP/dr = 0 at t*X = sqrt(alpha1 - X), whose
     root X = 2*alpha1/(1 + hypot(1, 2*sqrt(alpha1)*t)) squares nothing.
     """
     if cost == 0.0:
-        return 0.0, True
+        return 0.0
     t = revenue * quality.alpha3 / (2.0 * cost)
     x = 2.0 * quality.alpha1 / (1.0 + math.hypot(1.0, 2.0 * math.sqrt(quality.alpha1) * t))
     if math.isnan(x):
@@ -290,14 +293,14 @@ def _privacy_update(quality, cost, revenue, cap):
                           f"revenue {revenue:g}); the scenario's magnitudes overflow together")
     # X underflows to 0 where the revenue term dwarfs the wage
     r = math.log(x / quality.alpha2) / quality.alpha3 if x / quality.alpha2 > 0.0 else -math.inf
-    return min(max(r, 0.0), cap), not 0.0 <= r <= cap
+    return min(max(r, 0.0), cap)
 
 
 def _lattice(lo, hi):
     """np.linspace(lo, hi, _BRACKET_POINTS) bit for bit, without its set-up.
 
     This is linspace's own arithmetic (arange * step + lo, last point hi)
-    for a nonzero step, which hi - lo > tol > 0 guarantees in _bracket_max.
+    for a nonzero step; on lo == hi every point is lo.
     """
     grid = _STEPS * ((hi - lo) / (_BRACKET_POINTS - 1))
     grid += lo
@@ -312,11 +315,11 @@ def _bracket_max(fn, lo, hi, tol):
     call) and keeps the two cells around the argmax, which must contain
     the maximizer of a unimodal function; rounds stop once the bracket is
     narrower than tol, or once a round leaves it unchanged (float spacing
-    wider than tol), and the bracket midpoint is returned.  numpy's argmax
-    returns the first NaN, so a NaN on the lattice is its maximum and
-    raises DomainError, as in oracles.grid_maximize.
+    wider than tol), and the best point of the last lattice is returned: a
+    bound itself where the maximum lies on one.  numpy's argmax returns the
+    first NaN, so a NaN is the lattice's maximum and raises DomainError.
     """
-    while hi - lo > tol:
+    while True:
         grid = _lattice(lo, hi)
         values = fn(grid)
         best = int(values.argmax())
@@ -324,10 +327,9 @@ def _bracket_max(fn, lo, hi, tol):
             raise DomainError(f"bundle profit is NaN at privacy level {float(grid[best])}; "
                               "the scenario's magnitudes overflow together")
         bracket = grid[max(best - 1, 0)], grid[min(best + 1, _BRACKET_POINTS - 1)]
-        if bracket == (lo, hi):
-            break
+        if bracket[1] - bracket[0] <= tol or bracket == (lo, hi):
+            return float(grid[best])
         lo, hi = bracket
-    return float(0.5 * (lo + hi))
 
 
 def _exact_fee(bundle: BundleSpec, u1, u2, p_hi) -> float:
@@ -390,9 +392,10 @@ def _exact_fee(bundle: BundleSpec, u1, u2, p_hi) -> float:
     return min(y * total, p_hi)
 
 
-def _clamped(*flags) -> tuple[str, ...]:
-    """The names of the flagged variables among (r1, r2, p_b)."""
-    return tuple(name for name, flag in zip(("r1", "r2", "p_b"), flags) if flag)
+def _clamped(r1, r2, p, box) -> tuple[str, ...]:
+    """The names among (r1, r2, p_b) on a bound of box: r at 0 or at its cap, the fee at 0."""
+    on_bound = (r1 in (0.0, box[0]), r2 in (0.0, box[1]), p == 0.0)
+    return tuple(name for name, flag in zip(("r1", "r2", "p_b"), on_bound) if flag)
 
 
 def _paper_ascent(bundle: BundleSpec, sigma, start, box):
@@ -401,7 +404,7 @@ def _paper_ascent(bundle: BundleSpec, sigma, start, box):
     P is at demand factor sigma.  Each sweep sets r1 to P's maximizer at the
     current u2, r2 at the new u1 (_privacy_update), then the fee to p(r); of
     the start, only r2 enters the first sweep.  P is concave on [0, cap1] x
-    [0, cap2], box = (cap1, cap2, p_hi), so the sweeps converge to its maximum.
+    [0, cap2], box = (cap1, cap2, p_hi), so they converge to its maximum (r1, r2, p).
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     n = bundle.n
@@ -413,14 +416,14 @@ def _paper_ascent(bundle: BundleSpec, sigma, start, box):
     u2 = float(_quality(r2, b))
     for _ in range(_ASCENT_SWEEPS):
         prev = (r1, r2, p)
-        r1, clamp1 = _privacy_update(a, n * bundle.s1.c, scale * math.sqrt(u2), cap1)
+        r1 = _privacy_update(a, n * bundle.s1.c, scale * math.sqrt(u2), cap1)
         u1 = float(_quality(r1, a))
-        r2, clamp2 = _privacy_update(b, n * bundle.s2.c, scale * math.sqrt(u1), cap2)
+        r2 = _privacy_update(b, n * bundle.s2.c, scale * math.sqrt(u1), cap2)
         u2 = float(_quality(r2, b))
         p = math.sqrt(k * u1 * u2 / (3.0 * sigma))
         if max(abs(r1 - prev[0]), abs(r2 - prev[1]), abs(p - prev[2])) < _ASCENT_TOL:
             break
-    return r1, r2, p, _clamped(clamp1, clamp2, p <= 0.0)
+    return r1, r2, p
 
 
 def _exact_slice(bundle: BundleSpec, svc: ServiceSpec, cap, p, u_other, profit):
@@ -456,8 +459,8 @@ def _exact_sweeps(bundle: BundleSpec, start, box):
     slice, else by a bracket search (_bracket_max) of the exact profit, one
     array call of the unchecked _profit_at per round (the fixed coordinate's
     quality evaluated once); a last fee update follows the last sweep.
-    Concave privacy slices make the sweeps converge to a local maximum in
-    the checked box [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2, p_hi).
+    Concave privacy slices make the sweeps converge to a local maximum (r1, r2,
+    p) in the checked box [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2, p_hi).
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     cap1, cap2, p_hi = box
@@ -473,9 +476,7 @@ def _exact_sweeps(bundle: BundleSpec, start, box):
             bundle, r1, t, u1, _quality(t, b), p, EXACT_GEOMETRY))
         if max(abs(r1 - prev[0]), abs(r2 - prev[1]), abs(p - prev[2])) < _SWEEP_TOL:
             break
-    p = _exact_fee(bundle, _quality(r1, a), _quality(r2, b), p_hi)
-    return r1, r2, p, _clamped(r1 <= _EXACT_EDGE or r1 >= cap1 - _EXACT_EDGE,
-                               r2 <= _EXACT_EDGE or r2 >= cap2 - _EXACT_EDGE, p <= 0.0)
+    return r1, r2, _exact_fee(bundle, _quality(r1, a), _quality(r2, b), p_hi)
 
 
 def _exact_ascent(bundle: BundleSpec, box):
@@ -485,10 +486,10 @@ def _exact_ascent(bundle: BundleSpec, box):
     0.5 - gamma^2 for substitutes), by _paper_ascent from the box corner.
     One service, the other's privacy at its cap: its standalone optimum,
     quality scaled by 1 + gamma for complements.  The sweeps run from the
-    most profitable start; ending at a cap below 1, where a service's
+    most profitable start; ending on a cap below 1, where a service's
     quality vanishes, they also run from the others and keep the best end.
     Far from the paper's services local maxima that no start reaches can
-    exist (README).  Returns the best end (r1, r2, p, clamped) and its profit.
+    exist (README).  Returns the best end (r1, r2, p) and its profit.
     """
     cap1, cap2, _ = box
     scale = 1.0 + bundle.gamma if bundle.kind == COMPLEMENT else 1.0
@@ -496,15 +497,15 @@ def _exact_ascent(bundle: BundleSpec, box):
     r1, r2 = (min(max(_stationary_privacy(svc.quality, m, n, svc.c), 0.0), cap)
               for svc, cap in ((bundle.s1, cap1), (bundle.s2, cap2)))
     sigma = _sigma(bundle.kind, EXACT_GEOMETRY, bundle.gamma)
-    starts = [_paper_ascent(bundle, sigma, (0.0, 0.0, 0.0), box)[:3],
+    starts = [_paper_ascent(bundle, sigma, (0.0, 0.0, 0.0), box),
               (r1, cap2, 0.5 * scale * _quality(r1, bundle.s1.quality)),
               (cap1, r2, 0.5 * scale * _quality(r2, bundle.s2.quality))]
     order = np.argsort(-_profit(bundle, *np.array(starts).T, EXACT_GEOMETRY), kind="stable")
     first, *others = [starts[i] for i in order]
     ends = [_exact_sweeps(bundle, first, box)]
-    if any(r >= cap - _EXACT_EDGE and cap < 1.0 for r, cap in zip(ends[0][:2], (cap1, cap2))):
+    if any(r == cap < 1.0 for r, cap in zip(ends[0], (cap1, cap2))):
         ends += [_exact_sweeps(bundle, start, box) for start in others]
-    profits = [float(_profit(bundle, *end[:3], EXACT_GEOMETRY)) for end in ends]
+    profits = [float(_profit(bundle, *end, EXACT_GEOMETRY)) for end in ends]
     best = max(range(len(ends)), key=profits.__getitem__)  # the first end on a tie
     return (*ends[best], profits[best])
 
@@ -555,6 +556,8 @@ def optimize_bundle(
     ascents run on the unchecked `_profit` in one box (_box), checked once
     by `_check_box` (the rules of a validating `gross_profit_bundle` call on
     its eight corners); a closed-form complement without ``verify`` skips it.
+    Whichever path ran, `clamped_variables` names the returned point's
+    variables on a bound of the box (_clamped); `interior` means none is.
     """
     box = _box(bundle, demand_mode)
     sigma = bundle.demand_factor
@@ -570,7 +573,6 @@ def optimize_bundle(
             oracles.GridSpec(tuple((0.0, hi, points) for hi in box)),
         )
 
-    clamped: tuple[str, ...] = ()
     # the linear form's fee^2 and (1+gamma)^2*u1*u2, each below p_hi^2 on the box, can
     # overflow together to inf/inf; its nan raises below, with no warnings first
     overflows = box[2] * box[2] == math.inf
@@ -580,15 +582,16 @@ def optimize_bundle(
         if not fallback:
             profit = float(_profit(bundle, r1, r2, p, demand_mode))
         elif demand_mode == PAPER_FORM:
-            r1, r2, p, clamped = _paper_ascent(bundle, sigma, lattice_max(seed_points).coords, box)
+            r1, r2, p = _paper_ascent(bundle, sigma, lattice_max(seed_points).coords, box)
             profit = float(_profit(bundle, r1, r2, p, demand_mode))
         else:
-            r1, r2, p, clamped, profit = _exact_ascent(bundle, box)
+            r1, r2, p, profit = _exact_ascent(bundle, box)
         # the certificate changes nothing returned; a NaN surface raises its error first
         grid = lattice_max(verify_points) if verify else None
     if math.isnan(profit):  # a box's corners can be finite while (1+gamma)^2*u1*u2 overflows inside
         raise DomainError(f"bundle profit is NaN at r1={r1}, r2={r2}, fee {p}; "
                           "the scenario's magnitudes overflow together")
+    clamped = _clamped(r1, r2, p, box)
     return OptimumBundle(
         r1_star=r1,
         r2_star=r2,

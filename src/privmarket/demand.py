@@ -30,11 +30,11 @@ The input rules of every model live here, once each: _check_privacy
 (finite, > 0) and _check_contingency (the window of a bundle kind).  The
 buy rules, the profit functions of `separate` and `bundle`, `BundleSpec`
 and the Monte-Carlo `DemandRegion` and `simulate_market` all use them.
-The public bundle buy rules also apply _check_scaled_qualities
-(neither (1+gamma)^2*u1*u2 nor u1*u2 may underflow to 0); the profit
-kernels do not.  The public bundle buy rules and `gross_profit_bundle`
-raise the nan of a fee whose square overflows with (1+gamma)^2*u1*u2 as
-a DomainError (_no_joint_overflow); the kernels return it.
+The public bundle buy rules and `gross_profit_bundle` also apply
+_check_scaled_qualities (neither (1+gamma)^2*u1*u2 nor u1*u2 may underflow
+to 0), and raise the nan of a fee whose square overflows with
+(1+gamma)^2*u1*u2 as a DomainError (_no_joint_overflow); the profit
+kernels do neither.
 
 The standalone and paper-form kernels allocate their full-size result
 once and finish it in place (_one_minus; the profit kernels then scale
@@ -212,7 +212,8 @@ def _check_scaled_qualities(u1, u2, gamma):
     paper form divides by the first product and the exact area by the
     second, which a large gamma can send to 0 alone.
     """
-    lo, _ = _extremes(np.minimum((1.0 + gamma) * (1.0 + gamma) * u1 * u2, u1 * u2))
+    with np.errstate(over="ignore"):  # a product past float range is no underflow
+        lo, _ = _extremes(np.minimum((1.0 + gamma) * (1.0 + gamma) * u1 * u2, u1 * u2))
     if not lo > 0.0:
         raise DomainError(
             "service qualities too small: (1+gamma)^2*u1*u2 or u1*u2 underflows to 0"

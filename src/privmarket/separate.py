@@ -163,9 +163,10 @@ def optimize_separate(scenario: SeparateScenario) -> OptimumSeparate:
     """Closed-form maximizer with boundary projection.
 
     The raw stationary point is used when it is feasible (0 <= r* <= cap,
-    fee nonnegative).  Otherwise r is clamped to the violated bound and
+    fee nonnegative).  Otherwise r is projected onto the violated bound and
     the fee re-optimized by the fixed-privacy rule, which is exact because
-    the profit restricted to a fixed r is concave in the fee.
+    the profit restricted to a fixed r is concave in the fee.  As in
+    `optimize_bundle`, r is clamped when it lies on a bound (0 or the cap).
     """
     q = scenario.service.quality
     m, n, c = scenario.market.m, scenario.service.n, scenario.service.c
@@ -174,22 +175,19 @@ def optimize_separate(scenario: SeparateScenario) -> OptimumSeparate:
     if 0.0 <= r_raw <= cap:
         r_star = r_raw
         p_star = (m * q.alpha1 * q.alpha3 - 4.0 * n * c) / (2.0 * m * q.alpha3)
-        interior = True
-        clamped: tuple[str, ...] = ()
     else:
         # profit after optimizing the fee is concave in r, so the clamp
         # direction is the nearest bound; smaller r wins ties
         r_star = 0.0 if r_raw < 0 else cap
         p_star = max(optimal_fee_fixed_privacy(scenario, r_star), 0.0)
-        interior = False
-        clamped = ("r",)
+    clamped = ("r",) if r_star in (0.0, cap) else ()
     profit = float(_profit(scenario, r_star, p_star))
     report = concavity_report_separate(scenario, r_star, p_star)
     return OptimumSeparate(
         r_star=r_star,
         p_star=p_star,
         profit=profit,
-        interior=interior,
+        interior=not clamped,
         clamped_variables=clamped,
         concave_at_optimum=report.negative_semidefinite,
         negative_profit=profit < 0,

@@ -100,6 +100,21 @@ class TestGrossProfit:
             profit = gross_profit_bundle(sb1_bundle, 0.0, 0.0, as_fee(1e200), mode)
         assert np.ravel(profit)[-1] == gross_profit_bundle(sb1_bundle, 0.0, 0.0, 0.0, mode)
 
+    @pytest.mark.parametrize("mode", [PAPER_FORM, EXACT_GEOMETRY])
+    @pytest.mark.parametrize("as_input", [float, np.float64, lambda v: np.array([v, v])],
+                             ids=["float", "numpy-scalar", "array"])
+    def test_qualities_whose_product_underflows_are_a_domain_error(
+            self, sb1_bundle, mode, as_input):
+        # (1+gamma)^2*u1*u2 underflows to 0: the profit at fee 0 was 0/0, nan after
+        # an invalid-value RuntimeWarning, where the public buy rules raise
+        quality = QualityParams(1e-170, 1e-180, 50.0)
+        tiny = replace(sb1_bundle, s1=replace(sb1_bundle.s1, quality=quality),
+                       s2=replace(sb1_bundle.s2, quality=quality))
+        zero = as_input(0.0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                pytest.raises(DomainError, match="underflows to 0"):
+            gross_profit_bundle(tiny, zero, zero, zero, mode)
+
 
 class TestOptimizeComplement:
     def test_reference_optimum(self, sb1_bundle):
@@ -294,7 +309,7 @@ class TestOptimizeSubstitute:
             bundle = random_bundle(rng, SUBSTITUTE)
             opt = optimize_bundle(bundle)
             box = (privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality), math.inf)
-            *point, _ = _paper_ascent(bundle, bundle.demand_factor, (0.0, 0.0, 0.0), box)
+            point = _paper_ascent(bundle, bundle.demand_factor, (0.0, 0.0, 0.0), box)
             profit = gross_profit_bundle(bundle, *point)
             cost = bundle.n * (bundle.s1.c + bundle.s2.c)
             assert profit >= opt.profit - 8 * math.ulp(max(abs(opt.profit) + cost, 1.0))
@@ -359,7 +374,8 @@ def _grid_seeded_exact_optimum(bundle, points=48):
     lattice = bundle_grid(bundle, points=points, demand_mode=EXACT_GEOMETRY)
     grid = grid_maximize(bundle_objective(bundle, EXACT_GEOMETRY), lattice)
     box = tuple(hi for _, hi, _ in lattice.axes)
-    *point, clamped = _exact_sweeps(bundle, grid.coords, box)
+    point = _exact_sweeps(bundle, grid.coords, box)
+    clamped = bundle_mod._clamped(*point, box)
     return point, clamped, gross_profit_bundle(bundle, *point, EXACT_GEOMETRY)
 
 
@@ -416,17 +432,17 @@ class TestExactSeed:
     def test_not_below_the_fee_eliminated_maximum(self, seed, kind, wage):
         # the maximum of P, the linear form's profit with the fee maximized out, at
         # the exact interior factor starts the exact solve: its exact profit is a
-        # floor, to the resolution of the bracket search, whose substitute slices end
-        # up to 5e-10 inside a bound where P's maximum lies on it (1.1e-9 of the
-        # scale below at worst over 9,000 bundles; 2e-12 fails on a quarter of them)
+        # floor, to rounding; the bracket search returns a point it evaluated, so a
+        # slice whose maximum lies on a bound, as P's does, ends on it (4.1e-16 of
+        # the scale below at worst over 9,000 bundles)
         bundle = _with_wages(random_bundle(np.random.default_rng(seed), kind), wage)
         box = bundle_mod._box(bundle, EXACT_GEOMETRY)
         sigma = 0.5 if kind == COMPLEMENT else 0.5 - bundle.gamma * bundle.gamma
-        *start, _ = _paper_ascent(bundle, sigma, (0.0, 0.0, 0.0), box)
+        start = _paper_ascent(bundle, sigma, (0.0, 0.0, 0.0), box)
         floor = gross_profit_bundle(bundle, *start, EXACT_GEOMETRY)
         opt = optimize_bundle(bundle, demand_mode=EXACT_GEOMETRY)
         scale = abs(opt.profit) + bundle.n * (bundle.s1.c + bundle.s2.c)
-        assert opt.profit >= floor - 1e-8 * scale
+        assert opt.profit >= floor - 2e-12 * scale
 
     def test_sweeps_that_end_at_a_cap_below_one_run_again_from_the_other_starts(self, monkeypatch):
         # a substitute whose best-ranked start ends with r1 at its cap 0.4725, at
@@ -441,8 +457,8 @@ class TestExactSeed:
                             lambda *args: ends.append(real(*args)) or ends[-1])
         opt = optimize_bundle(bundle, demand_mode=EXACT_GEOMETRY)
         cap1 = bundle_mod._box(bundle, EXACT_GEOMETRY)[0]
-        assert cap1 < 1.0 and ends[0][0] >= cap1 - bundle_mod._EXACT_EDGE
-        assert gross_profit_bundle(bundle, *ends[0][:3], EXACT_GEOMETRY) < -283.0
+        assert cap1 < 1.0 and ends[0][0] == cap1
+        assert gross_profit_bundle(bundle, *ends[0], EXACT_GEOMETRY) < -283.0
         assert opt.profit >= -274.8243
 
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -455,6 +471,21 @@ class TestExactSeed:
         linear = 1.0 - (0.5 - gamma**2) * fee**2 / ((1.0 + gamma) ** 2 * u1 * u2)
         assert prob_buy_substitute(fee, u1, u2, gamma, EXACT_GEOMETRY) == pytest.approx(
             linear, rel=0, abs=1e-12)
+
+
+class TestClampRule:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([COMPLEMENT, SUBSTITUTE]),
+           st.sampled_from([PAPER_FORM, EXACT_GEOMETRY]), st.sampled_from([None, 0.0, 5.0]))
+    def test_clamped_exactly_the_variables_on_a_bound(self, seed, kind, mode, wage):
+        # a privacy level at 0 or at its cap, a fee at 0, whichever path the solve took
+        bundle = _with_wages(random_bundle(np.random.default_rng(seed), kind), wage)
+        opt = optimize_bundle(bundle, demand_mode=mode)
+        cap1, cap2 = (privacy_cap(svc.quality) for svc in bundle.services)
+        on_bound = {"r1": opt.r1_star in (0.0, cap1), "r2": opt.r2_star in (0.0, cap2),
+                    "p_b": opt.p_b_star == 0.0}
+        assert opt.clamped_variables == tuple(name for name, flag in on_bound.items() if flag)
+        assert opt.interior == (opt.clamped_variables == ())
 
 
 class TestExactFee:

@@ -367,6 +367,23 @@ def test_sweep_customer_base(s1_file, tmp_path):
     assert all(a >= b for a, b in zip(privacy, privacy[1:]))
 
 
+def test_sweep_standalone_crowd_size(tmp_path):
+    # N re-optimizes the one service of a scenario without a bundle
+    out = tmp_path / "run"
+    assert main(["sweep", str(SHIPPED / "s1.cfg"), "--param", "service.S1.N", "--start", "50",
+                 "--stop", "150", "--steps", "3", "--out", str(out)]) == 0
+    rows = _read(out / "sweep.csv")
+    assert [[row[key] for key in ("value", "r1_star", "p_star", "profit", "data_cost")]
+            for row in rows] == [
+        ["50", "0.450882888", "0.403890153", "196.453905", "5.49117112"],
+        ["100", "0.697291413", "0.396780306", "192.335981", "6.05417175"],
+        ["150", "0.84143116", "0.389670459", "190.078164", "4.75706521"],
+    ]
+    for row in rows:  # N*c*(1 - r), c = 0.2
+        assert float(row["data_cost"]) == pytest.approx(
+            float(row["value"]) * 0.2 * (1.0 - float(row["r1_star"])), rel=1e-8)
+
+
 def test_sweep_bundle_contingency(sb1_file, tmp_path):
     out = tmp_path / "run"
     assert main([
@@ -925,6 +942,26 @@ def test_profit_at_a_fee_overflowing_with_the_quality_scale_exits_two_without_wa
         assert _main_without_warnings(argv) == (2, []), mode
         assert capsys.readouterr().err == ("error: bundle profit is NaN at fee 1e+200; "
                                            "the inputs' magnitudes overflow together\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_profit_at_qualities_whose_product_underflows_exits_two_without_warnings(
+        tmp_path, capsys):
+    # (1+gamma)^2*u1*u2 underflows to 0 at the --at point: the analytic profit was
+    # nan after an invalid-value RuntimeWarning, and the command exited 0
+    cfg = tmp_path / "underflow.cfg"
+    text = (SHIPPED / "bundle_complements.cfg").read_text()
+    for old, new in (("alpha1 = 0.822", "alpha1 = 1e-170"), ("alpha1 = 0.867", "alpha1 = 1e-170"),
+                     ("alpha2 = 0.004", "alpha2 = 1e-180"), ("alpha2 = 0.001", "alpha2 = 1e-180"),
+                     ("alpha3 = 2.813", "alpha3 = 50"), ("alpha3 = 4.2", "alpha3 = 50")):
+        text = text.replace(old, new, 1)
+    cfg.write_text(text)
+    for mode in ("paper", "exact"):
+        argv = ["simulate", str(cfg), "--at", "0,0,0", "--demand-mode", mode,
+                "--out", str(tmp_path / "run")]
+        assert _main_without_warnings(argv) == (2, []), mode
+        assert capsys.readouterr().err == ("error: service qualities too small: "
+                                           "(1+gamma)^2*u1*u2 or u1*u2 underflows to 0\n")
     assert not (tmp_path / "run").exists()
 
 

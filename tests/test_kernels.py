@@ -70,7 +70,11 @@ def _with_wage(b, c):
 # geometry took its closed-form maximizer (bundle._exact_slice): the shipped
 # point moved by under 6e-8 and kept its profit bits; c=0 and c=5 moved from
 # the bracket search's midpoints 2^-36 inside the box onto its bounds, and
-# their profits rose by 1.4e-13 and 2.7e-11 relative
+# their profits rose by 1.4e-13 and 2.7e-11 relative.  The exact substitute
+# c=0 and c=5 rows were re-recorded when the bracket search began to return
+# the best point of its last lattice instead of its midpoint: both levels moved
+# from 2^-36 inside the box onto its bounds (0 and 1), and the profits rose by
+# 3.1e-13 and 3.5e-11 relative
 PINNED_OPTIMA = {
     ("complement", "shipped", "paper"): (
         "0x1.3da687e314dacp-1", "0x1.0129b61871d33p-1", "0x1.7cef2bab05072p-1", "0x1.e370680eb2405p+8"),
@@ -91,11 +95,11 @@ PINNED_OPTIMA = {
     ("substitute", "c=0", "paper"): (
         "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.92ce58a3a3defp+8"),
     ("substitute", "c=0", "exact"): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af2c538e44p-1", "0x1.9af1c170ccbe9p+8"),
+        "0x0.0p+0", "0x0.0p+0", "0x1.3b9af2c5394f7p-1", "0x1.9af1c170cd4a2p+8"),
     ("substitute", "c=5", "paper"): (
         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.1c8e42a0c8ac7p-1", "0x1.7283e6c15aa09p+8"),
     ("substitute", "c=5", "exact"): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.224e0cf2099c1p-1", "0x1.7a004b8593588p+8"),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.224e0cf20587fp-1", "0x1.7a004b85cc890p+8"),
 }
 
 
@@ -151,8 +155,12 @@ def _exact_optima_digest():
 # substitute solve kept its bits; re-recorded when the exact solve's first start
 # became the maximum of the fee-eliminated profit P at the exact factor
 # (bundle._paper_ascent) in place of the clipped stationary point: 37 of the 200
-# solves moved, none lower by more than 3.5e-15 of its revenue plus data cost
-EXACT_OPTIMA_DIGEST = "09243074bd5b7a53cf22c913edb0d2bbf6cf5c3dfdd9c20d6376f79902b65a77"
+# solves moved, none lower by more than 3.5e-15 of its revenue plus data cost;
+# re-recorded when the bracket search (bundle._bracket_max) began to return the
+# best point of its last lattice instead of its midpoint: 142 of the 200 solves
+# moved (98 substitutes, 44 complements), none lower by more than 2.8e-15 of its
+# revenue plus data cost, and no clamped set changed
+EXACT_OPTIMA_DIGEST = "b725a476ee760c3d9dec4f393aeeced32f06fb7a7a766db22079c573b58f05a5"
 
 
 def test_exact_optima_match_recorded_digest():
@@ -248,6 +256,12 @@ def _extreme_outcome(variant, kind, mode, verify):
 # exactly, where the 1e100 wages cost nothing.  The others moved from 2^-36
 # inside the box onto its bounds.  The exact ceilings complement's fee cubed
 # overflows, so its slices still take the bracket search and raise its NaN error.
+# The exact substitute rows alpha1=1e100, alpha2=5e-324, c=1e100, m=1e100,
+# ceilings, c=0 and c=5 were re-recorded when the bracket search began to return
+# the best point of its last lattice instead of its midpoint: each pair of
+# levels moved onto its bounds, from 2^-36 to 0 or from 1 - 2^-36 to 1, no
+# profit fell, and no clamped set changed.  c=1e100 rose from -2.91e91 to
+# +378.001: at 1 exactly the 1e100 wages cost nothing.
 _NAN = "objective produced NaN on the grid; domain is not valid"
 _SLICE_NAN = ("bundle profit is NaN at privacy level 0.0; the scenario's magnitudes overflow "
               "together")
@@ -275,10 +289,10 @@ EXTREME_OUTCOMES = {
         "0x1.153714d07fc31p+341", "0x0.0p+0", "0x0.0p+0", "0x1.ccf1d8cc59799p+331",
         "0x1.124e0bdbdb5f0p+341", True, ()),
     ("alpha1=1e100", "substitute", "exact", False): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267ca16924a8p+331",
+        "0x0.0p+0", "0x0.0p+0", "0x1.b267ca16924a8p+331",
         "0x1.1ad0e7915c934p+341", True, ("r1", "r2")),
     ("alpha1=1e100", "substitute", "exact", True): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267ca16924a8p+331",
+        "0x0.0p+0", "0x0.0p+0", "0x1.b267ca16924a8p+331",
         "0x1.1ad0e7915c934p+341", "0x0.0p+0", "0x0.0p+0", "0x1.8b04359226e4fp+331",
         "0x1.176f02455b339p+341", True, ("r1", "r2")),
     ("alpha3=1e100", "complement", "paper", False): (
@@ -323,11 +337,11 @@ EXTREME_OUTCOMES = {
         "0x1.96e4277371bc5p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.52487393cf340p-1", "0x1.929e9b0efbac4p+8", True, ("r1", "r2")),
     ("alpha2=5e-324", "substitute", "exact", False): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.3ece5b341a7f1p-1",
-        "0x1.9f1cb16bd5557p+8", True, ("r1", "r2")),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.3ece5b341a7f1p-1",
+        "0x1.9f1cb16bd7d57p+8", True, ("r1", "r2")),
     ("alpha2=5e-324", "substitute", "exact", True): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.3ece5b341a7f1p-1",
-        "0x1.9f1cb16bd5557p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.3ece5b341a7f1p-1",
+        "0x1.9f1cb16bd7d57p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.21f559b3d07c8p-1", "0x1.9a2ae53af6688p+8", True, ("r1", "r2")),
     ("quality~1e-160", "complement", "paper", False): _NAN,
     ("quality~1e-160", "complement", "paper", True): _NAN,
@@ -359,11 +373,11 @@ EXTREME_OUTCOMES = {
         "0x1.7283e6c15aa09p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.0be8c95948806p-1", "0x1.70a67e32ff050p+8", True, ("r1", "r2")),
     ("c=1e100", "substitute", "exact", False): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.224e0cf2099c1p-1",
-        "-0x1.c931e8ab87173p+303", True, ("r1", "r2")),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.224e0cf20587fp-1",
+        "0x1.7a004b85cc890p+8", True, ("r1", "r2")),
     ("c=1e100", "substitute", "exact", True): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.224e0cf2099c1p-1",
-        "-0x1.c931e8ab87173p+303", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.224e0cf20587fp-1",
+        "0x1.7a004b85cc890p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.1f05532617c1cp-1", "0x1.79edca1555fd5p+8", True, ("r1", "r2")),
     ("gamma=edge", "complement", "paper", False): (
         "0x0.0p+0", "0x0.0p+0", "0x1.92298d45e6227p+331", "0x1.05d30d4ed7291p+341", True,
@@ -410,11 +424,11 @@ EXTREME_OUTCOMES = {
         "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.d773ae4b84d81p+330", "0x0.0p+0",
         "0x0.0p+0", "0x1.4ee2fbaf9aa08p-1", "0x1.d2809f070f22dp+330", True, ("r1", "r2")),
     ("m=1e100", "substitute", "exact", False): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af2c538e44p-1",
-        "0x1.e0fa24984204dp+330", True, ("r1", "r2")),
+        "0x0.0p+0", "0x0.0p+0", "0x1.3b9af2c5394f7p-1",
+        "0x1.e0fa249842a82p+330", True, ("r1", "r2")),
     ("m=1e100", "substitute", "exact", True): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af2c538e44p-1",
-        "0x1.e0fa24984204dp+330", "0x0.0p+0", "0x0.0p+0", "0x1.1f05532617c1cp-1",
+        "0x0.0p+0", "0x0.0p+0", "0x1.3b9af2c5394f7p-1",
+        "0x1.e0fa249842a82p+330", "0x0.0p+0", "0x0.0p+0", "0x1.1f05532617c1cp-1",
         "0x1.db3cd4c6c5bd2p+330", True, ("r1", "r2")),
     ("ceilings", "complement", "paper", False): _NAN,
     ("ceilings", "complement", "paper", True): _NAN,
@@ -428,10 +442,10 @@ EXTREME_OUTCOMES = {
         "0x1.44753a0452da8p+663", "0x0.0p+0", "0x0.0p+0", "0x1.ccf1d8cc59799p+331",
         "0x1.410d3934da1e7p+663", True, ("r1", "r2")),
     ("ceilings", "substitute", "exact", False): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267ca16924a8p+331",
+        "0x0.0p+0", "0x0.0p+0", "0x1.b267ca16924a8p+331",
         "0x1.4b036696a7c1ap+663", True, ("r1", "r2")),
     ("ceilings", "substitute", "exact", True): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.b267ca16924a8p+331",
+        "0x0.0p+0", "0x0.0p+0", "0x1.b267ca16924a8p+331",
         "0x1.4b036696a7c1ap+663", "0x0.0p+0", "0x0.0p+0", "0x1.8b04359226e4fp+331",
         "0x1.470df09cae7d3p+663", True, ("r1", "r2")),
     ("c=0", "complement", "paper", False): (
@@ -450,11 +464,11 @@ EXTREME_OUTCOMES = {
         "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.92ce58a3a3defp+8", "0x0.0p+0",
         "0x0.0p+0", "0x1.4ee2fbaf9aa08p-1", "0x1.8e93c6ed9058dp+8", True, ("r1", "r2")),
     ("c=0", "substitute", "exact", False): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af2c538e44p-1",
-        "0x1.9af1c170ccbe9p+8", True, ("r1", "r2")),
+        "0x0.0p+0", "0x0.0p+0", "0x1.3b9af2c5394f7p-1",
+        "0x1.9af1c170cd4a2p+8", True, ("r1", "r2")),
     ("c=0", "substitute", "exact", True): (
-        "0x1.0000000000000p-36", "0x1.0000000000000p-36", "0x1.3b9af2c538e44p-1",
-        "0x1.9af1c170ccbe9p+8", "0x0.0p+0", "0x0.0p+0", "0x1.1f05532617c1cp-1",
+        "0x0.0p+0", "0x0.0p+0", "0x1.3b9af2c5394f7p-1",
+        "0x1.9af1c170cd4a2p+8", "0x0.0p+0", "0x0.0p+0", "0x1.1f05532617c1cp-1",
         "0x1.960a621ce1186p+8", True, ("r1", "r2")),
     ("c=5", "complement", "paper", False): (
         "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.658a2ce541c65p-1",
@@ -478,11 +492,11 @@ EXTREME_OUTCOMES = {
         "0x1.7283e6c15aa09p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.0be8c95948806p-1", "0x1.70a67e32ff050p+8", True, ("r1", "r2")),
     ("c=5", "substitute", "exact", False): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.224e0cf2099c1p-1",
-        "0x1.7a004b8593588p+8", True, ("r1", "r2")),
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.224e0cf20587fp-1",
+        "0x1.7a004b85cc890p+8", True, ("r1", "r2")),
     ("c=5", "substitute", "exact", True): (
-        "0x1.ffffffffe0000p-1", "0x1.ffffffffe0000p-1", "0x1.224e0cf2099c1p-1",
-        "0x1.7a004b8593588p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.224e0cf20587fp-1",
+        "0x1.7a004b85cc890p+8", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.1f05532617c1cp-1", "0x1.79edca1555fd5p+8", True, ("r1", "r2")),
 }
 

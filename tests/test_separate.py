@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmarket import (
     DomainError,
@@ -83,6 +85,26 @@ class TestOptimize:
         assert opt.p_star == pytest.approx(evaluate_quality(0.0, scenario.service.quality) / 2)
         assert not opt.interior
         assert opt.clamped_variables == ("r",)
+
+    def test_stationary_point_on_its_bound_is_clamped(self):
+        # r* = log(4*n*c/(m*alpha2*alpha3))/alpha3 = log(1) = 0 exactly: the point is
+        # the stationary one, and r lies on its bound, so r is clamped
+        service = ServiceSpec(QualityParams(0.9, 0.1, 1.0), n=100, c=0.25)
+        scenario = SeparateScenario(service=service, market=MarketSpec(m=1000))
+        opt = optimize_separate(scenario)
+        assert opt.r_star == 0.0
+        assert opt.p_star == pytest.approx(evaluate_quality(0.0, scenario.service.quality) / 2)
+        assert not opt.interior
+        assert opt.clamped_variables == ("r",)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_clamped_exactly_when_on_a_bound(self, seed):
+        scenario = random_separate_scenario(np.random.default_rng(seed))
+        opt = optimize_separate(scenario)
+        on_bound = opt.r_star in (0.0, privacy_cap(scenario.service.quality))
+        assert opt.clamped_variables == (("r",) if on_bound else ())
+        assert opt.interior == (opt.clamped_variables == ())
 
     def test_stationarity_at_interior_optimum(self, s1_scenario):
         opt = optimize_separate(s1_scenario)
