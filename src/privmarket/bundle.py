@@ -32,10 +32,12 @@ demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
 geometry (demand._sigma), so the exact solve starts from P's box maximum
 at that sigma (_exact_ascent), and each of its sweeps takes the fee in
 closed form (_exact_fee: the exact revenue is a cubic in the fee between
-breakpoints), and so are a complement's privacy levels on interior
-geometry (_exact_slice); other slices, such as the substitutes' that can
-peak again past the kink at p = min(u1, u2), are bracket-searched
-(_exact_sweeps), returning a point they evaluated.  Whichever path ran, a
+breakpoints), and so are its privacy levels on interior geometry
+(_exact_slice, one root for both kinds): a complement's directly, and a
+substitute's, which can peak again past the kink at p = min(u1, u2), where
+the bracket search's first lattice puts its best cell there.  Other
+slices are bracket-searched (_bracket_max), a substitute's going on from
+that lattice, and return a point they evaluated.  Whichever path ran, a
 variable is clamped when the returned point lies on its bound (_clamped).
 A `verify` grid only certifies: it is attached to the result and changes
 no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
@@ -308,28 +310,37 @@ def _lattice(lo, hi):
     return grid
 
 
-def _bracket_max(fn, lo, hi, tol):
+def _bracket_round(fn, lo, hi):
+    """One round of _bracket_max: fn's best point on _lattice(lo, hi), its value and bracket.
+
+    One array call; the bracket is the two cells around the argmax.  numpy's
+    argmax returns the first NaN, so a NaN is the maximum and raises DomainError.
+    """
+    grid = _lattice(lo, hi)
+    values = fn(grid)
+    best = int(values.argmax())
+    if math.isnan(values[best]):
+        raise DomainError(f"bundle profit is NaN at privacy level {float(grid[best])}; "
+                          "the scenario's magnitudes overflow together")
+    return float(grid[best]), values[best], (grid[max(best - 1, 0)],
+                                             grid[min(best + 1, _BRACKET_POINTS - 1)])
+
+
+def _bracket_max(fn, lo, hi, tol, first=None):
     """Maximize a unimodal fn on [lo, hi] by shrinking lattice brackets.
 
-    Each round evaluates fn once on a _BRACKET_POINTS lattice (one array
-    call) and keeps the two cells around the argmax, which must contain
-    the maximizer of a unimodal function; rounds stop once the bracket is
-    narrower than tol, or once a round leaves it unchanged (float spacing
-    wider than tol), and the best point of the last lattice is returned: a
-    bound itself where the maximum lies on one.  numpy's argmax returns the
-    first NaN, so a NaN is the lattice's maximum and raises DomainError.
+    Each round (_bracket_round) keeps the two cells around the lattice's
+    argmax, which must contain the maximizer of a unimodal function; rounds
+    stop once the bracket is narrower than tol, or once a round leaves it
+    unchanged (float spacing wider than tol), and the best point of the
+    last lattice is returned: a bound itself where the maximum lies on one.
+    first is the round on [lo, hi] when the caller has taken it already.
     """
-    while True:
-        grid = _lattice(lo, hi)
-        values = fn(grid)
-        best = int(values.argmax())
-        if math.isnan(values[best]):
-            raise DomainError(f"bundle profit is NaN at privacy level {float(grid[best])}; "
-                              "the scenario's magnitudes overflow together")
-        bracket = grid[max(best - 1, 0)], grid[min(best + 1, _BRACKET_POINTS - 1)]
-        if bracket[1] - bracket[0] <= tol or bracket == (lo, hi):
-            return float(grid[best])
+    point, _, bracket = first or _bracket_round(fn, lo, hi)
+    while not (bracket[1] - bracket[0] <= tol or bracket == (lo, hi)):
         lo, hi = bracket
+        point, _, bracket = _bracket_round(fn, lo, hi)
+    return point
 
 
 def _exact_fee(bundle: BundleSpec, u1, u2, p_hi) -> float:
@@ -426,39 +437,66 @@ def _paper_ascent(bundle: BundleSpec, sigma, start, box):
     return r1, r2, p
 
 
+def _slice_root(bundle: BundleSpec, svc: ServiceSpec, p, u_other):
+    """The stationary r of an exact privacy slice on interior geometry, unclamped, or None.
+
+    There the slice is m*p*(1 - sigma*p^2/(k*u*u_other)) - n*c*(1 - r) + const,
+    k = (1+gamma)^2, sigma = 0.5 or 0.5 - gamma^2 (demand._sigma), concave in
+    r and stationary where X = alpha2*exp(alpha3*r) meets X/(alpha1 - X)^2 = K
+    = n*c*k*u_other/(m*sigma*p^3*alpha3): at the root X = alpha1*t/((t + 0.5)
+    + sqrt(t + 0.25)) < alpha1, t = K*alpha1, which cancels nothing.  None
+    where t is not finite and positive (K out of float range, or a wage of 0).
+    p^3 is p*p*p: a float p**3 raises OverflowError past float range.
+    """
+    q, g = svc.quality, 1.0 + bundle.gamma
+    sigma = _sigma(bundle.kind, EXACT_GEOMETRY, bundle.gamma)
+    den = bundle.market.m * sigma * p * p * p * q.alpha3
+    t = (bundle.n * svc.c * g * g * u_other / den if den > 0.0 else math.inf) * q.alpha1
+    if not 0.0 < t < math.inf:
+        return None
+    x = q.alpha1 * t / ((t + 0.5) + math.sqrt(t + 0.25))
+    return math.log(x / q.alpha2) / q.alpha3 if x / q.alpha2 > 0.0 else -math.inf
+
+
 def _exact_slice(bundle: BundleSpec, svc: ServiceSpec, cap, p, u_other, profit):
     """The r in [0, cap] maximizing the exact profit at fee p and the other quality u_other.
 
-    On interior geometry a complement slice is m*p*(1 - 0.5*p^2/(k*u*u_other))
-    - n*c*(1 - r) + const, k = (1+gamma)^2, stationary where X = alpha2*exp(alpha3*r)
-    meets X/(alpha1 - X)^2 = K = n*c*k*u_other/(m*0.5*p^3*alpha3): at the root
-    X = alpha1*t/((t + 0.5) + sqrt(t + 0.25)) < alpha1, t = K*alpha1, which
-    cancels nothing (a wage of 0 gives r = 0).  It is taken for a finite t > 0
-    and p <= (1+gamma)*min(u(r), u_other); else profit, the slice on an array
-    of r, is bracket-searched.
+    profit is the slice on an array of r.  On interior geometry, p <= (1+gamma)
+    *min(u(r), u_other) for complements and p <= min(u(r), u_other) for
+    substitutes, the maximizer is the root (_slice_root) clamped.  A complement
+    takes it where that point is interior (r = 0 at a wage of 0), else the
+    bracket search.  A substitute slice can peak again past the kink, so it
+    takes the search's first round on [0, cap], and the root clamped to the
+    best point's bracket where that bracket is interior (at its top, as u falls
+    with r) and the root earns more than the point; else the search goes on.
     """
+    q, u_other = svc.quality, float(u_other)
+    root = _slice_root(bundle, svc, p, u_other)
     if bundle.kind == COMPLEMENT:
-        q, g, u_other = svc.quality, 1.0 + bundle.gamma, float(u_other)
-        sigma = _sigma(COMPLEMENT, EXACT_GEOMETRY, bundle.gamma)
-        den = bundle.market.m * sigma * p * p * p * q.alpha3
-        t = (bundle.n * svc.c * g * g * u_other / den if den > 0.0 else math.inf) * q.alpha1
-        if svc.c == 0.0 or 0.0 < t < math.inf:
-            x = q.alpha1 * t / ((t + 0.5) + math.sqrt(t + 0.25)) if svc.c else 0.0
-            r = math.log(x / q.alpha2) / q.alpha3 if x / q.alpha2 > 0.0 else -math.inf
+        r = 0.0 if svc.c == 0.0 else root
+        if r is not None:
             r = min(max(r, 0.0), cap)
-            if p <= g * min(float(_quality(r, q)), u_other):
+            if p <= (1.0 + bundle.gamma) * min(float(_quality(r, q)), u_other):
                 return r
-    return _bracket_max(profit, 0.0, cap, _BRACKET_TOL)
+        return _bracket_max(profit, 0.0, cap, _BRACKET_TOL)
+    first = _bracket_round(profit, 0.0, cap)
+    _, value, (lo, hi) = first
+    if root is not None and p <= min(float(_quality(hi, q)), u_other):
+        r = min(max(root, float(lo)), float(hi))
+        if profit(r) > value:  # on a tie the search's answer stands
+            return r
+    return _bracket_max(profit, 0.0, cap, _BRACKET_TOL, first)
 
 
 def _exact_sweeps(bundle: BundleSpec, start, box):
     """Exact-mode coordinate ascent over r1 and r2 from a start in the box.
 
     Each sweep takes the fee in closed form (_exact_fee), then r1, and r2 at
-    the new r1 (_exact_slice): in closed form on an interior complement
-    slice, else by a bracket search (_bracket_max) of the exact profit, one
-    array call of the unchecked _profit_at per round (the fixed coordinate's
-    quality evaluated once); a last fee update follows the last sweep.
+    the new r1 (_exact_slice): in closed form on interior geometry (for a
+    substitute, after one lattice of the exact profit), else by a bracket
+    search (_bracket_max) of the exact profit, one array call of the
+    unchecked _profit_at per round (the fixed coordinate's quality evaluated
+    once); a last fee update follows the last sweep.
     Concave privacy slices make the sweeps converge to a local maximum (r1, r2,
     p) in the checked box [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2, p_hi).
     """

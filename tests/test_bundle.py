@@ -519,36 +519,41 @@ class TestExactFee:
                                                          monkeypatch):
         b = sb1_bundle if kind == COMPLEMENT else sb2_bundle
         box = bundle_mod._box(b, EXACT_GEOMETRY)
-        sweeps, slices, searches = [], [], []
+        sweeps, slices, searches, lattices = [], [], [], []
         real_fee, real_slice = bundle_mod._exact_fee, bundle_mod._exact_slice
-        real_search = bundle_mod._bracket_max
+        real_search, real_lattice = bundle_mod._bracket_max, bundle_mod._lattice
         monkeypatch.setattr(bundle_mod, "_exact_fee",
                             lambda *args: sweeps.append(len(slices)) or real_fee(*args))
         monkeypatch.setattr(bundle_mod, "_exact_slice",
                             lambda *args: slices.append(args[2]) or real_slice(*args))
         monkeypatch.setattr(bundle_mod, "_bracket_max",
                             lambda *args: searches.append(args[2]) or real_search(*args))
+        monkeypatch.setattr(bundle_mod, "_lattice",
+                            lambda lo, hi: lattices.append((lo, hi)) or real_lattice(lo, hi))
         # from a corner of the box, so that the ascent takes more than one sweep
         _exact_sweeps(b, (0.0, 0.0, 0.0), box)
         # a fee, then r1 on [0, cap1] and r2 on [0, cap2], each sweep; one more fee at the end
         assert len(sweeps) >= 3 and sweeps == [2 * i for i in range(len(sweeps))]
         assert slices == [box[0], box[1]] * (len(sweeps) - 1)
-        # the shipped complement's slices stay on interior geometry and take the
-        # closed form; each substitute slice is searched
-        assert searches == ([] if kind == COMPLEMENT else slices)
+        # the shipped bundles' slices take their closed form: a complement's with
+        # no lattice, a substitute's after one lattice on [0, cap], whose best
+        # bracket lies on interior geometry; neither is searched further
+        assert searches == []
+        assert lattices == ([] if kind == COMPLEMENT else [(0.0, cap) for cap in slices])
 
 
 class TestExactSlice:
-    """An exact complement privacy slice on interior geometry takes its closed form."""
+    """An exact privacy slice on interior geometry takes its closed form."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-           st.sampled_from([0, 1]))
-    def test_closed_form_is_not_below_the_bracket_search(self, seed, x1, x2, i):
-        # the slice of r_i at the exact fee of a random point of a random
-        # complement; the closed form may lose only by rounding, relative to
-        # the terms the profit nets out
-        b = random_bundle(np.random.default_rng(seed), COMPLEMENT)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([COMPLEMENT, SUBSTITUTE]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+    def test_closed_form_is_not_below_the_bracket_search(self, seed, kind, x1, x2, i):
+        # the slice of r_i at the exact fee of a random point of a random bundle,
+        # against the full bracket search on [0, cap]; the closed form may lose
+        # only by rounding, relative to the terms the profit nets out (off
+        # interior geometry the slice is searched, and the two agree)
+        b = random_bundle(np.random.default_rng(seed), kind)
         box = bundle_mod._box(b, EXACT_GEOMETRY)
         r = [x1 * box[0], x2 * box[1]]
         u = [_quality(level, svc.quality) for level, svc in zip(r, b.services)]
@@ -559,10 +564,7 @@ class TestExactSlice:
             levels[i], qualities[i] = t, _quality(t, b.services[i].quality)
             return _profit_at(b, *levels, *qualities, p, EXACT_GEOMETRY)
 
-        searched = []
-        closed = bundle_mod._exact_slice(b, b.services[i], box[i], p, u[1 - i],
-                                         lambda t: searched.append(t) or slice_profit(t))
-        assume(not searched)  # off interior geometry the slice is searched
+        closed = bundle_mod._exact_slice(b, b.services[i], box[i], p, u[1 - i], slice_profit)
         best = _bracket_max(slice_profit, 0.0, box[i], bundle_mod._BRACKET_TOL)
         ours, theirs = slice_profit(np.array([closed, best]))
         assert ours >= theirs - 1e-15 * (abs(theirs) + b.n * (b.s1.c + b.s2.c))

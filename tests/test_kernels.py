@@ -74,7 +74,10 @@ def _with_wage(b, c):
 # c=0 and c=5 rows were re-recorded when the bracket search began to return
 # the best point of its last lattice instead of its midpoint: both levels moved
 # from 2^-36 inside the box onto its bounds (0 and 1), and the profits rose by
-# 3.1e-13 and 3.5e-11 relative
+# 3.1e-13 and 3.5e-11 relative.  The shipped exact substitute was re-recorded
+# when each exact substitute slice whose first lattice's best bracket lies on
+# interior geometry took its closed-form maximizer: the point moved by under
+# 3e-8 and the profit rose by 2 ulps
 PINNED_OPTIMA = {
     ("complement", "shipped", "paper"): (
         "0x1.3da687e314dacp-1", "0x1.0129b61871d33p-1", "0x1.7cef2bab05072p-1", "0x1.e370680eb2405p+8"),
@@ -91,7 +94,7 @@ PINNED_OPTIMA = {
     ("substitute", "shipped", "paper"): (
         "0x1.687807341fedep-1", "0x1.547d7d73086b1p-1", "0x1.2aca7c1e76609p-1", "0x1.786e937631b69p+8"),
     ("substitute", "shipped", "exact"): (
-        "0x1.64cbc04000000p-1", "0x1.4f09261c00000p-1", "0x1.311ab5253fdc7p-1", "0x1.804bc232c3270p+8"),
+        "0x1.64cbc105ee941p-1", "0x1.4f092680e0bc3p-1", "0x1.311ab51c49007p-1", "0x1.804bc232c3272p+8"),
     ("substitute", "c=0", "paper"): (
         "0x0.0p+0", "0x0.0p+0", "0x1.355ae3d1a4c3cp-1", "0x1.92ce58a3a3defp+8"),
     ("substitute", "c=0", "exact"): (
@@ -159,8 +162,12 @@ def _exact_optima_digest():
 # re-recorded when the bracket search (bundle._bracket_max) began to return the
 # best point of its last lattice instead of its midpoint: 142 of the 200 solves
 # moved (98 substitutes, 44 complements), none lower by more than 2.8e-15 of its
-# revenue plus data cost, and no clamped set changed
-EXACT_OPTIMA_DIGEST = "b725a476ee760c3d9dec4f393aeeced32f06fb7a7a766db22079c573b58f05a5"
+# revenue plus data cost, and no clamped set changed; re-recorded when the exact
+# substitute slices took their closed form where the first lattice's best
+# bracket lies on interior geometry (bundle._exact_slice): 19 of the 200 solves
+# moved, all substitutes, none lower by more than 5.3e-16 of its revenue plus
+# data cost, and no clamped set changed
+EXACT_OPTIMA_DIGEST = "ece4b83eaa3dfeacf70f476ed57591afbaaf6e089f2b9b90d1359927233b6eee"
 
 
 def test_exact_optima_match_recorded_digest():
@@ -262,6 +269,11 @@ def _extreme_outcome(variant, kind, mode, verify):
 # levels moved onto its bounds, from 2^-36 to 0 or from 1 - 2^-36 to 1, no
 # profit fell, and no clamped set changed.  c=1e100 rose from -2.91e91 to
 # +378.001: at 1 exactly the 1e100 wages cost nothing.
+# The exact gamma=edge substitute rows were re-recorded when each exact
+# substitute slice whose first lattice's best bracket lies on interior geometry
+# took its closed-form maximizer: the point moved along the exact plateau by
+# under 3e-8, the profit and grid bits stayed.  The alpha1=1e100 slices are
+# flat: the closed form earns no more than the lattice, so the search's 0 stands.
 _NAN = "objective produced NaN on the grid; domain is not valid"
 _SLICE_NAN = ("bundle profit is NaN at privacy level 0.0; the scenario's magnitudes overflow "
               "together")
@@ -399,10 +411,10 @@ EXTREME_OUTCOMES = {
         "0x1.53806641eb6afp+7", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
         "0x1.eaf107dd7ab53p-3", "0x1.51c6390d3df9ep+7", True, ("r2",)),
     ("gamma=edge", "substitute", "exact", False): (
-        "0x1.92fe682800000p-1", "0x1.937d28bc00000p-1", "0x1.d4862872b586cp-2",
+        "0x1.92fe69090020ap-1", "0x1.937d296fd2d3ap-1", "0x1.d486285a6b6dep-2",
         "0x1.28882b53962e7p+8", True, ()),
     ("gamma=edge", "substitute", "exact", True): (
-        "0x1.92fe682800000p-1", "0x1.937d28bc00000p-1", "0x1.d4862872b586cp-2",
+        "0x1.92fe69090020ap-1", "0x1.937d296fd2d3ap-1", "0x1.d486285a6b6dep-2",
         "0x1.28882b53962e7p+8", "0x1.c000000000000p-1", "0x1.c000000000000p-1",
         "0x1.a9374bc6ab421p-2", "0x1.25481a679fbe7p+8", True, ()),
     ("m=1e100", "complement", "paper", False): (
@@ -507,29 +519,44 @@ def test_extreme_solve_matches_recorded_outcome(case):
 
 
 def test_exact_slice_falls_back_to_the_bracket_search_where_k_leaves_float_range():
-    # K = n*c*k*u_other/(m*0.5*p^3*alpha3) in bundle._exact_slice: the fee cubed
+    # K = n*c*k*u_other/(m*sigma*p^3*alpha3) in bundle._slice_root: the fee cubed
     # overflowing (a float p**3 raises OverflowError there), the wage's term
     # underflowing to K = 0, K overflowing, the fee cubed underflowing to 0, and
-    # inf/inf, each on the shipped complement's first slice
-    b = _shipped(COMPLEMENT)
-    cap = separate.privacy_cap(b.s1.quality)
-    u2 = float(evaluate_quality(0.5, b.s2.quality))
-
+    # inf/inf, each on the shipped bundles' first slice; a substitute slice
+    # also continues the search at a wage of 0 and off interior geometry
     def peak(t):
         return -(t - 0.3) * (t - 0.3)
 
-    searched = bundle._bracket_max(peak, 0.0, cap, bundle._BRACKET_TOL)
-    g = b.gamma
-    for gamma, wage, fee, u_other in ((g, 0.2, 1e103, u2), (g, 5e-324, 0.7, u2),
-                                      (g, 1e100, 1e-75, u2), (g, 0.2, 1e-110, u2),
-                                      (1e100, 1e100, 1e103, 1e99)):
-        calls = []
-        r = bundle._exact_slice(dataclasses.replace(b, gamma=gamma),
-                                dataclasses.replace(b.s1, c=wage), cap, fee, u_other,
-                                lambda t: calls.append(t) or peak(t))
-        assert calls and r == searched, (gamma, wage, fee)
-    # a wage of 0 is no underflow: r = 0, with no search
+    for kind in (COMPLEMENT, SUBSTITUTE):
+        b = _shipped(kind)
+        cap = separate.privacy_cap(b.s1.quality)
+        u2 = float(evaluate_quality(0.5, b.s2.quality))
+        searched = bundle._bracket_max(peak, 0.0, cap, bundle._BRACKET_TOL)
+        g = b.gamma
+        cases = [(g, 0.2, 1e103, u2), (g, 5e-324, 0.7, u2), (g, 1e100, 1e-75, u2),
+                 (g, 0.2, 1e-110, u2)]
+        cases += ([(1e100, 1e100, 1e103, 1e99)] if kind == COMPLEMENT else
+                  [(g, 1e100, 1e103, 1e250), (g, 0.0, 0.7, u2), (g, 0.2, 0.7, 0.01)])
+        for gamma, wage, fee, u_other in cases:
+            calls = []
+            r = bundle._exact_slice(dataclasses.replace(b, gamma=gamma),
+                                    dataclasses.replace(b.s1, c=wage), cap, fee, u_other,
+                                    lambda t: calls.append(t) or peak(t))
+            assert calls and r == searched, (kind, gamma, wage, fee, u_other)
+    # a complement's wage of 0 is no underflow: r = 0, with no search
+    b = _shipped(COMPLEMENT)
+    cap = separate.privacy_cap(b.s1.quality)
+    u2 = float(evaluate_quality(0.5, b.s2.quality))
     assert bundle._exact_slice(b, dataclasses.replace(b.s1, c=0.0), cap, 0.7, u2, None) == 0.0
+    # a flat substitute slice: the root, inside the first lattice's interior
+    # bracket, earns no more than its best point, so the search's 0 stands
+    b = _shipped(SUBSTITUTE)
+    u2 = float(evaluate_quality(0.5, b.s2.quality))
+    assert bundle._slice_root(b, b.s1, 0.3, u2) > 0.0
+    calls = []
+    r = bundle._exact_slice(b, b.s1, 1.0, 0.3, u2,
+                            lambda t: calls.append(t) or np.zeros(np.shape(t)))
+    assert r == 0.0 and len(calls) > 2
     # the ceilings complement's fee cubed overflows inside the solve
     errors = {case: text for case, text in EXTREME_OUTCOMES.items()
               if case[1:3] == (COMPLEMENT, EXACT_GEOMETRY) and isinstance(text, str)}
