@@ -32,13 +32,13 @@ demand is this form with sigma = 0.5 or 0.5 - gamma^2 on interior
 geometry (demand._sigma), so the exact solve starts from P's box maximum
 at that sigma (_exact_ascent), and each of its sweeps takes the fee in
 closed form (_exact_fee: the exact revenue is a cubic in the fee between
-breakpoints), and so are its privacy levels on interior geometry
-(_exact_slice, one root for both kinds): a complement's directly, and a
-substitute's, which can peak again past the kink at p = min(u1, u2), where
-the bracket search's first lattice puts its best cell there.  Other
-slices are bracket-searched (_bracket_max), a substitute's going on from
-that lattice, and return a point they evaluated.  Whichever path ran, a
-variable is clamped when the returned point lies on its bound (_clamped).
+breakpoints), and so are its privacy levels (_exact_slice): the exact
+area is simple in u on each case of its geometry, so a privacy slice
+peaks at a bound, a case boundary or a piece's closed-form root
+(_slice_levels), and the best of those few levels, scored by the exact
+profit in one array call, is the slice's maximum, unimodal or not.
+Whichever path ran, a variable is clamped when the returned point lies
+on its bound (_clamped).
 A `verify` grid only certifies: it is attached to the result and changes
 no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
 [0, p_hi] once (_box, shared with `oracles.bundle_grid`) and checks it
@@ -99,12 +99,12 @@ __all__ = [
 
 _ASCENT_SWEEPS = 600
 _ASCENT_TOL = 1e-13  # the paper ascent's updates are exact
-# near an exact-mode optimum the profit is flat to float resolution over a
-# ~1e-6-wide plateau, so searched coordinates cannot be pinned tighter than that
-_SWEEP_TOL = 1e-6
-_BRACKET_TOL = 1e-9
-_BRACKET_POINTS = 129
-_STEPS = np.arange(_BRACKET_POINTS, dtype=float)
+# the exact sweeps stop once no coordinate moves by this much.  Each update is a
+# coordinate's closed-form maximum, and the sweeps converge like any coordinate
+# ascent: at 1e-6 some solves stop up to 2e-14 of their scale short of the
+# maximum they approach, and 1e-12 takes twice the sweeps of 1e-9 to move no
+# profit by more than 6e-16 of it
+_SWEEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -298,51 +298,6 @@ def _privacy_update(quality, cost, revenue, cap):
     return min(max(r, 0.0), cap)
 
 
-def _lattice(lo, hi):
-    """np.linspace(lo, hi, _BRACKET_POINTS) bit for bit, without its set-up.
-
-    This is linspace's own arithmetic (arange * step + lo, last point hi)
-    for a nonzero step; on lo == hi every point is lo.
-    """
-    grid = _STEPS * ((hi - lo) / (_BRACKET_POINTS - 1))
-    grid += lo
-    grid[-1] = hi
-    return grid
-
-
-def _bracket_round(fn, lo, hi):
-    """One round of _bracket_max: fn's best point on _lattice(lo, hi), its value and bracket.
-
-    One array call; the bracket is the two cells around the argmax.  numpy's
-    argmax returns the first NaN, so a NaN is the maximum and raises DomainError.
-    """
-    grid = _lattice(lo, hi)
-    values = fn(grid)
-    best = int(values.argmax())
-    if math.isnan(values[best]):
-        raise DomainError(f"bundle profit is NaN at privacy level {float(grid[best])}; "
-                          "the scenario's magnitudes overflow together")
-    return float(grid[best]), values[best], (grid[max(best - 1, 0)],
-                                             grid[min(best + 1, _BRACKET_POINTS - 1)])
-
-
-def _bracket_max(fn, lo, hi, tol, first=None):
-    """Maximize a unimodal fn on [lo, hi] by shrinking lattice brackets.
-
-    Each round (_bracket_round) keeps the two cells around the lattice's
-    argmax, which must contain the maximizer of a unimodal function; rounds
-    stop once the bracket is narrower than tol, or once a round leaves it
-    unchanged (float spacing wider than tol), and the best point of the
-    last lattice is returned: a bound itself where the maximum lies on one.
-    first is the round on [lo, hi] when the caller has taken it already.
-    """
-    point, _, bracket = first or _bracket_round(fn, lo, hi)
-    while not (bracket[1] - bracket[0] <= tol or bracket == (lo, hi)):
-        lo, hi = bracket
-        point, _, bracket = _bracket_round(fn, lo, hi)
-    return point
-
-
 def _exact_fee(bundle: BundleSpec, u1, u2, p_hi) -> float:
     """The fee in [0, p_hi] that maximizes the exact revenue m*p*buy(p) at qualities u1, u2.
 
@@ -437,68 +392,119 @@ def _paper_ascent(bundle: BundleSpec, sigma, start, box):
     return r1, r2, p
 
 
-def _slice_root(bundle: BundleSpec, svc: ServiceSpec, p, u_other):
-    """The stationary r of an exact privacy slice on interior geometry, unclamped, or None.
+def _cubic_root(alpha1, d, k):
+    """The least root X in (0, alpha1 - d) of X*((alpha1 - X)^2 - d^2) = k*(alpha1 - X)^2, or nan.
 
-    There the slice is m*p*(1 - sigma*p^2/(k*u*u_other)) - n*c*(1 - r) + const,
-    k = (1+gamma)^2, sigma = 0.5 or 0.5 - gamma^2 (demand._sigma), concave in
-    r and stationary where X = alpha2*exp(alpha3*r) meets X/(alpha1 - X)^2 = K
-    = n*c*k*u_other/(m*sigma*p^3*alpha3): at the root X = alpha1*t/((t + 0.5)
-    + sqrt(t + 0.25)) < alpha1, t = K*alpha1, which cancels nothing.  None
-    where t is not finite and positive (K out of float range, or a wage of 0).
-    p^3 is p*p*p: a float p**3 raises OverflowError past float range.
+    For d, k >= 0.  In x = X/alpha1 it is x^3 - (2 + kappa)*x^2 + (1 -
+    delta^2 + 2*kappa)*x - kappa = 0, delta = d/alpha1, kappa = k/alpha1,
+    whose left side is below 0 at x = 0, 1 - delta and 1 + delta: so it has
+    one root past 1 + delta and two, or none, below 1 - delta, and none
+    there once delta or kappa reaches 1.  With e = 1 - kappa and w = e^2 +
+    3*delta^2, x = (2 + kappa)/3 + y leaves y^3 - (w/3)*y + Q = 0, 27*Q =
+    2*e^3 - 9*delta^2*(2 + kappa), whose trigonometric form gives the two
+    greater roots x2 and x3 in terms of order 1; the least is k/(x2*x3) (the
+    three multiply to kappa), which keeps its relative precision where
+    kappa is tiny.  Where the pair below 1 - delta is complex the clamped
+    arccos gives a real point near it, which the caller scores like any
+    other level.
     """
-    q, g = svc.quality, 1.0 + bundle.gamma
-    sigma = _sigma(bundle.kind, EXACT_GEOMETRY, bundle.gamma)
-    den = bundle.market.m * sigma * p * p * p * q.alpha3
-    t = (bundle.n * svc.c * g * g * u_other / den if den > 0.0 else math.inf) * q.alpha1
-    if not 0.0 < t < math.inf:
-        return None
-    x = q.alpha1 * t / ((t + 0.5) + math.sqrt(t + 0.25))
-    return math.log(x / q.alpha2) / q.alpha3 if x / q.alpha2 > 0.0 else -math.inf
+    delta, kappa = d / alpha1, k / alpha1
+    if not (delta < 1.0 and kappa < 1.0):
+        return math.nan
+    e, shift = 1.0 - kappa, (2.0 + kappa) / 3.0
+    w = e * e + 3.0 * delta * delta
+    cosine = (9.0 * delta * delta * (2.0 + kappa) - 2.0 * e * e * e) / (2.0 * w * math.sqrt(w))
+    phi = math.acos(min(max(cosine, -1.0), 1.0)) / 3.0
+    x3 = shift + (2.0 / 3.0) * math.sqrt(w) * math.cos(phi)
+    x2 = shift + (2.0 / 3.0) * math.sqrt(w) * math.cos(phi - 2.0 * math.pi / 3.0)
+    return k / (x2 * x3) if x2 > 0.0 else math.nan
+
+
+def _slice_levels(bundle: BundleSpec, svc: ServiceSpec, cap, p, v) -> list[float]:
+    """0, cap and the levels in between among which every maximizer of an exact slice lies.
+
+    The slice of svc's r at fee p and the other service's quality v is
+    m*p*(1 - A(u)) - n*c*(1 - r) + const, A the non-buy area
+    (demand._nonbuy_area).  With X = alpha1 - u = alpha2*exp(alpha3*r),
+    u'(r) = -alpha3*X, so it is stationary where X*(-A'(u)) = K0 =
+    n*c/(m*p*alpha3).  Write q = p/(1+gamma) and the kink k = q for
+    complements, p for substitutes, so that geometry is interior where u,
+    v >= k.  On each case of A the condition has a closed form:
+
+    - u >= k: A = B/u, so X*B = K0*u^2, whose root X = alpha1*t/((t + 0.5) +
+      sqrt(t + 0.25)) < alpha1, t = K0*alpha1/B, cancels nothing.  On
+      interior geometry t = K*alpha1, K = n*c*(1+gamma)^2*v/(m*sigma*p^3*alpha3),
+      sigma = demand._sigma's exact factor (p^3 is p*p*p: p**3 raises
+      OverflowError past float range); else B = k - max(k + v - q, 0)^2/(2*v)
+      (a complement's trapezoid, or a substitute whose u fills its side
+      of the box).
+    - d < u < k, d = q - min(v, k): A = w - (u - d)^2/(2*u*v), w free of u
+      (the bundle line cuts the box's far corner; at d = 0, a complement
+      whose v is the larger side, its trapezoid), so X*(u^2 - d^2) =
+      2*K0*v*u^2, a cubic (_cubic_root), linear at d = 0: X = 2*K0*v.
+    - u <= d: A is constant and the slice rises with r, to cap.
+
+    Each piece's maximum is its condition's least root: the slice rises
+    below it and falls past it (the cubic's second root below alpha1 - d
+    is a minimum).  So the levels are 0 and cap, and the case boundaries
+    u = p, v, q, q - v and q - p and the two roots, each X mapped by r =
+    ln(X/alpha2)/alpha3 and kept where r lies in (0, cap); none where K
+    leaves float range.  Sorted, so the least level comes first.  More
+    levels than maximizers cost nothing but their evaluation.
+    """
+    a, nc = svc.quality, bundle.n * svc.c
+    g = 1.0 + bundle.gamma
+    q = p / g
+    kink = q if bundle.kind == COMPLEMENT else p
+    den = bundle.market.m * p * a.alpha3
+    linear = 2.0 * nc * v / den if den > 0.0 else math.inf  # 2*K0*v
+    if v >= kink:
+        den = bundle.market.m * _sigma(bundle.kind, EXACT_GEOMETRY, bundle.gamma) * p * p * p
+        den *= a.alpha3
+        t = (nc * g * g * v / den if den > 0.0 else math.inf) * a.alpha1
+    else:
+        over = max(kink + v - q, 0.0)
+        t = linear * a.alpha1 / (2.0 * v * (kink - over * over / (2.0 * v)))
+    quadratic = (a.alpha1 * t / ((t + 0.5) + math.sqrt(t + 0.25)) if 0.0 < t < math.inf
+                 else math.nan)
+    levels = [0.0, cap]
+    for x in (a.alpha1 - p, a.alpha1 - v, a.alpha1 - q, a.alpha1 - (q - v), a.alpha1 - (q - p),
+              quadratic, _cubic_root(a.alpha1, q - min(v, kink), linear)):
+        if x / a.alpha2 > 1.0:  # else r <= 0, or nan
+            r = math.log(x / a.alpha2) / a.alpha3
+            if r < cap:
+                levels.append(r)
+    return sorted(levels)
 
 
 def _exact_slice(bundle: BundleSpec, svc: ServiceSpec, cap, p, u_other, profit):
     """The r in [0, cap] maximizing the exact profit at fee p and the other quality u_other.
 
-    profit is the slice on an array of r.  On interior geometry, p <= (1+gamma)
-    *min(u(r), u_other) for complements and p <= min(u(r), u_other) for
-    substitutes, the maximizer is the root (_slice_root) clamped.  A complement
-    takes it where that point is interior (r = 0 at a wage of 0), else the
-    bracket search.  A substitute slice can peak again past the kink, so it
-    takes the search's first round on [0, cap], and the root clamped to the
-    best point's bracket where that bracket is interior (at its top, as u falls
-    with r) and the root earns more than the point; else the search goes on.
+    profit is the slice on an array of r.  It is evaluated once, at the
+    sorted levels of _slice_levels, and the best is returned, the least on
+    a tie.  numpy's argmax returns the first NaN, so a NaN is the maximum
+    and raises DomainError.
     """
-    q, u_other = svc.quality, float(u_other)
-    root = _slice_root(bundle, svc, p, u_other)
-    if bundle.kind == COMPLEMENT:
-        r = 0.0 if svc.c == 0.0 else root
-        if r is not None:
-            r = min(max(r, 0.0), cap)
-            if p <= (1.0 + bundle.gamma) * min(float(_quality(r, q)), u_other):
-                return r
-        return _bracket_max(profit, 0.0, cap, _BRACKET_TOL)
-    first = _bracket_round(profit, 0.0, cap)
-    _, value, (lo, hi) = first
-    if root is not None and p <= min(float(_quality(hi, q)), u_other):
-        r = min(max(root, float(lo)), float(hi))
-        if profit(r) > value:  # on a tie the search's answer stands
-            return r
-    return _bracket_max(profit, 0.0, cap, _BRACKET_TOL, first)
+    levels = np.array(_slice_levels(bundle, svc, cap, p, float(u_other)))
+    values = profit(levels)
+    best = int(values.argmax())
+    if math.isnan(values[best]):
+        raise DomainError(f"bundle profit is NaN at privacy level {float(levels[best])}; "
+                          "the scenario's magnitudes overflow together")
+    return float(levels[best])
 
 
 def _exact_sweeps(bundle: BundleSpec, start, box):
     """Exact-mode coordinate ascent over r1 and r2 from a start in the box.
 
     Each sweep takes the fee in closed form (_exact_fee), then r1, and r2 at
-    the new r1 (_exact_slice): in closed form on interior geometry (for a
-    substitute, after one lattice of the exact profit), else by a bracket
-    search (_bracket_max) of the exact profit, one array call of the
-    unchecked _profit_at per round (the fixed coordinate's quality evaluated
-    once); a last fee update follows the last sweep.
-    Concave privacy slices make the sweeps converge to a local maximum (r1, r2,
-    p) in the checked box [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2, p_hi).
+    the new r1 (_exact_slice): each slice's maximum among its candidate
+    levels, scored in one array call of the unchecked _profit_at (the fixed
+    coordinate's quality evaluated once); a last fee update follows the
+    last sweep.  Each update is a coordinate's global maximum, so the
+    profit never falls from sweep to sweep, and the sweeps end, once no
+    coordinate moves by _SWEEP_TOL, at (r1, r2, p) in the checked box
+    [0, cap1] x [0, cap2] x [0, p_hi], box = (cap1, cap2, p_hi).
     """
     a, b = bundle.s1.quality, bundle.s2.quality
     cap1, cap2, p_hi = box
@@ -556,6 +562,25 @@ def _check_box(bundle: BundleSpec, box, demand_mode: str):
     call; the profit is then evaluated at the corners, where a nan marks
     a box outside its domain.  The exact mode also takes the public exact
     buy rules' underflow rule (_check_scaled_qualities) at the caps.
+
+    With every input in range, a corner profit m*p*buy - n*c1*(1 - r1) -
+    n*c2*(1 - r2) is nan under one of three conditions, each a 0/0, inf/inf
+    or inf*0 inside buy:
+    - p_hi*p_hi overflows: the linear form's fee^2/((1+gamma)^2*u1*u2) is
+      inf/inf where the quality scale overflows too, or m*p*0 is inf*0
+      where buy clamps to 0 and m*p_hi leaves float range;
+    - (1+gamma)^2*u1*u2 underflows to 0 at a pair of corner qualities (the
+      least at the caps): the linear form is 0/0 at fee 0;
+    - exact mode only: u1*u2 underflows to 0 at the caps while
+      (1+gamma)^2*u1*u2 does not, a large gamma keeping it in range, and
+      _nonbuy_area's h*(2q - h) underflows to 0 with it (0/0).
+    The last two are _check_scaled_qualities' rule at the caps.  A
+    derandomized test over extreme magnitudes, both kinds and both modes,
+    finds no nan corner set outside them; the first two alone miss the
+    exact complements of the third (gamma of 1e10 or more), which would
+    then raise _check_scaled_qualities' text instead of this one.  The
+    corners are evaluated with invalid and divide ignored: their nan
+    raises here, and an inf from a division by 0 changes no check.
     """
     cap1, cap2, p_hi = box
     _check_mode(demand_mode)
@@ -566,7 +591,9 @@ def _check_box(bundle: BundleSpec, box, demand_mode: str):
     _check_positive_quality(u1_0, u1_cap, u2_0, u2_cap)
     corners = (np.array((0.0, hi)).reshape(shape)
                for hi, shape in zip(box, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
-    oracles._check_no_nan(_profit(bundle, *corners, demand_mode))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = _profit(bundle, *corners, demand_mode)
+    oracles._check_no_nan(values)
     if demand_mode == EXACT_GEOMETRY:
         # the exact area divides by u1*u2, least at the caps; a large gamma can
         # send it to 0 while the corners' interior form, which divides by
@@ -710,6 +737,24 @@ def bundling_decision(bundle: BundleSpec, demand_mode: str = PAPER_FORM) -> Bund
 
     Recommends bundling only on a strict profit improvement; ties keep the
     services separate.
+
+    Where it recommends bundling (paper form; README, "Where bundling
+    pays"): at fixed privacy levels the bundle's best revenue is
+    (2m/3)*(1+gamma)*sqrt(u1*u2/(3*sigma)), at the fee
+    (1+gamma)*sqrt(u1*u2/(3*sigma)), and the standalone services' best
+    revenues sum to m*(u1 + u2)/4, at the fees u_i/2.  So at equal privacy
+    levels, as at zero wages, where every optimum takes r = 0, bundling
+    earns more if and only if (8/3)*(1+gamma)/sqrt(3*sigma) > sqrt(rho) +
+    1/sqrt(rho), rho = u1/u2, sigma = 0.5 for complements and 0.5 + gamma^2
+    for substitutes.  Complements at gamma = 0 stop bundling once rho
+    leaves [1/2.3073, 2.3073]; identical substitutes bundle for gamma >
+    -0.0761, the root of 22*gamma^2 - 64*gamma - 5, at any wage: at equal
+    levels r the bundle earns C*u(r) - 2*n*c*(1 - r), C =
+    (2m/3)*(1+gamma)/sqrt(3*sigma), and the pair (m/2)*u(r) - 2*n*c*(1 -
+    r), so one side wins at every r.  So the paper's two claims hold in
+    part: bundling complements pays only while their qualities are close
+    enough (a larger gamma widens the window), and bundling substitutes
+    hurts only past a contingency slightly below 0.
     """
     opt_b = optimize_bundle(bundle, demand_mode=demand_mode)
     opt_1 = optimize_separate(SeparateScenario(service=bundle.s1, market=bundle.market))

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,10 +32,7 @@ from privmarket import (
 import privmarket.bundle as bundle_mod
 import privmarket.demand as demand_mod
 from privmarket.bundle import (
-    _BRACKET_POINTS,
-    _bracket_max,
     _exact_sweeps,
-    _lattice,
     _paper_ascent,
     _profit_at,
 )
@@ -432,9 +430,8 @@ class TestExactSeed:
     def test_not_below_the_fee_eliminated_maximum(self, seed, kind, wage):
         # the maximum of P, the linear form's profit with the fee maximized out, at
         # the exact interior factor starts the exact solve: its exact profit is a
-        # floor, to rounding; the bracket search returns a point it evaluated, so a
-        # slice whose maximum lies on a bound, as P's does, ends on it (4.1e-16 of
-        # the scale below at worst over 9,000 bundles)
+        # floor, to rounding; each slice returns a level it scored, so a slice
+        # whose maximum lies on a bound, as P's does, ends on it
         bundle = _with_wages(random_bundle(np.random.default_rng(seed), kind), wage)
         box = bundle_mod._box(bundle, EXACT_GEOMETRY)
         sigma = 0.5 if kind == COMPLEMENT else 0.5 - bundle.gamma * bundle.gamma
@@ -489,7 +486,7 @@ class TestClampRule:
 
 
 class TestExactFee:
-    """The exact ascent takes each fee in closed form (_exact_fee), not by a bracket search."""
+    """The exact ascent takes each fee in closed form (_exact_fee), with no search."""
 
     @pytest.mark.parametrize("kind, seed", [(COMPLEMENT, 1701), (SUBSTITUTE, 1702)])
     def test_never_below_a_dense_fee_lattice(self, kind, seed):
@@ -519,55 +516,104 @@ class TestExactFee:
                                                          monkeypatch):
         b = sb1_bundle if kind == COMPLEMENT else sb2_bundle
         box = bundle_mod._box(b, EXACT_GEOMETRY)
-        sweeps, slices, searches, lattices = [], [], [], []
+        sweeps, slices, scored = [], [], []
         real_fee, real_slice = bundle_mod._exact_fee, bundle_mod._exact_slice
-        real_search, real_lattice = bundle_mod._bracket_max, bundle_mod._lattice
         monkeypatch.setattr(bundle_mod, "_exact_fee",
                             lambda *args: sweeps.append(len(slices)) or real_fee(*args))
-        monkeypatch.setattr(bundle_mod, "_exact_slice",
-                            lambda *args: slices.append(args[2]) or real_slice(*args))
-        monkeypatch.setattr(bundle_mod, "_bracket_max",
-                            lambda *args: searches.append(args[2]) or real_search(*args))
-        monkeypatch.setattr(bundle_mod, "_lattice",
-                            lambda lo, hi: lattices.append((lo, hi)) or real_lattice(lo, hi))
+
+        def counted_slice(bundle, svc, cap, p, u_other, profit):
+            slices.append(cap)
+            return real_slice(bundle, svc, cap, p, u_other,
+                              lambda t: scored.append(t.size) or profit(t))
+
+        monkeypatch.setattr(bundle_mod, "_exact_slice", counted_slice)
         # from a corner of the box, so that the ascent takes more than one sweep
         _exact_sweeps(b, (0.0, 0.0, 0.0), box)
         # a fee, then r1 on [0, cap1] and r2 on [0, cap2], each sweep; one more fee at the end
         assert len(sweeps) >= 3 and sweeps == [2 * i for i in range(len(sweeps))]
         assert slices == [box[0], box[1]] * (len(sweeps) - 1)
-        # the shipped bundles' slices take their closed form: a complement's with
-        # no lattice, a substitute's after one lattice on [0, cap], whose best
-        # bracket lies on interior geometry; neither is searched further
-        assert searches == []
-        assert lattices == ([] if kind == COMPLEMENT else [(0.0, cap) for cap in slices])
+        # each slice scores its few candidate levels in one call, with no search
+        assert len(scored) == len(slices) and max(scored) <= 9
+
+
+def _slice_profit(b, levels, qualities, i, p):
+    """The exact profit on an array of r_i, the other level and both qualities as given."""
+    def profit(t):
+        lv, qs = list(levels), list(qualities)
+        lv[i], qs[i] = t, _quality(t, b.services[i].quality)
+        return _profit_at(b, *lv, *qs, p, EXACT_GEOMETRY)
+    return profit
+
+
+def _lattice_shortfall(b, i, cap, p, u_other, profit):
+    """(shortfall, best): how far _exact_slice's answer earns below a 100,001-point lattice of
+    the slice, less 1e-15 of the terms the profit nets out, and the lattice's best level."""
+    r = bundle_mod._exact_slice(b, b.services[i], cap, p, u_other, profit)
+    steps = np.linspace(0.0, cap, 100_001)
+    values = profit(steps)
+    best = values.max()
+    ours = profit(np.array([r]))[0]
+    shortfall = best - ours - 1e-15 * (abs(best) + b.n * b.services[i].c)
+    return shortfall, float(steps[values.argmax()])
 
 
 class TestExactSlice:
-    """An exact privacy slice on interior geometry takes its closed form."""
+    """Each exact privacy slice is scored at a few levels (_slice_levels), with no search."""
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([COMPLEMENT, SUBSTITUTE]),
-           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([0, 1]))
-    def test_closed_form_is_not_below_the_bracket_search(self, seed, kind, x1, x2, i):
-        # the slice of r_i at the exact fee of a random point of a random bundle,
-        # against the full bracket search on [0, cap]; the closed form may lose
-        # only by rounding, relative to the terms the profit nets out (off
-        # interior geometry the slice is searched, and the two agree)
-        b = random_bundle(np.random.default_rng(seed), kind)
+    def test_not_below_a_dense_lattice(self):
+        # slices of r_i at random points of random bundles, at the exact fee or
+        # at a random fee in [0, p_hi], with drawn wages, 0 or 5; the answer may
+        # lose only by rounding, relative to the terms the profit nets out
+        rng = np.random.default_rng(2606)
+        off, wage_zero = {COMPLEMENT: 0, SUBSTITUTE: 0}, 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in range(240):
+                kind = (COMPLEMENT, SUBSTITUTE)[j % 2]
+                b = _with_wages(random_bundle(rng, kind), (None, 0.0, 5.0)[j // 2 % 3])
+                box = bundle_mod._box(b, EXACT_GEOMETRY)
+                r = [rng.uniform(0.0, box[0]), rng.uniform(0.0, box[1])]
+                u = [_quality(level, svc.quality) for level, svc in zip(r, b.services)]
+                p = bundle_mod._exact_fee(b, *u, box[2]) if j % 4 < 2 else rng.uniform(0.0, box[2])
+                i = j // 4 % 2
+                shortfall, best = _lattice_shortfall(b, i, box[i], p, u[1 - i],
+                                                     _slice_profit(b, r, u, i, p))
+                assert shortfall <= 0.0, (j, shortfall)
+                # off interior geometry at the lattice's best level; for a
+                # substitute, past the kink at p = min(u1, u2)
+                low = min(_quality(best, b.services[i].quality), u[1 - i])
+                off[kind] += p > (1.0 + b.gamma) * low if kind == COMPLEMENT else p > low
+                wage_zero += b.s1.c == 0.0
+        assert min(off.values()) >= 20 and wage_zero >= 60
+
+    @pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+    @pytest.mark.parametrize("alpha1, wage", [(1e100, 0.2), (1e100, 0.0), (0.8, 0.0)])
+    def test_extreme_slices_warn_nothing(self, kind, alpha1, wage, sb1_bundle, sb2_bundle):
+        # a ceiling of 1e100 and a wage of 0, both slices of each kind at the
+        # exact fee of a point inside the box and at the box's largest fee
+        b = sb1_bundle if kind == COMPLEMENT else sb2_bundle
+        svc = replace(b.s1, quality=replace(b.s1.quality, alpha1=alpha1), c=wage)
+        b = replace(b, s1=svc, s2=replace(b.s2, c=wage))
         box = bundle_mod._box(b, EXACT_GEOMETRY)
-        r = [x1 * box[0], x2 * box[1]]
-        u = [_quality(level, svc.quality) for level, svc in zip(r, b.services)]
-        p = bundle_mod._exact_fee(b, *u, box[2])
+        r = [0.5 * box[0], 0.5 * box[1]]
+        u = [_quality(level, s.quality) for level, s in zip(r, b.services)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (bundle_mod._exact_fee(b, *u, box[2]), box[2]):
+                for i in (0, 1):
+                    shortfall, _ = _lattice_shortfall(b, i, box[i], p, u[1 - i],
+                                                      _slice_profit(b, r, u, i, p))
+                    assert shortfall <= 0.0, (p, i, shortfall)
 
-        def slice_profit(t):
-            levels, qualities = list(r), list(u)
-            levels[i], qualities[i] = t, _quality(t, b.services[i].quality)
-            return _profit_at(b, *levels, *qualities, p, EXACT_GEOMETRY)
+    def test_nan_slice_value_raises(self, sb1_bundle):
+        # argmax would pick the nan at the least level over the maximum at the cap
+        def profit(t):
+            values = np.array(t, dtype=float)
+            values[0] = np.nan
+            return values
 
-        closed = bundle_mod._exact_slice(b, b.services[i], box[i], p, u[1 - i], slice_profit)
-        best = _bracket_max(slice_profit, 0.0, box[i], bundle_mod._BRACKET_TOL)
-        ours, theirs = slice_profit(np.array([closed, best]))
-        assert ours >= theirs - 1e-15 * (abs(theirs) + b.n * (b.s1.c + b.s2.c))
+        with pytest.raises(DomainError, match="NaN at privacy level 0.0.*overflow together"):
+            bundle_mod._exact_slice(sb1_bundle, sb1_bundle.s1, 1.0, 0.5, 0.5, profit)
 
 
 class TestFixedPrivacyFee:
@@ -719,48 +765,61 @@ class TestDecision:
         assert replace(decision, recommend_bundle=True) != decision
 
 
-def test_bracket_max_ends_where_float_spacing_exceeds_the_tolerance():
-    # on [0, 3e8] neighbouring floats are ~6e-8 apart, wider than tol = 1e-9
-    calls = []
-
-    def fn(t):
-        calls.append(1)
-        if len(calls) > 200:
-            raise RuntimeError("bracket search does not terminate")
-        return -((t - 1.234e8) ** 2)
-
-    best = _bracket_max(fn, 0.0, 3e8, 1e-9)
-    assert best == pytest.approx(1.234e8, rel=1e-15)
+def _two_services(alpha1_ratio, gamma, kind, wage=0.0):
+    """Services of ceilings alpha1_ratio and 1, alpha2 = 1e-6, in one bundle of m = 1000."""
+    s1, s2 = (ServiceSpec(QualityParams(a, 1e-6, 2.0), 100, wage) for a in (alpha1_ratio, 1.0))
+    return BundleSpec(s1, s2, MarketSpec(m=1000), gamma, kind)
 
 
-def test_bracket_max_raises_on_a_nan_slice_value():
-    # argmax would pick the nan at the lattice point t = 0.25 over the maximum at t = 0.75
-    def fn(t):
-        values = -((t - 0.75) ** 2)
-        values[t == 0.25] = np.nan
-        return values
-
-    with pytest.raises(DomainError, match="NaN at privacy level 0.25.*overflow together"):
-        _bracket_max(fn, 0.0, 1.0, 1e-9)
+def _flip(decisions):
+    """The index of the first decision that differs from the one before; each side is constant."""
+    flips = [i for i in range(1, len(decisions)) if decisions[i] != decisions[i - 1]]
+    assert len(flips) == 1
+    return flips[0]
 
 
-_BRACKET_TOL = 1e-9  # the tolerance the exact ascent passes to _bracket_max
+class TestWhereBundlingPays:
+    """At zero wages every optimum takes r = 0, and bundling pays iff
+    (8/3)*(1+gamma)/sqrt(3*sigma) > sqrt(rho) + 1/sqrt(rho), rho = u1/u2 (README)."""
 
+    @pytest.mark.parametrize("kind, gamma", [(COMPLEMENT, 0.0), (COMPLEMENT, 0.3),
+                                             (SUBSTITUTE, -0.2), (SUBSTITUTE, -0.01)])
+    @pytest.mark.parametrize("ratio", [0.4, 1.0, 1.7])
+    def test_revenues_at_zero_wages(self, kind, gamma, ratio):
+        # the bundle's best revenue (2m/3)*(1+gamma)*sqrt(u1*u2/(3*sigma)) against
+        # the standalone services' m*(u1 + u2)/4
+        b = _two_services(ratio, gamma, kind)
+        u1, u2 = (svc.quality.alpha1 - svc.quality.alpha2 for svc in b.services)
+        decision = bundling_decision(b)
+        bundled = (2.0 * 1000 / 3.0) * (1.0 + gamma) * math.sqrt(u1 * u2 / (3.0 * b.demand_factor))
+        assert decision.bundle_profit == pytest.approx(bundled, rel=1e-13)
+        assert sum(decision.separate_profits) == pytest.approx(1000 * (u1 + u2) / 4.0, rel=1e-13)
+        assert decision.bundle_optimum.point[:2] == (0.0, 0.0)
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.one_of(
-    # finite brackets of any width the bracket search can meet
-    st.lists(st.floats(-1e200, 1e200), min_size=2, max_size=2).map(sorted),
-    # spans just above the tolerance, where the search stops
-    st.tuples(st.floats(0.0, 1e3), st.floats(_BRACKET_TOL, 1.5 * _BRACKET_TOL, exclude_min=True))
-      .map(lambda t: (t[0], t[0] + t[1])),
-), st.booleans())
-@example(bracket=(1.1342643508156023, 42.60452061333719), as_numpy=False)  # lo + (hi - lo) != hi
-def test_lattice_is_linspace_bit_for_bit(bracket, as_numpy):
-    lo, hi = map(np.float64, bracket) if as_numpy else bracket
-    assume(hi - lo > _BRACKET_TOL)  # the bracket search's loop condition
-    expected = np.linspace(lo, hi, _BRACKET_POINTS)
-    assert _lattice(lo, hi).tobytes() == expected.tobytes()
+    def test_complements_stop_bundling_past_a_quality_ratio(self):
+        # at gamma = 0, 8/(3*sqrt(1.5)) = sqrt(rho) + 1/sqrt(rho) at rho = 2.30734
+        step, ceilings = 0.001, [2.25 + 0.001 * i for i in range(121)]
+        decisions = [bundling_decision(_two_services(a, 0.0, COMPLEMENT)).recommend_bundle
+                     for a in ceilings]
+        flip = _flip(decisions)
+        assert decisions[0] and not decisions[flip]
+        rho = [(a - 1e-6) / (1.0 - 1e-6) for a in ceilings]  # u1/u2 at r = 0
+        side = (8.0 / 3.0) / math.sqrt(1.5)
+        root = ((side + math.sqrt(side * side - 4.0)) / 2.0) ** 2
+        assert rho[flip - 1] <= root <= rho[flip] < rho[flip - 1] + 1.5 * step
+
+    @pytest.mark.parametrize("wage", [0.0, 5.0])
+    def test_identical_substitutes_bundle_above_a_contingency(self, wage):
+        # at rho = 1, (4/3)*(1+gamma) = sqrt(1.5 + 3*gamma^2) at gamma = -0.076133, the
+        # root of 22*gamma^2 - 64*gamma - 5; at equal levels one side earns more at
+        # every r, so no wage moves it
+        step, gammas = 0.0005, [-0.086 + 0.0005 * i for i in range(41)]
+        decisions = [bundling_decision(_two_services(1.0, g, SUBSTITUTE, wage)).recommend_bundle
+                     for g in gammas]
+        flip = _flip(decisions)
+        assert decisions[flip] and not decisions[0]
+        root = (64.0 - math.sqrt(64.0 * 64.0 + 4.0 * 22.0 * 5.0)) / 44.0
+        assert gammas[flip - 1] <= root <= gammas[flip] < gammas[flip - 1] + 1.5 * step
 
 
 def test_exact_solve_runs_without_linspace(sb1_bundle, sb2_bundle, monkeypatch):

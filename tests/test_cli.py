@@ -965,6 +965,23 @@ def test_profit_at_qualities_whose_product_underflows_exits_two_without_warnings
     assert not (tmp_path / "run").exists()
 
 
+def test_exact_box_whose_cap_qualities_underflow_warns_nothing(tmp_path, capsys):
+    # u1(cap)*u2(cap) underflows to 0 while (1+gamma)^2*u1*u2 does not, and
+    # h*(2q - h) in the exact area with it: 0/0 at a corner of the box, whose
+    # profits were evaluated without an error state
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("[market]\nM = 1000\n\n"
+                   "[service.SA]\nN = 100\nc = 0.2\nalpha1 = 1e-100\nalpha2 = 1e-106\n"
+                   "alpha3 = 10.0\n\n"
+                   "[service.SB]\nN = 100\nc = 0.2\nalpha1 = 1e-243\nalpha2 = 1e-247\n"
+                   "alpha3 = 1.0\n\n"
+                   "[bundle]\nmembers = SA, SB\ngamma = 1e95\nkind = complement\n")
+    argv = ["decide", str(cfg), "--demand-mode", "exact", "--out", str(tmp_path / "run")]
+    assert _main_without_warnings(argv) == (2, [])
+    assert capsys.readouterr().err == ("error: objective produced NaN on the grid; "
+                                       "domain is not valid\n")
+
+
 def test_exact_slice_past_the_interior_warns_nothing(tmp_path, capsys):
     # the exact rule squared every fee of a mixed slice, and fee*fee overflowed
     # at the points off the interior, whose values it then discarded

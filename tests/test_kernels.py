@@ -7,6 +7,7 @@ bits of both layers.
 """
 import dataclasses
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from privmarket import (
     EXACT_GEOMETRY,
     PAPER_FORM,
     SUBSTITUTE,
+    BundleSpec,
     DomainError,
     MarketSpec,
     QualityParams,
@@ -166,8 +168,13 @@ def _exact_optima_digest():
 # substitute slices took their closed form where the first lattice's best
 # bracket lies on interior geometry (bundle._exact_slice): 19 of the 200 solves
 # moved, all substitutes, none lower by more than 5.3e-16 of its revenue plus
-# data cost, and no clamped set changed
-EXACT_OPTIMA_DIGEST = "ece4b83eaa3dfeacf70f476ed57591afbaaf6e089f2b9b90d1359927233b6eee"
+# data cost, and no clamped set changed; re-recorded when every exact privacy
+# slice took the best of its candidate levels (bundle._slice_levels) in place of
+# the bracket search, and the sweeps' tolerance tightened from 1e-6 to 1e-9: 15
+# of the 200 solves moved (8 complements, 7 substitutes), 9 profits rose (by up
+# to 5.8e-13 of revenue plus data cost), 3 fell by at most 3.2e-17 of it, and no
+# clamped set changed
+EXACT_OPTIMA_DIGEST = "784ec56611da9f3434834f322d9e54c55e36354b1601507523a88a739be54328"
 
 
 def test_exact_optima_match_recorded_digest():
@@ -274,6 +281,11 @@ def _extreme_outcome(variant, kind, mode, verify):
 # took its closed-form maximizer: the point moved along the exact plateau by
 # under 3e-8, the profit and grid bits stayed.  The alpha1=1e100 slices are
 # flat: the closed form earns no more than the lattice, so the search's 0 stands.
+# The exact alpha1=1e100 complement rows were re-recorded when every exact slice
+# took the best of its candidate levels, the least on a tie: their slices are
+# flat to float resolution (the wages are below an ulp of the revenue), so the
+# point moved from the interior (0.633, 0.494) to (0, 0), clamped, with the
+# same profit and grid bits.
 _NAN = "objective produced NaN on the grid; domain is not valid"
 _SLICE_NAN = ("bundle profit is NaN at privacy level 0.0; the scenario's magnitudes overflow "
               "together")
@@ -287,12 +299,12 @@ EXTREME_OUTCOMES = {
         "0x1.5630a00e086b8p+341", "0x0.0p+0", "0x0.0p+0", "0x1.1c7dcaca5649ap+332",
         "0x1.5298f74bb192cp+341", False, ()),
     ("alpha1=1e100", "complement", "exact", False): (
-        "0x1.4434299522d90p-1", "0x1.f98c31f343bd7p-2", "0x1.06cd47b8db757p+332",
-        "0x1.5630a00e086b8p+341", True, ()),
+        "0x0.0p+0", "0x0.0p+0", "0x1.06cd47b8db757p+332",
+        "0x1.5630a00e086b8p+341", True, ("r1", "r2")),
     ("alpha1=1e100", "complement", "exact", True): (
-        "0x1.4434299522d90p-1", "0x1.f98c31f343bd7p-2", "0x1.06cd47b8db757p+332",
+        "0x0.0p+0", "0x0.0p+0", "0x1.06cd47b8db757p+332",
         "0x1.5630a00e086b8p+341", "0x0.0p+0", "0x0.0p+0", "0x1.e2cc4179bdc28p+331",
-        "0x1.52e0be3523617p+341", True, ()),
+        "0x1.52e0be3523617p+341", True, ("r1", "r2")),
     ("alpha1=1e100", "substitute", "paper", False): (
         "0x1.6a87c8f7f3292p-1", "0x1.515fc1ef47afbp-1", "0x1.a9cd6fd7ce7b8p+331",
         "0x1.153714d07fc31p+341", True, ()),
@@ -518,45 +530,37 @@ def test_extreme_solve_matches_recorded_outcome(case):
     assert _extreme_outcome(*case) == EXTREME_OUTCOMES[case]
 
 
-def test_exact_slice_falls_back_to_the_bracket_search_where_k_leaves_float_range():
-    # K = n*c*k*u_other/(m*sigma*p^3*alpha3) in bundle._slice_root: the fee cubed
-    # overflowing (a float p**3 raises OverflowError there), the wage's term
-    # underflowing to K = 0, K overflowing, the fee cubed underflowing to 0, and
-    # inf/inf, each on the shipped bundles' first slice; a substitute slice
-    # also continues the search at a wage of 0 and off interior geometry
-    def peak(t):
-        return -(t - 0.3) * (t - 0.3)
-
+def test_exact_slice_where_k_leaves_float_range_is_not_below_a_dense_lattice():
+    # K = n*c*k*u_other/(m*sigma*p^3*alpha3) in bundle._slice_levels: the fee
+    # cubed overflowing (a float p**3 raises OverflowError there), the wage's
+    # term underflowing to K = 0, K overflowing, the fee cubed underflowing to
+    # 0, and inf/inf, each on the shipped bundles' first slice at r2 = 0.5; a
+    # substitute slice also at a wage of 0 and off interior geometry.  Where K
+    # leaves float range no root is taken and the answer is a bound; each
+    # earns no less than a 100,001-point lattice of the slice, with no warning
     for kind in (COMPLEMENT, SUBSTITUTE):
         b = _shipped(kind)
         cap = separate.privacy_cap(b.s1.quality)
-        u2 = float(evaluate_quality(0.5, b.s2.quality))
-        searched = bundle._bracket_max(peak, 0.0, cap, bundle._BRACKET_TOL)
         g = b.gamma
+        u2 = float(evaluate_quality(0.5, b.s2.quality))
         cases = [(g, 0.2, 1e103, u2), (g, 5e-324, 0.7, u2), (g, 1e100, 1e-75, u2),
                  (g, 0.2, 1e-110, u2)]
         cases += ([(1e100, 1e100, 1e103, 1e99)] if kind == COMPLEMENT else
                   [(g, 1e100, 1e103, 1e250), (g, 0.0, 0.7, u2), (g, 0.2, 0.7, 0.01)])
-        for gamma, wage, fee, u_other in cases:
-            calls = []
-            r = bundle._exact_slice(dataclasses.replace(b, gamma=gamma),
-                                    dataclasses.replace(b.s1, c=wage), cap, fee, u_other,
-                                    lambda t: calls.append(t) or peak(t))
-            assert calls and r == searched, (kind, gamma, wage, fee, u_other)
-    # a complement's wage of 0 is no underflow: r = 0, with no search
-    b = _shipped(COMPLEMENT)
-    cap = separate.privacy_cap(b.s1.quality)
-    u2 = float(evaluate_quality(0.5, b.s2.quality))
-    assert bundle._exact_slice(b, dataclasses.replace(b.s1, c=0.0), cap, 0.7, u2, None) == 0.0
-    # a flat substitute slice: the root, inside the first lattice's interior
-    # bracket, earns no more than its best point, so the search's 0 stands
-    b = _shipped(SUBSTITUTE)
-    u2 = float(evaluate_quality(0.5, b.s2.quality))
-    assert bundle._slice_root(b, b.s1, 0.3, u2) > 0.0
-    calls = []
-    r = bundle._exact_slice(b, b.s1, 1.0, 0.3, u2,
-                            lambda t: calls.append(t) or np.zeros(np.shape(t)))
-    assert r == 0.0 and len(calls) > 2
+        for j, (gamma, wage, fee, u_other) in enumerate(cases):
+            case = dataclasses.replace(b, gamma=gamma, s1=dataclasses.replace(b.s1, c=wage))
+
+            def profit(t):
+                return bundle._profit_at(case, t, 0.5, quality._quality(t, case.s1.quality),
+                                         u_other, fee, EXACT_GEOMETRY)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = bundle._exact_slice(case, case.s1, cap, fee, u_other, profit)
+                best = profit(np.linspace(0.0, cap, 100_001)).max()
+                ours = profit(np.array([r]))[0]
+            assert ours >= best - 1e-15 * (abs(best) + case.n * wage), (kind, j)
+            assert j >= 5 or r in (0.0, cap), (kind, j)
     # the ceilings complement's fee cubed overflows inside the solve
     errors = {case: text for case, text in EXTREME_OUTCOMES.items()
               if case[1:3] == (COMPLEMENT, EXACT_GEOMETRY) and isinstance(text, str)}
@@ -1041,6 +1045,68 @@ def test_nan_box_corner_raises_before_any_grid(kind, mode, monkeypatch):
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(DomainError, match="NaN"):
         optimize_bundle(b, demand_mode=mode, verify=True)
     assert grids == []
+
+
+def _extreme_bundle(rng, kind):
+    """A bundle whose magnitudes are drawn log-uniformly up to the ceilings; DomainError
+    where the draw is no valid bundle."""
+    def magnitude(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    services = []
+    for _ in range(2):
+        alpha1 = magnitude(-300, 100)
+        q = QualityParams(alpha1, alpha1 * magnitude(-20, -0.01), magnitude(-3, 100))
+        services.append(ServiceSpec(q, 100, 0.0 if rng.random() < 0.1 else magnitude(-5, 100)))
+    gamma = magnitude(-5, 100) if kind == COMPLEMENT else float(rng.uniform(-0.49, -0.01))
+    return BundleSpec(*services, MarketSpec(m=int(magnitude(0, 100))), gamma, kind)
+
+
+def _corner_nan_conditions(b, mode):
+    """Whether the box's corner profits hold a nan, and the three conditions of _check_box's
+    docstring; None where an earlier check of _check_box rejects the box."""
+    with np.errstate(all="ignore"):
+        box = bundle._box(b, mode)
+    try:
+        demand._check_privacy(*box[:2])
+        demand._check_fee(box[2])
+        u = [quality._quality(r, svc.quality) for svc, cap in zip(b.services, box[:2])
+             for r in (0.0, cap)]
+        demand._check_positive_quality(*u)
+    except DomainError:
+        return None
+    corners = (np.array((0.0, hi)).reshape(shape)
+               for hi, shape in zip(box, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
+    with np.errstate(all="ignore"):
+        nan = bool(np.isnan(bundle._profit(b, *corners, mode)).any())
+        return nan, (box[2] * box[2] == np.inf,
+                     (1.0 + b.gamma) * (1.0 + b.gamma) * u[1] * u[3] == 0.0,
+                     mode == EXACT_GEOMETRY and u[1] * u[3] == 0.0)
+
+
+def test_a_nan_box_corner_meets_one_of_three_conditions():
+    # the fee's square overflowing, (1+gamma)^2*u1*u2 underflowing at the caps,
+    # or, in exact mode, u1*u2 underflowing there alone (_check_box); tiny's
+    # exact corner is 0/0 in _nonbuy_area under the third alone
+    tiny = BundleSpec(ServiceSpec(QualityParams(1e-100, 1e-106, 10.0), 100, 0.2),
+                      ServiceSpec(QualityParams(1e-243, 1e-247, 1.0), 100, 0.2),
+                      MarketSpec(m=1000), 1e95, COMPLEMENT)
+    assert _corner_nan_conditions(tiny, EXACT_GEOMETRY) == (True, (False, False, True))
+    rng = np.random.default_rng(2026)
+    nan_sets = only_third = 0
+    for j in range(6000):
+        try:
+            b = _extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[j % 2])
+        except DomainError:
+            continue
+        for mode in (PAPER_FORM, EXACT_GEOMETRY):
+            outcome = _corner_nan_conditions(b, mode)
+            if outcome is not None and outcome[0]:
+                overflow, scaled, unscaled = outcome[1]
+                assert overflow or scaled or unscaled, (j, mode)
+                nan_sets += 1
+                only_third += not (overflow or scaled)
+    assert nan_sets > 1000 and only_third > 0
 
 
 def test_unknown_demand_mode_is_rejected_by_the_solver():
