@@ -34,16 +34,17 @@ at that sigma (_exact_ascent), and each of its sweeps takes the fee in
 closed form (_exact_fee: the exact revenue is a cubic in the fee between
 breakpoints), and so are its privacy levels (_exact_slice): the exact
 area is simple in u on each case of its geometry, so a privacy slice
-peaks at a bound, a case boundary or a piece's closed-form root
-(_slice_levels), and the best of those few levels, scored by the exact
-profit in one array call, is the slice's maximum, unimodal or not.
-Whichever path ran, a variable is clamped when the returned point lies
-on its bound (_clamped).
+peaks at a bound or at a piece's closed-form root (_slice_levels; at a
+case boundary it can only tie), and the best of those few levels,
+scored by the exact profit in one array call, is the slice's maximum,
+unimodal or not.  Whichever path ran, a variable is clamped when the
+returned point lies on its bound (_clamped).
 A `verify` grid only certifies: it is attached to the result and changes
 no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
-[0, p_hi] once (_box, shared with `oracles.bundle_grid`) and checks it
-once, on floats and at its eight corners (_check_box), before its
-lattices and ascents run on the unchecked `_profit`.
+[0, p_hi] once (_box, shared with `oracles.bundle_grid`) and checks
+once what can fail on it (_check_box: the demand mode, a nan among its
+eight corner profits, and in exact mode the qualities' underflow at the
+caps) before its lattices and ascents run on the unchecked `_profit`.
 """
 from __future__ import annotations
 
@@ -223,21 +224,21 @@ def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM)
 
 
 def _fee_root(bundle: BundleSpec, sigma: float) -> float:
-    """Positive root of the stationarity quadratic, scaled by 2*m*a3*b3."""
+    """Positive root of the stationarity quadratic, scaled by 2*m*a3*b3.
+
+    Past float range it is inf or nan, and the paper complement, its one
+    reader, then takes the fallback (_stationary_point's r1 or p fails its box).
+    """
     a = bundle.s1.quality
     b = bundle.s2.quality
     m, n = bundle.market.m, bundle.n
     c1, c2 = bundle.s1.c, bundle.s2.c
     k = (1.0 + bundle.gamma) ** 2
-    try:
-        radical = math.sqrt(
-            (4.0 / 3.0) * k * m * m * a.alpha1 * b.alpha1 * a.alpha3**2 * b.alpha3**2 / sigma
-            + 9.0 * n * n * (a.alpha3 * c2 - b.alpha3 * c1) ** 2
-        )
-    except OverflowError:
-        raise DomainError(
-            "bundle fee root overflows; the scenario's magnitudes overflow together"
-        ) from None
+    gap = a.alpha3 * c2 - b.alpha3 * c1  # gap*gap, not gap**2: a square past float range is inf
+    radical = math.sqrt(
+        (4.0 / 3.0) * k * m * m * a.alpha1 * b.alpha1 * a.alpha3**2 * b.alpha3**2 / sigma
+        + 9.0 * n * n * (gap * gap)
+    )
     return radical - 3.0 * n * a.alpha3 * c2 - 3.0 * n * b.alpha3 * c1
 
 
@@ -446,11 +447,35 @@ def _slice_levels(bundle: BundleSpec, svc: ServiceSpec, cap, p, v) -> list[float
 
     Each piece's maximum is its condition's least root: the slice rises
     below it and falls past it (the cubic's second root below alpha1 - d
-    is a minimum).  So the levels are 0 and cap, and the case boundaries
-    u = p, v, q, q - v and q - p and the two roots, each X mapped by r =
-    ln(X/alpha2)/alpha3 and kept where r lies in (0, cap); none where K
-    leaves float range.  Sorted, so the least level comes first.  More
-    levels than maximizers cost nothing but their evaluation.
+    is a minimum).  So the levels are 0, cap and the two roots, each X
+    mapped by r = ln(X/alpha2)/alpha3 and kept where r lies in (0, cap);
+    none where K leaves float range.  Sorted, so the least level comes
+    first.
+
+    No case boundary is a level, since none can win but by a tie.  In s =
+    u*x, t = v*y the non-buy region is {s + t <= q} in the box [0, u*W] x
+    [0, v*H] (W = H = 1 for complements, min(1, p/u) and min(1, p/v) for
+    substitutes) and A is its area over u*v.  Where W = 1 the area grows
+    with u at the rate clamp(q - u, 0, v*H), which is continuous in u;
+    where u*W = p it does not grow.  Per boundary:
+    - u = d, which is q - v or q - p (the other of these two levels is no
+      boundary, or u <= 0 there): the far corner (u, v*H) crosses the
+      line.  A is C1 there and equals H below it, so -A' = 0 and the
+      slope in r is n*c >= 0: at n*c > 0 the slice rises through the
+      level, and at n*c = 0 it never rises (-A' >= 0 everywhere), so the
+      level 0 is as good.
+    - u = q (complements): the corner (u, 0) crosses the line.  A is C1
+      there, so a maximum there is stationary, the root of the quadratic
+      piece's condition, which has one root below alpha1 and is a level.
+    - u = p (substitutes): the side u*W stops growing.  As u falls through
+      p, -A' drops by min(q - p, v*H)/(p*v) > 0 (q > p), so the slope in r
+      jumps up as r passes the level, a convex kink, which is no maximum.
+      For complements u = p is no boundary of A, nor is u = q for
+      substitutes (q > p).
+    - u = v: only _nonbuy_area's min(q, a, b) switches there; A is smooth.
+    Elsewhere A is smooth in u, so every maximizer in (0, cap) is a
+    piece's stationary point.  tests/test_bundle.py scores the five
+    boundary levels against each answer on 6,000 slices.
     """
     a, nc = svc.quality, bundle.n * svc.c
     g = 1.0 + bundle.gamma
@@ -468,8 +493,7 @@ def _slice_levels(bundle: BundleSpec, svc: ServiceSpec, cap, p, v) -> list[float
     quadratic = (a.alpha1 * t / ((t + 0.5) + math.sqrt(t + 0.25)) if 0.0 < t < math.inf
                  else math.nan)
     levels = [0.0, cap]
-    for x in (a.alpha1 - p, a.alpha1 - v, a.alpha1 - q, a.alpha1 - (q - v), a.alpha1 - (q - p),
-              quadratic, _cubic_root(a.alpha1, q - min(v, kink), linear)):
+    for x in (quadratic, _cubic_root(a.alpha1, q - min(v, kink), linear)):
         if x / a.alpha2 > 1.0:  # else r <= 0, or nan
             r = math.log(x / a.alpha2) / a.alpha3
             if r < cap:
@@ -555,13 +579,18 @@ def _exact_ascent(bundle: BundleSpec, box):
 
 
 def _check_box(bundle: BundleSpec, box, demand_mode: str):
-    """gross_profit_bundle's checks of the box's eight corners, on floats.
+    """The rules of gross_profit_bundle on the box's eight corners that can fail there.
 
-    Each corner coordinate takes two values, so checking the caps, p_hi,
-    and u(0) and u(cap) of each service applies every rule of that array
-    call; the profit is then evaluated at the corners, where a nan marks
-    a box outside its domain.  The exact mode also takes the public exact
-    buy rules' underflow rule (_check_scaled_qualities) at the caps.
+    There are three: the demand mode, a nan among the eight corner
+    profits, and in exact mode the public exact buy rules' underflow rule
+    (_check_scaled_qualities) at the caps.  The other rules of that call
+    hold on every box _box builds, so none is applied: privacy_cap gives
+    caps in [0, 1] with u(cap) > 0; QualityParams gives u(0) = alpha1 -
+    alpha2 > 0 (alpha1 > alpha2 as floats, so the difference does not
+    round to 0), and u(cap) <= u(0) < alpha1 <= 1e100 is finite; and with
+    alpha1 and gamma at most 1e100, p_hi, (1+gamma)*sqrt(u1*u2/sigma) or
+    (1+gamma)*(u1 + u2) at r = 0, is finite (below 3e200) and >= 0.  The
+    extreme-magnitude test named below asserts them on every box it draws.
 
     With every input in range, a corner profit m*p*buy - n*c1*(1 - r1) -
     n*c2*(1 - r2) is nan under one of three conditions, each a 0/0, inf/inf
@@ -582,13 +611,7 @@ def _check_box(bundle: BundleSpec, box, demand_mode: str):
     corners are evaluated with invalid and divide ignored: their nan
     raises here, and an inf from a division by 0 changes no check.
     """
-    cap1, cap2, p_hi = box
     _check_mode(demand_mode)
-    _check_privacy(cap1, cap2)
-    _check_fee(p_hi)
-    u1_0, u1_cap, u2_0, u2_cap = (_quality(r, svc.quality) for svc, cap in
-                                  ((bundle.s1, cap1), (bundle.s2, cap2)) for r in (0.0, cap))
-    _check_positive_quality(u1_0, u1_cap, u2_0, u2_cap)
     corners = (np.array((0.0, hi)).reshape(shape)
                for hi, shape in zip(box, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -598,7 +621,8 @@ def _check_box(bundle: BundleSpec, box, demand_mode: str):
         # the exact area divides by u1*u2, least at the caps; a large gamma can
         # send it to 0 while the corners' interior form, which divides by
         # (1+gamma)^2*u1*u2, stays finite
-        _check_scaled_qualities(u1_cap, u2_cap, bundle.gamma)
+        _check_scaled_qualities(*(_quality(cap, svc.quality)
+                                  for svc, cap in zip(bundle.services, box)), bundle.gamma)
 
 
 def optimize_bundle(
@@ -611,7 +635,8 @@ def optimize_bundle(
     """Maximize the bundle profit over (r1, r2, p_b): one path per kind and demand mode.
 
     A paper-mode complement takes its closed-form stationary point when it
-    is feasible (nonnegative fee, privacy levels inside their boxes).  The
+    is feasible (finite nonnegative fee, privacy levels inside their
+    boxes; a fee root past float range gives none).  The
     other paper solves take the fallback, the ascent on the concave
     fee-eliminated profit P (_paper_ascent) from a seed_points^3 grid's best
     point; the exact mode ascends from the same ascent's box maximum at the
@@ -619,8 +644,9 @@ def optimize_bundle(
     ``verify`` an independent verify_points^3 grid maximum is attached as the
     result's certificate; it changes no returned value.  Lattices and
     ascents run on the unchecked `_profit` in one box (_box), checked once
-    by `_check_box` (the rules of a validating `gross_profit_bundle` call on
-    its eight corners); a closed-form complement without ``verify`` skips it.
+    by `_check_box` (of the rules of a validating `gross_profit_bundle` call
+    on its eight corners, the three that can fail there); a closed-form
+    complement without ``verify`` skips it.
     Whichever path ran, `clamped_variables` names the returned point's
     variables on a bound of the box (_clamped); `interior` means none is.
     """

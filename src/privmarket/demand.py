@@ -29,7 +29,8 @@ The input rules of every model live here, once each: _check_privacy
 (finite, in [0, 1]), _check_fee (finite, >= 0), _check_positive_quality
 (finite, > 0) and _check_contingency (the window of a bundle kind).  The
 buy rules, the profit functions of `separate` and `bundle`, `BundleSpec`
-and the Monte-Carlo `DemandRegion` and `simulate_market` all use them.
+and the Monte-Carlo `DemandRegion` and `simulate_market` all use them;
+`MarketSpec` and `ServiceSpec` share _check_count (an integer in [1, 1e100]).
 The public bundle buy rules and `gross_profit_bundle` also apply
 _check_scaled_qualities (neither (1+gamma)^2*u1*u2 nor u1*u2 may underflow
 to 0), and raise the nan of a fee whose square overflows with
@@ -82,10 +83,7 @@ class MarketSpec:
     m: int
 
     def __post_init__(self):
-        if not (_is_number(self.m, int) and self.m >= 1):
-            raise DomainError(f"customer count must be a positive integer, got {self.m!r}")
-        if self.m > MAX_MAGNITUDE:  # m*m and m*p must stay inside float range
-            raise DomainError(f"customer count must be at most {MAX_MAGNITUDE:g}, got {self.m:g}")
+        _check_count(self.m, "customer")
 
 
 @dataclass(frozen=True)
@@ -113,6 +111,21 @@ def degree_of_contingency(inp: ContingencyInput) -> float:
     if denom <= 0:
         raise DomainError("theta_1 + theta_2 must be positive")
     return (inp.theta_b - denom) / denom
+
+
+def _check_count(n, what):
+    """A count of customers or participants is an integer in [1, MAX_MAGNITUDE].
+
+    Past the ceiling m*m, n*n and n*c leave float range in the closed forms.
+    """
+    if not (_is_number(n, int) and n >= 1):
+        raise DomainError(f"{what} count must be a positive integer, got {n!r}")
+    if n > MAX_MAGNITUDE:
+        # f"{n:g}" raises OverflowError past float range; only this message needs decimal
+        from decimal import Context, Decimal
+
+        raise DomainError(f"{what} count must be at most {MAX_MAGNITUDE:g}, "
+                          f"got {Decimal(n).normalize(Context(prec=6)):g}")
 
 
 def _check_mode(mode):

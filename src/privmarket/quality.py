@@ -60,7 +60,7 @@ class QualityParams:
                 raise DomainError(f"{name} must be positive, got {v}")
             if name != "alpha2" and v > MAX_MAGNITUDE:
                 raise DomainError(f"{name} must lie in (0, {MAX_MAGNITUDE:g}], got {v}")
-        if self.alpha1 <= self.alpha2:
+        if float(self.alpha1) <= float(self.alpha2):  # u(0) is computed in floats
             raise DomainError(
                 f"alpha1 must exceed alpha2 so u(0) > 0, got "
                 f"alpha1={self.alpha1}, alpha2={self.alpha2}"

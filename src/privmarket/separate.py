@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracles
-from .demand import (PAPER_FORM, MarketSpec, _buy_separate, _check_fee, _check_positive_quality,
-                     _check_privacy, _output, prob_buy_separate)
-from .errors import DomainError, _as_input, _is_finite, _is_number
+from .demand import (PAPER_FORM, MarketSpec, _buy_separate, _check_count, _check_fee,
+                     _check_positive_quality, _check_privacy, _output, prob_buy_separate)
+from .errors import DomainError, _as_input, _is_finite
 from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
 from .quality import MAX_MAGNITUDE, QualityParams, _quality, evaluate_quality, max_privacy
 
@@ -45,15 +45,17 @@ _CAP_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    """One service: quality curve, crowd size n, per-participant wage c."""
+    """One service: quality curve, crowd size n, per-participant wage c.
+
+    n is an integer in [1, MAX_MAGNITUDE].
+    """
 
     quality: QualityParams
     n: int
     c: float
 
     def __post_init__(self):
-        if not (_is_number(self.n, int) and self.n >= 1):
-            raise DomainError(f"participant count must be a positive integer, got {self.n!r}")
+        _check_count(self.n, "participant")
         if not (_is_finite(self.c) and 0 <= self.c <= MAX_MAGNITUDE):
             raise DomainError(
                 f"reservation wage c must lie in [0, {MAX_MAGNITUDE:g}], got {self.c}"

@@ -436,15 +436,16 @@ def test_customer_count_has_a_ceiling(digits, code, tmp_path, capsys):
 # commands whose solve runs into the overflow (every other command exits 0)
 # and whether each sweep row reports it.  The alpha1 pairs overflowed in the
 # bundle's fee-coordinate ascent until it moved onto the fee-eliminated
-# profit; alpha1-gamma still overflows in simulate's Monte-Carlo sums
+# profit, and alpha3-wage in the paper complement's fee root until its
+# square became a product; alpha1-gamma still overflows in simulate's
+# Monte-Carlo sums
 JOINT_OVERFLOW = {
     "alpha1-wage": ([("alpha1 = 0.822", "alpha1 = 1e100"), ("c = 0.2", "c = 1e100")],
                     set(), False),
     "alpha1-gamma": ([("alpha1 = 0.822", "alpha1 = 1e100"), ("gamma = 0.1", "gamma = 1e100")],
                      {"simulate"}, False),
     "alpha3-wage": ([("alpha3 = 2.813", "alpha3 = 1e100"), ("c = 0.1", "c = 1e100")],
-                    {"optimize complement", "decide", "verify", "simulate", "share", "demand"},
-                    True),
+                    set(), False),
     "alpha2-alpha3": ([("alpha2 = 0.004", "alpha2 = 1e-300"), ("alpha3 = 2.813", "alpha3 = 1e3")],
                       {"optimize separate", "decide", "share"}, False),
 }
@@ -485,6 +486,44 @@ def test_joint_overflow_is_a_validation_error(pair, command, tmp_path, capsys):
                 assert math.isfinite(float(cell))
             except ValueError:  # names, flags and empty cells
                 pass
+
+
+@pytest.mark.parametrize("mode", ["paper", "exact"])
+def test_fee_root_past_float_range_solves_by_the_fallback(mode, tmp_path):
+    # alpha3 = 1e100 with c = 1e100 overflowed the fee root's square: exit 2
+    text = SB1
+    for old, new in JOINT_OVERFLOW["alpha3-wage"][0]:
+        text = text.replace(old, new, 1)
+    cfg = tmp_path / "root.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    for command in (["verify"], ["simulate"]):
+        assert main(command + [str(cfg), "--demand-mode", mode, "--out", str(out)]) == 0
+    row, = _read(out / "verify.csv")
+    assert row["within_one_cell"] == "true"
+    row, = _read(out / "simulate.csv")
+    assert float(row["abs_z"]) <= 5.0
+
+
+def test_participant_count_past_float_range_is_a_validation_error(tmp_path, capsys):
+    # N = 10**400 ended optimize separate, verify and simulate with an
+    # OverflowError traceback (exit 1); every README command that loads a
+    # scenario now names its section and line and exits 2
+    examples = [argv for argv in _readme_cli_examples() if any(a.endswith(".cfg") for a in argv)]
+    assert len(examples) == 9
+    for argv in examples:
+        cfg = tmp_path / "crowd.cfg"
+        name = next(a for a in argv if a.endswith(".cfg"))
+        cfg.write_text((SHIPPED.parent / name).read_text().replace(
+            "N = 100", "N = 1" + "0" * 400, 1))
+        out = tmp_path / "run"
+        argv = [str(cfg) if a == name else str(out) if a == "results" else a for a in argv]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and "section [service." in err
+        assert "participant count must be at most 1e+100, got 1e+400" in err
+        assert not out.exists()
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"

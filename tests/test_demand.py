@@ -109,10 +109,11 @@ def test_market_spec_validates():
 
 def test_market_spec_has_a_magnitude_ceiling():
     # the ceiling of c, the alphas and gamma; at M = 10**160 the bundle closed forms'
-    # m*m was an int past float range, an OverflowError
+    # m*m was an int past float range, an OverflowError; so was the message's m past it
     MarketSpec(m=int(MAX_MAGNITUDE))
-    for m in (int(MAX_MAGNITUDE) + 1, 10**160):
-        with pytest.raises(DomainError, match="customer count must be at most 1e\\+100"):
+    for m, shown in ((int(MAX_MAGNITUDE) + 1, "1e\\+100"), (10**160, "1e\\+160"),
+                     (10**400, "1e\\+400")):
+        with pytest.raises(DomainError, match="customer count must be at most 1e\\+100, got " + shown):
             MarketSpec(m=m)
 
 

@@ -1064,17 +1064,14 @@ def _extreme_bundle(rng, kind):
 
 def _corner_nan_conditions(b, mode):
     """Whether the box's corner profits hold a nan, and the three conditions of _check_box's
-    docstring; None where an earlier check of _check_box rejects the box."""
+    docstring; first, that the rules _check_box leaves out hold on the box."""
     with np.errstate(all="ignore"):
         box = bundle._box(b, mode)
-    try:
-        demand._check_privacy(*box[:2])
-        demand._check_fee(box[2])
-        u = [quality._quality(r, svc.quality) for svc, cap in zip(b.services, box[:2])
-             for r in (0.0, cap)]
-        demand._check_positive_quality(*u)
-    except DomainError:
-        return None
+    demand._check_privacy(*box[:2])
+    demand._check_fee(box[2])
+    u = [quality._quality(r, svc.quality) for svc, cap in zip(b.services, box[:2])
+         for r in (0.0, cap)]
+    demand._check_positive_quality(*u)
     corners = (np.array((0.0, hi)).reshape(shape)
                for hi, shape in zip(box, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
     with np.errstate(all="ignore"):
@@ -1087,7 +1084,9 @@ def _corner_nan_conditions(b, mode):
 def test_a_nan_box_corner_meets_one_of_three_conditions():
     # the fee's square overflowing, (1+gamma)^2*u1*u2 underflowing at the caps,
     # or, in exact mode, u1*u2 underflowing there alone (_check_box); tiny's
-    # exact corner is 0/0 in _nonbuy_area under the third alone
+    # exact corner is 0/0 in _nonbuy_area under the third alone.  The rules
+    # _check_box leaves out (caps in [0, 1], p_hi finite, u(0) and u(cap) > 0)
+    # hold on every box
     tiny = BundleSpec(ServiceSpec(QualityParams(1e-100, 1e-106, 10.0), 100, 0.2),
                       ServiceSpec(QualityParams(1e-243, 1e-247, 1.0), 100, 0.2),
                       MarketSpec(m=1000), 1e95, COMPLEMENT)
@@ -1100,9 +1099,8 @@ def test_a_nan_box_corner_meets_one_of_three_conditions():
         except DomainError:
             continue
         for mode in (PAPER_FORM, EXACT_GEOMETRY):
-            outcome = _corner_nan_conditions(b, mode)
-            if outcome is not None and outcome[0]:
-                overflow, scaled, unscaled = outcome[1]
+            nan, (overflow, scaled, unscaled) = _corner_nan_conditions(b, mode)
+            if nan:
                 assert overflow or scaled or unscaled, (j, mode)
                 nan_sets += 1
                 only_third += not (overflow or scaled)

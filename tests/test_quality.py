@@ -223,6 +223,14 @@ def test_load_samples_names_the_row_with_a_wrong_column_count(tmp_path):
     assert str(err.value) == f"sample file {path} line 3: expected two columns"
 
 
+def test_alpha1_must_exceed_alpha2_as_floats():
+    # 2**53 + 1 > 2.0**53 as an int, but u(0) = alpha1 - alpha2 rounds to 0, and
+    # privacy_cap's loop, which u(0) > 0 ends, ran forever
+    with pytest.raises(DomainError, match="alpha1 must exceed alpha2"):
+        QualityParams(2**53 + 1, 2.0**53, 1.0)
+    assert evaluate_quality(0.0, QualityParams(2**53 + 2, 2.0**53, 1.0)) == 2.0
+
+
 def test_max_privacy_of_a_subnormal_alpha2_is_finite():
     # alpha1/alpha2 overflows to inf; log(alpha1) - log(alpha2) does not
     params = QualityParams(0.867, 5e-324, 1e100)

@@ -19,6 +19,7 @@ from privmarket import (
     separate_grid,
     separate_objective,
 )
+from privmarket.quality import MAX_MAGNITUDE
 
 from conftest import (
     S1_PARAMS,
@@ -237,3 +238,13 @@ def test_int_past_float_range_is_a_domain_error():
     # math.isfinite raised OverflowError on such an int, so no DomainError was reached
     with pytest.raises(DomainError, match="reservation wage c must lie in"):
         ServiceSpec(quality=S1_PARAMS, n=100, c=10**400)
+
+
+def test_participant_count_has_a_magnitude_ceiling():
+    # the ceiling of M: past float range 4.0*n*c in the closed forms raised OverflowError
+    ServiceSpec(quality=S1_PARAMS, n=int(MAX_MAGNITUDE), c=0.2)
+    message = "participant count must be at most 1e\\+100, got "
+    for n, shown in ((int(MAX_MAGNITUDE) + 1, "1e\\+100"), (10**101, "1e\\+101"),
+                     (10**400, "1e\\+400")):
+        with pytest.raises(DomainError, match=message + shown):
+            ServiceSpec(quality=S1_PARAMS, n=n, c=0.2)
