@@ -12,6 +12,8 @@ from .bundle import (
     BundleSpec,
     BundlingDecision,
     OptimumBundle,
+    bundle_grid,
+    bundle_objective,
     bundling_decision,
     concavity_report_bundle,
     gross_profit_bundle,
@@ -36,13 +38,9 @@ from .oracles import (
     GridSpec,
     SimResult,
     SimulationSpec,
-    bundle_grid,
-    bundle_objective,
     estimate_buy_probability,
     grid_maximize,
     participant_reports,
-    separate_grid,
-    separate_objective,
     simulate_market,
 )
 from .quality import (
@@ -66,6 +64,8 @@ from .separate import (
     optimal_fee_fixed_privacy,
     optimize_separate,
     privacy_cap,
+    separate_grid,
+    separate_objective,
 )
 from .sharing import (
     Allocation,

@@ -41,7 +41,8 @@ unimodal or not.  Whichever path ran, a variable is clamped when the
 returned point lies on its bound (_clamped).
 A `verify` grid only certifies: it is attached to the result and changes
 no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
-[0, p_hi] once (_box, shared with `oracles.bundle_grid`) and checks
+[0, p_hi] once (_box, shared with `bundle_grid`; _lattice lays the seed,
+`verify` and `bundle_grid` lattices on it) and checks
 once what can fail on it (_check_box: the demand mode, a nan among its
 eight corner profits, and in exact mode the qualities' underflow at the
 caps) before its lattices and ascents run on the unchecked `_profit`.
@@ -92,6 +93,8 @@ __all__ = [
     "OptimumBundle",
     "BundlingDecision",
     "gross_profit_bundle",
+    "bundle_objective",
+    "bundle_grid",
     "optimize_bundle",
     "optimal_bundle_fee_fixed_privacy",
     "concavity_report_bundle",
@@ -106,6 +109,7 @@ _ASCENT_TOL = 1e-13  # the paper ascent's updates are exact
 # maximum they approach, and 1e-12 takes twice the sweeps of 1e-9 to move no
 # profit by more than 6e-16 of it
 _SWEEP_TOL = 1e-9
+_CERTIFICATE_POINTS = 120  # per axis of the certificate lattice: the verify grid, bundle_grid
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,7 @@ class BundleSpec:
 
     def profit_surface(self, demand_mode: str = PAPER_FORM):
         """The profit as a function of (r1, r2, p_b) and the oracle lattice that certifies it."""
-        return (oracles.bundle_objective(self, demand_mode),
-                oracles.bundle_grid(self, demand_mode=demand_mode))
+        return bundle_objective(self, demand_mode), bundle_grid(self, demand_mode=demand_mode)
 
     def buy_probability(self, fee, qualities, demand_mode: str = PAPER_FORM):
         return _prob_buy_bundle(fee, *qualities, self.gamma, self.kind, demand_mode)
@@ -223,6 +226,18 @@ def gross_profit_bundle(bundle: BundleSpec, r1, r2, p_b, demand_mode=PAPER_FORM)
     return _no_joint_overflow("bundle profit", fee_hi, _profit, bundle, r1, r2, p_b, demand_mode)
 
 
+def bundle_objective(bundle, demand_mode=PAPER_FORM):
+    """The grid oracle's objective: gross_profit_bundle over (r1, r2, p_b), validated per call."""
+    _check_mode(demand_mode)
+    return lambda r1, r2, p: gross_profit_bundle(bundle, r1, r2, p, demand_mode)
+
+
+def bundle_grid(bundle, points: int = _CERTIFICATE_POINTS, demand_mode=PAPER_FORM) -> oracles.GridSpec:
+    """points^3 lattice of the box optimize_bundle solves and certifies in."""
+    _check_mode(demand_mode)
+    return _lattice(_box(bundle, demand_mode), points)
+
+
 def _fee_root(bundle: BundleSpec, sigma: float) -> float:
     """Positive root of the stationarity quadratic, scaled by 2*m*a3*b3.
 
@@ -278,6 +293,11 @@ def _box(bundle: BundleSpec, demand_mode: str):
     else:
         p_hi = (1.0 + bundle.gamma) * (u1_0 + u2_0)
     return privacy_cap(bundle.s1.quality), privacy_cap(bundle.s2.quality), p_hi
+
+
+def _lattice(box, points) -> oracles.GridSpec:
+    """The points^3 lattice of box = (cap1, cap2, p_hi), from 0 on every axis."""
+    return oracles.GridSpec(tuple((0.0, hi, points) for hi in box))
 
 
 def _privacy_update(quality, cost, revenue, cap):
@@ -630,7 +650,7 @@ def optimize_bundle(
     demand_mode: str = PAPER_FORM,
     verify: bool = False,
     seed_points: int = 48,
-    verify_points: int = 120,
+    verify_points: int = _CERTIFICATE_POINTS,
 ) -> OptimumBundle:
     """Maximize the bundle profit over (r1, r2, p_b): one path per kind and demand mode.
 
@@ -660,9 +680,7 @@ def optimize_bundle(
 
     def lattice_max(points):
         return oracles.grid_maximize(
-            lambda r1, r2, p: _profit(bundle, r1, r2, p, demand_mode),
-            oracles.GridSpec(tuple((0.0, hi, points) for hi in box)),
-        )
+            lambda r1, r2, p: _profit(bundle, r1, r2, p, demand_mode), _lattice(box, points))
 
     # the linear form's fee^2 and (1+gamma)^2*u1*u2, each below p_hi^2 on the box, can
     # overflow together to inf/inf; its nan raises below, with no warnings first

@@ -113,19 +113,23 @@ def degree_of_contingency(inp: ContingencyInput) -> float:
     return (inp.theta_b - denom) / denom
 
 
-def _check_count(n, what):
-    """A count of customers or participants is an integer in [1, MAX_MAGNITUDE].
+def _check_count(n, what, ceiling=MAX_MAGNITUDE):
+    """A count is an integer in [1, ceiling], compared before any arithmetic.
 
-    Past the ceiling m*m, n*n and n*c leave float range in the closed forms.
+    Past MAX_MAGNITUDE, the ceiling of customers and participants, m*m, n*n
+    and n*c leave float range in the closed forms; the Monte-Carlo draws
+    have their own ceiling (oracles.MAX_DRAWS).
     """
     if not (_is_number(n, int) and n >= 1):
         raise DomainError(f"{what} count must be a positive integer, got {n!r}")
-    if n > MAX_MAGNITUDE:
-        # f"{n:g}" raises OverflowError past float range; only this message needs decimal
-        from decimal import Context, Decimal
+    if n > ceiling:
+        got = n  # written out while short enough to read
+        if n >= 10**15:
+            # f"{n:g}" raises OverflowError past float range; only this message needs decimal
+            from decimal import Context, Decimal
 
-        raise DomainError(f"{what} count must be at most {MAX_MAGNITUDE:g}, "
-                          f"got {Decimal(n).normalize(Context(prec=6)):g}")
+            got = f"{Decimal(n).normalize(Context(prec=6)):g}"
+        raise DomainError(f"{what} count must be at most {ceiling:g}, got {got}")
 
 
 def _check_mode(mode):

@@ -20,6 +20,11 @@ draws; chunk sums are added in chunk order, so seeded bits do not depend
 on the core count.  Only the true/noisy flips enter the profit, so no
 noisy trace is formed; a bundle still draws its first service's trace
 normals, because its second service's flips follow them in the stream.
+
+The oracles import no market: each market module owns its objective and
+its certificate lattice (`separate.separate_grid`, `bundle.bundle_grid`),
+and `simulate_market` reads a target only through the market interface
+that `SeparateScenario` and `BundleSpec` share.
 """
 from __future__ import annotations
 
@@ -30,18 +35,15 @@ from typing import Callable
 
 import numpy as np
 
-from .demand import (COMPLEMENT, SUBSTITUTE, _check_contingency, _check_fee,
+from .demand import (COMPLEMENT, SUBSTITUTE, _check_contingency, _check_count, _check_fee,
                      _check_positive_quality, _check_privacy)
 from .errors import DomainError, _is_finite, _is_number
+from .quality import _quality
 
 __all__ = [
     "GridSpec",
     "GridMaxResult",
     "grid_maximize",
-    "separate_objective",
-    "separate_grid",
-    "bundle_objective",
-    "bundle_grid",
     "SimulationSpec",
     "SimResult",
     "DemandRegion",
@@ -52,6 +54,10 @@ __all__ = [
 
 _CHUNK = 1 << 17
 _BLOCK = 1 << 16  # grid points per evaluation: at most 512 KiB per full-size float64 array
+# at most ceil(MAX_DRAWS/_CHUNK) = 76,294 chunks, which _map_parts lists up front
+MAX_DRAWS = 10**10
+# what simulate_market reads of a target: the members SeparateScenario and BundleSpec share
+_MARKET_INTERFACE = ("point_names", "services", "market", "kind", "gamma")
 
 
 def _usable_cores() -> int:
@@ -149,40 +155,12 @@ def grid_maximize(objective: Callable, grid: GridSpec) -> GridMaxResult:
     return GridMaxResult(tuple(float(ax[i]) for ax, i in zip(axes, index)), best_value, index)
 
 
-def separate_objective(scenario) -> Callable:
-    from .separate import gross_profit_separate
-
-    return lambda r, p: gross_profit_separate(scenario, r, p)
-
-
-def separate_grid(scenario, r_points: int = 400, fee_points: int = 400) -> GridSpec:
-    from .separate import privacy_cap
-
-    cap = privacy_cap(scenario.service.quality)
-    return GridSpec(axes=((0.0, cap, r_points), (0.0, scenario.service.quality.alpha1, fee_points)))
-
-
-def bundle_objective(bundle, demand_mode=None) -> Callable:
-    from .bundle import gross_profit_bundle
-    from .demand import PAPER_FORM
-
-    mode = demand_mode or PAPER_FORM
-    return lambda r1, r2, p: gross_profit_bundle(bundle, r1, r2, p, mode)
-
-
-def bundle_grid(bundle, points: int = 120, demand_mode=None) -> GridSpec:
-    """points^3 lattice of the box optimize_bundle solves and certifies in."""
-    from .bundle import _box
-    from .demand import PAPER_FORM
-
-    return GridSpec(axes=tuple((0.0, hi, points) for hi in _box(bundle, demand_mode or PAPER_FORM)))
-
-
 @dataclass(frozen=True)
 class SimulationSpec:
     """Monte-Carlo controls: draw count, stream seed, trace noise scale.
 
-    sigma_z is validated but reaches no output of `simulate_market`.
+    draws is an integer in [1, MAX_DRAWS].  sigma_z is validated but
+    reaches no output of `simulate_market`.
     """
 
     draws: int
@@ -190,8 +168,7 @@ class SimulationSpec:
     sigma_z: float = 1.0
 
     def __post_init__(self):
-        if not (_is_number(self.draws, int) and self.draws >= 1):
-            raise DomainError(f"draw count must be a positive integer, got {self.draws!r}")
+        _check_count(self.draws, "draw", MAX_DRAWS)
         if not (_is_number(self.seed, int) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if not (_is_finite(self.sigma_z) and self.sigma_z >= 0):
@@ -281,7 +258,8 @@ def _bought(region: DemandRegion, rng: np.random.Generator, count: int) -> np.nd
 def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     """Monte-Carlo estimate of the expected gross profit at one decision point.
 
-    The target is a market (a single-service scenario or a bundle); its
+    The target is a market: any object with the members of
+    `_MARKET_INTERFACE`, as a single-service scenario and a bundle have; its
     kind, services, contingency and point names give the DemandRegion at
     the point; the point's length and privacy levels are checked here, its
     fee and qualities by the DemandRegion.  One chunk function then
@@ -297,11 +275,7 @@ def simulate_market(target, point, sim: SimulationSpec) -> SimResult:
     sums are added in chunk order, so the result does not depend on the
     core count.
     """
-    from .bundle import BundleSpec
-    from .quality import _quality
-    from .separate import SeparateScenario
-
-    if not isinstance(target, (SeparateScenario, BundleSpec)):
+    if not all(hasattr(target, name) for name in _MARKET_INTERFACE):
         raise DomainError(f"cannot simulate target of type {type(target).__name__}")
     services = target.services
     if len(point) != len(target.point_names):

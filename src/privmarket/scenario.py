@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .bundle import BundleSpec
-from .demand import MarketSpec
+from .demand import MarketSpec, _check_count
 from .errors import DomainError, ScenarioError, _is_finite, _is_number, _read_text
 from .oracles import SimulationSpec
 from .quality import FitResult, QualityParams, fit_quality_curve, load_samples
@@ -58,6 +58,9 @@ _SCHEMA = {
 }
 
 _ALPHAS = ("alpha1", "alpha2", "alpha3")
+
+# sweep_values lists every value before the first one is swept
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ class LoadedScenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter: dotted path plus an inclusive linear range."""
+    """One swept parameter: dotted path plus an inclusive linear range of 2 to MAX_STEPS values."""
 
     param: str
     start: float
@@ -94,6 +97,7 @@ class SweepSpec:
     def __post_init__(self):
         if not (_is_number(self.steps, int) and self.steps >= 2):
             raise DomainError(f"sweep needs an integer of at least 2 steps, got {self.steps!r}")
+        _check_count(self.steps, "sweep step", MAX_STEPS)
         if not (_is_finite(self.start) and _is_finite(self.stop) and self.start <= self.stop):
             raise DomainError(
                 f"sweep range must be finite with start <= stop, got [{self.start}, {self.stop}]"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracles
-from .demand import (PAPER_FORM, MarketSpec, _buy_separate, _check_count, _check_fee,
+from .demand import (PAPER_FORM, MarketSpec, _buy_separate, _check_count, _check_fee, _check_mode,
                      _check_positive_quality, _check_privacy, _output, prob_buy_separate)
 from .errors import DomainError, _as_input, _is_finite
 from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
@@ -34,6 +34,8 @@ __all__ = [
     "OptimumSeparate",
     "privacy_cap",
     "gross_profit_separate",
+    "separate_objective",
+    "separate_grid",
     "optimize_separate",
     "optimal_fee_fixed_privacy",
     "concavity_report_separate",
@@ -80,8 +82,9 @@ class SeparateScenario:
     def optimize(self, demand_mode: str = PAPER_FORM, verify: bool = False) -> "OptimumSeparate":
         """optimize_separate, keeping the grid oracle's maximum with ``verify``.
 
-        One service has one demand form, so demand_mode changes nothing.
+        One service has one demand form, so a known demand_mode changes nothing.
         """
+        _check_mode(demand_mode)
         opt = optimize_separate(self)
         if verify:
             opt = replace(opt, grid=oracles.grid_maximize(*self.profit_surface(demand_mode)))
@@ -89,9 +92,11 @@ class SeparateScenario:
 
     def profit_surface(self, demand_mode: str = PAPER_FORM):
         """The profit as a function of (r, p) and the oracle lattice that certifies it."""
-        return oracles.separate_objective(self), oracles.separate_grid(self)
+        _check_mode(demand_mode)
+        return separate_objective(self), separate_grid(self)
 
     def buy_probability(self, fee, qualities, demand_mode: str = PAPER_FORM):
+        _check_mode(demand_mode)
         return prob_buy_separate(fee, *qualities)
 
 
@@ -145,6 +150,17 @@ def gross_profit_separate(scenario: SeparateScenario, r, p_s):
     _check_fee(p_s)
     _check_positive_quality(_quality(r, scenario.service.quality))
     return _output(_profit(scenario, r, p_s))
+
+
+def separate_objective(scenario):
+    """The grid oracle's objective: gross_profit_separate over (r, p), validated per call."""
+    return lambda r, p: gross_profit_separate(scenario, r, p)
+
+
+def separate_grid(scenario, r_points: int = 400, fee_points: int = 400) -> oracles.GridSpec:
+    """The certificate lattice [0, cap] x [0, alpha1]: a fee past alpha1 > u(r) sells nothing."""
+    q = scenario.service.quality
+    return oracles.GridSpec(axes=((0.0, privacy_cap(q), r_points), (0.0, q.alpha1, fee_points)))
 
 
 def optimal_fee_fixed_privacy(scenario: SeparateScenario, r: float) -> float:

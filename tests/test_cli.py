@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from privmarket import cli, oracles
 from privmarket.cli import main
 
 S1_ONLY = """\
@@ -815,6 +816,38 @@ def test_sweep_over_infinite_bounds_is_validation_error(s1_file, tmp_path, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sweep range") and "Traceback" not in err
+
+
+def _never(*args):
+    raise AssertionError("called past a count's ceiling")
+
+
+@pytest.mark.parametrize("steps", [10**12, 10**400], ids=["1e12", "1e400"])
+def test_sweep_step_count_has_a_ceiling(steps, s1_file, tmp_path, capsys, monkeypatch):
+    # 10**400 steps once ended in an OverflowError traceback (exit 1), and 10**12 would
+    # have listed every value before the first solve; the count is checked before either
+    monkeypatch.setattr(cli, "sweep_values", _never)
+    argv = ["sweep", s1_file, "--param", "market.M", "--start", "1", "--stop", "2",
+            "--steps", str(steps), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep step count must be at most 100000, got ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("draws", [10**11, 10**400], ids=["1e11", "1e400"])
+@pytest.mark.parametrize("command", [["simulate"], ["demand", "--verify"]], ids=lambda c: c[0])
+def test_draw_count_has_a_ceiling(draws, command, tmp_path, capsys, monkeypatch):
+    # the Monte-Carlo oracles list every chunk of draws before the first runs
+    monkeypatch.setattr(oracles, "_map_parts", _never)
+    path = tmp_path / "draws.cfg"
+    path.write_text(S1_ONLY.replace("draws = 50000", f"draws = {draws}"))
+    assert main(command + [str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "section [sim], line 11" in err and "draw count must be at most 1e+10" in err
+    assert not (tmp_path / "run").exists()
 
 
 # a --param that names no parameter to sweep, and the message that says so

@@ -39,7 +39,7 @@ from privmarket import (
     quality,
     separate,
 )
-from privmarket.oracles import bundle_grid, bundle_objective
+from privmarket import bundle_grid, bundle_objective
 
 from conftest import random_bundle
 
@@ -975,11 +975,29 @@ def test_every_invalid_class_raises_through_both_branches(fn, valid, position, b
 
 
 def test_unknown_demand_mode_raises():
+    # the lattice helpers check the mode up front: their box once took every
+    # mode but "paper" for exact, and an empty mode for "paper"
     for call in (lambda mode: prob_buy_complement(0.6, 0.7, 0.8, 0.1, mode),
                  lambda mode: prob_buy_substitute(0.6, 0.7, 0.8, -0.1, mode),
-                 lambda mode: gross_profit_bundle(BUNDLES[COMPLEMENT], 0.3, 0.4, 0.5, mode)):
+                 lambda mode: gross_profit_bundle(BUNDLES[COMPLEMENT], 0.3, 0.4, 0.5, mode),
+                 lambda mode: bundle_objective(_shipped(COMPLEMENT), mode),
+                 lambda mode: bundle_grid(_shipped(COMPLEMENT), 5, demand_mode=mode)):
+        for mode in ("bogus", ""):
+            with pytest.raises(DomainError, match="demand mode"):
+                call(mode)
+
+
+@pytest.mark.parametrize("market", ["separate", COMPLEMENT, SUBSTITUTE])
+def test_both_markets_reject_an_unknown_mode(market):
+    # a single service has one demand form, yet its market checks the mode as a bundle does
+    target = SCENARIO if market == "separate" else _shipped(market)
+    qualities = (0.7,) * len(target.services)
+    for call in (lambda mode: target.optimize(mode),
+                 lambda mode: target.profit_surface(mode),
+                 lambda mode: target.buy_probability(0.5, qualities, mode)):
         with pytest.raises(DomainError, match="demand mode"):
             call("bogus")
+        call(PAPER_FORM)
 
 
 def _spy(monkeypatch, *places):
@@ -1018,7 +1036,7 @@ def test_solve_validates_once(kind, variant, mode, verify, monkeypatch):
     b = _shipped(kind) if variant == "shipped" else _with_wage(_shipped(kind), float(variant[2:]))
     checks = _spy(monkeypatch, (bundle, "_check_box"))
     caps = _spy(monkeypatch, (bundle, "privacy_cap"), (separate, "privacy_cap"))
-    others = _spy(monkeypatch, (bundle.oracles, "bundle_grid"), (bundle, "evaluate_quality"),
+    others = _spy(monkeypatch, (bundle, "bundle_grid"), (bundle, "evaluate_quality"),
                   (quality, "evaluate_quality"), (bundle, "gross_profit_bundle"))
     opt = optimize_bundle(b, demand_mode=mode, verify=verify, verify_points=48)
     closed_form = (kind, variant, mode, verify) == (COMPLEMENT, "shipped", PAPER_FORM, False)

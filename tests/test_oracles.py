@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from privmarket import (
     separate_objective,
     simulate_market,
 )
-from privmarket.oracles import bundle_grid, bundle_objective
+from privmarket import bundle_grid, bundle_objective
 
 from conftest import S1_PARAMS, S3_PARAMS
 
@@ -157,6 +158,17 @@ class TestSimulateMarket:
         with pytest.raises(DomainError):
             simulate_market("not a scenario", (0.1, 0.1), SimulationSpec(draws=10, seed=0))
 
+    def test_takes_any_target_with_the_market_interface(self, s1_scenario):
+        # the oracle reads a market through these members only, and imports no market class
+        members = {name: getattr(s1_scenario, name)
+                   for name in ("point_names", "services", "market", "kind", "gamma")}
+        sim = SimulationSpec(draws=1_000, seed=3)
+        assert (simulate_market(SimpleNamespace(**members), (0.3, 0.4), sim)
+                == simulate_market(s1_scenario, (0.3, 0.4), sim))
+        del members["gamma"]
+        with pytest.raises(DomainError, match="cannot simulate target of type SimpleNamespace"):
+            simulate_market(SimpleNamespace(**members), (0.3, 0.4), sim)
+
     @pytest.mark.parametrize("fixture, point", [
         ("s1_scenario", (0.3, 0.4, 0.9)),
         ("s1_scenario", (0.3,)),
@@ -172,6 +184,15 @@ class TestSimulateMarket:
         with pytest.raises(DomainError):
             simulate_market(s1_scenario, (0.3, fee), SimulationSpec(draws=10, seed=0))
 
+
+
+def test_draw_count_has_a_ceiling():
+    # checked before any chunk is listed: 10**400 draws would have listed ~7.6e394 chunks
+    assert SimulationSpec(draws=oracles.MAX_DRAWS).draws == 10**10
+    for draws, got in ((10**10 + 1, "10000000001"), (10**400, "1e+400")):
+        with pytest.raises(DomainError) as err:
+            SimulationSpec(draws=draws)
+        assert str(err.value) == f"draw count must be at most 1e+10, got {got}"
 
 
 # float.hex of (simulate_market mean, std_error, estimate_buy_probability

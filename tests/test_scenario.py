@@ -6,6 +6,7 @@ import pytest
 
 from privmarket import ScenarioError, SweepSpec, load_scenario, sweep_values
 from privmarket.errors import DomainError
+from privmarket.scenario import MAX_STEPS
 
 GOOD = """\
 [market]
@@ -160,6 +161,15 @@ def test_sweep_spec_validation():
         SweepSpec(param="market.M", start=-1e308, stop=1e308, steps=3)
     with pytest.raises(DomainError):  # the last value rounds past the largest float
         SweepSpec(param="market.M", start=0.0, stop=sys.float_info.max, steps=4)
+
+
+def test_sweep_steps_have_a_ceiling():
+    # checked before any arithmetic: 10**400 steps once overflowed the step width
+    SweepSpec(param="market.M", start=1.0, stop=2.0, steps=MAX_STEPS)
+    for steps, got in ((MAX_STEPS + 1, "100001"), (10**12, "1000000000000"), (10**400, "1e+400")):
+        with pytest.raises(DomainError) as err:
+            SweepSpec(param="market.M", start=1.0, stop=2.0, steps=steps)
+        assert str(err.value) == f"sweep step count must be at most 100000, got {got}"
 
 
 def test_sweep_values_inclusive():
