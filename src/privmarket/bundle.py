@@ -41,15 +41,17 @@ unimodal or not.  Whichever path ran, a variable is clamped when the
 returned point lies on its bound (_clamped).
 A `verify` grid only certifies: it is attached to the result and changes
 no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
-[0, p_hi] once (_box, shared with `bundle_grid`; _lattice lays the seed,
-`verify` and `bundle_grid` lattices on it) and checks
-once what can fail on it (_check_box: the demand mode, a nan among its
-eight corner profits, and in exact mode the qualities' underflow at the
-caps) before its lattices and ascents run on the unchecked `_profit`.
+[0, p_hi] once (_box, which checks the demand mode, shared with
+`bundle_grid`; _lattice lays the seed, `verify` and `bundle_grid`
+lattices on it) and checks once what else can fail on it (_check_box: a
+nan among its eight corner profits, in exact mode the qualities'
+underflow at the caps; the same call scores the exact starts) before
+its lattices and ascents run on the unchecked `_profit`.
 """
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -234,7 +236,6 @@ def bundle_objective(bundle, demand_mode=PAPER_FORM):
 
 def bundle_grid(bundle, points: int = _CERTIFICATE_POINTS, demand_mode=PAPER_FORM) -> oracles.GridSpec:
     """points^3 lattice of the box optimize_bundle solves and certifies in."""
-    _check_mode(demand_mode)
     return _lattice(_box(bundle, demand_mode), points)
 
 
@@ -287,6 +288,7 @@ def _stationary_point(bundle: BundleSpec, root: float, sigma: float):
 
 def _box(bundle: BundleSpec, demand_mode: str):
     """(cap1, cap2, p_hi): the privacy caps and the fee past which nothing sells at r = 0."""
+    _check_mode(demand_mode)
     u1_0, u2_0 = (float(_quality(0.0, svc.quality)) for svc in bundle.services)
     if demand_mode == PAPER_FORM:
         p_hi = (1.0 + bundle.gamma) * math.sqrt(u1_0 * u2_0 / bundle.demand_factor)
@@ -573,10 +575,11 @@ def _exact_ascent(bundle: BundleSpec, box):
     Both services: P's maximum at the exact interior factor sigma (0.5, or
     0.5 - gamma^2 for substitutes), by _paper_ascent from the box corner.
     One service, the other's privacy at its cap: its standalone optimum,
-    quality scaled by 1 + gamma for complements.  The sweeps run from the
-    most profitable start; ending on a cap below 1, where a service's
-    quality vanishes, they also run from the others and keep the best end.
-    Far from the paper's services local maxima that no start reaches can
+    quality scaled by 1 + gamma for complements.  The call that checks the
+    box scores the starts (_check_box), and the sweeps run from the most
+    profitable; ending on a cap below 1, where a service's quality
+    vanishes, they also run from the others and keep the best end.  Far
+    from the paper's services local maxima that no start reaches can
     exist (README).  Returns the best end (r1, r2, p) and its profit.
     """
     cap1, cap2, _ = box
@@ -588,7 +591,7 @@ def _exact_ascent(bundle: BundleSpec, box):
     starts = [_paper_ascent(bundle, sigma, (0.0, 0.0, 0.0), box),
               (r1, cap2, 0.5 * scale * _quality(r1, bundle.s1.quality)),
               (cap1, r2, 0.5 * scale * _quality(r2, bundle.s2.quality))]
-    order = np.argsort(-_profit(bundle, *np.array(starts).T, EXACT_GEOMETRY), kind="stable")
+    order = np.argsort(-_check_box(bundle, box, EXACT_GEOMETRY, starts), kind="stable")
     first, *others = [starts[i] for i in order]
     ends = [_exact_sweeps(bundle, first, box)]
     if any(r == cap < 1.0 for r, cap in zip(ends[0], (cap1, cap2))):
@@ -598,19 +601,22 @@ def _exact_ascent(bundle: BundleSpec, box):
     return (*ends[best], profits[best])
 
 
-def _check_box(bundle: BundleSpec, box, demand_mode: str):
+def _check_box(bundle: BundleSpec, box, demand_mode: str, points=()):
     """The rules of gross_profit_bundle on the box's eight corners that can fail there.
 
-    There are three: the demand mode, a nan among the eight corner
-    profits, and in exact mode the public exact buy rules' underflow rule
-    (_check_scaled_qualities) at the caps.  The other rules of that call
-    hold on every box _box builds, so none is applied: privacy_cap gives
-    caps in [0, 1] with u(cap) > 0; QualityParams gives u(0) = alpha1 -
-    alpha2 > 0 (alpha1 > alpha2 as floats, so the difference does not
-    round to 0), and u(cap) <= u(0) < alpha1 <= 1e100 is finite; and with
-    alpha1 and gamma at most 1e100, p_hi, (1+gamma)*sqrt(u1*u2/sigma) or
-    (1+gamma)*(u1 + u2) at r = 0, is finite (below 3e200) and >= 0.  The
-    extreme-magnitude test named below asserts them on every box it draws.
+    Returns the profits at points, a sequence of (r1, r2, p_b) in the box
+    that the same _profit call scores (the exact solve's starts).  There
+    are two rules beyond the demand mode, which _box applies: a nan among
+    the eight corner profits, and in exact mode the public exact buy
+    rules' underflow rule (_check_scaled_qualities) at the caps.  The
+    other rules of that call hold on every box _box builds, so none is
+    applied: privacy_cap gives caps in [0, 1] with u(cap) > 0;
+    QualityParams gives u(0) = alpha1 - alpha2 > 0 (alpha1 > alpha2 as
+    floats, so the difference does not round to 0), and u(cap) <= u(0) <
+    alpha1 <= 1e100 is finite; and with alpha1 and gamma at most 1e100,
+    p_hi, (1+gamma)*sqrt(u1*u2/sigma) or (1+gamma)*(u1 + u2) at r = 0, is
+    finite (below 3e200) and >= 0.  The extreme-magnitude test named below
+    asserts them on every box it draws.
 
     With every input in range, a corner profit m*p*buy - n*c1*(1 - r1) -
     n*c2*(1 - r2) is nan under one of three conditions, each a 0/0, inf/inf
@@ -629,20 +635,16 @@ def _check_box(bundle: BundleSpec, box, demand_mode: str):
     exact complements of the third (gamma of 1e10 or more), which would
     then raise _check_scaled_qualities' text instead of this one.  The
     corners are evaluated with invalid and divide ignored: their nan
-    raises here, and an inf from a division by 0 changes no check.
+    raises here, and an inf from a division by 0 changes no check or score.
     """
-    _check_mode(demand_mode)
-    corners = (np.array((0.0, hi)).reshape(shape)
-               for hi, shape in zip(box, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
+    corners = itertools.product(*((0.0, hi) for hi in box))
     with np.errstate(invalid="ignore", divide="ignore"):
-        values = _profit(bundle, *corners, demand_mode)
-    oracles._check_no_nan(values)
-    if demand_mode == EXACT_GEOMETRY:
-        # the exact area divides by u1*u2, least at the caps; a large gamma can
-        # send it to 0 while the corners' interior form, which divides by
-        # (1+gamma)^2*u1*u2, stays finite
+        values = _profit(bundle, *np.array([*corners, *points]).T, demand_mode)
+    oracles._check_no_nan(values[:8])
+    if demand_mode == EXACT_GEOMETRY:  # the third condition below
         _check_scaled_qualities(*(_quality(cap, svc.quality)
                                   for svc, cap in zip(bundle.services, box)), bundle.gamma)
+    return values[8:]
 
 
 def optimize_bundle(
@@ -665,8 +667,9 @@ def optimize_bundle(
     result's certificate; it changes no returned value.  Lattices and
     ascents run on the unchecked `_profit` in one box (_box), checked once
     by `_check_box` (of the rules of a validating `gross_profit_bundle` call
-    on its eight corners, the three that can fail there); a closed-form
-    complement without ``verify`` skips it.
+    on its eight corners, the three that can fail there; the exact ascent's
+    call also scores its starts); a closed-form complement without ``verify``
+    skips it.
     Whichever path ran, `clamped_variables` names the returned point's
     variables on a bound of the box (_clamped); `interior` means none is.
     """
@@ -686,7 +689,7 @@ def optimize_bundle(
     # overflow together to inf/inf; its nan raises below, with no warnings first
     overflows = box[2] * box[2] == math.inf
     with np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext():
-        if verify or fallback:
+        if (verify or fallback) and demand_mode == PAPER_FORM:  # _exact_ascent checks its own
             _check_box(bundle, box, demand_mode)
         if not fallback:
             profit = float(_profit(bundle, r1, r2, p, demand_mode))

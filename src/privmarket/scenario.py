@@ -29,7 +29,7 @@ required, and each section may appear only once.  A service carries
 either the three curve parameters or a fit-samples CSV path (relative
 paths resolve against the scenario file), never both.  Unknown sections
 or keys are rejected with the offending line number, and every value
-error names its section and line.
+error names its section and line: the key's own where one key is at fault.
 """
 from __future__ import annotations
 
@@ -213,17 +213,18 @@ def load_scenario(path: str) -> LoadedScenario:
             if key not in values:
                 raise ScenarioError(f"missing key '{key}'", section=name, line=line_no)
         if kind == "market":
-            market = _make(name, line_no, MarketSpec, m=values["M"])
+            market = _make(name, entries["M"][1], MarketSpec, m=values["M"], key="M")
         elif kind == "sim":
-            sim = _make(name, line_no, replace, sim, **values)
+            for key, value in values.items():
+                sim = _make(name, entries[key][1], replace, sim, key=key, **{key: value})
         elif kind == "bundle":  # built once every service is known
             bundle_section = (line_no, values, entries["members"][1])
         else:
             quality, fit = _quality(name, line_no, entries, values, base_dir)
             if fit is not None:
                 fits[service] = fit
-            services[service] = _make(name, line_no, ServiceSpec,
-                                      quality=quality, n=values["N"], c=values["c"])
+            svc = _make(name, entries["N"][1], ServiceSpec, quality, values["N"], 0.0, key="N")
+            services[service] = _make(name, entries["c"][1], replace, svc, c=values["c"], key="c")
 
     if market is None:
         raise ScenarioError("scenario needs a [market] section")

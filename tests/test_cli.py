@@ -798,8 +798,8 @@ _APPENDED = S1_ONLY.count("\n") + 2  # the line of a section appended after a bl
     (S1_ONLY + "\n[service]\nc = -3\n", f"line {_APPENDED}"),
     (S1_ONLY + "\n[market.x]\nM = 5\n", f"line {_APPENDED}"),
     (S1_ONLY + "\n[sim]\ndraws = 10\n", f"section [sim], line {_APPENDED}"),
-    (S1_ONLY.replace("M = 1000", "M = 1" + "0" * 160), "section [market], line 1"),
-    (S1_ONLY.replace("seed = 7", f"seed = {2**64}"), "section [sim], line 11"),
+    (S1_ONLY.replace("M = 1000", "M = 1" + "0" * 160), "section [market], key 'M', line 2"),
+    (S1_ONLY.replace("seed = 7", f"seed = {2**64}"), "section [sim], key 'seed', line 13"),
 ], ids=["service", "market.x", "repeated-sim", "huge-M", "seed-2^64"])
 def test_scenario_section_errors_exit_two_with_location(tmp_path, capsys, text, where):
     path = tmp_path / "bad.cfg"
@@ -846,7 +846,7 @@ def test_draw_count_has_a_ceiling(draws, command, tmp_path, capsys, monkeypatch)
     assert main(command + [str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "section [sim], line 11" in err and "draw count must be at most 1e+10" in err
+    assert "section [sim], key 'draws', line 12" in err and "draw count must be at most 1e+10" in err
     assert not (tmp_path / "run").exists()
 
 

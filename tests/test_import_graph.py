@@ -1,6 +1,9 @@
 """The package's import graph: every sibling import sits at module level, and the
 oracles import none of the markets they check nor the modules built on them."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,8 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 DEFERRED = {("demand", "_check_count", "decimal"),
             ("oracles", "_map_parts", "concurrent.futures")}
 CHECKED = {f"privmarket.{name}" for name in ("bundle", "separate", "scenario", "cli")}
+# modules a CLI start-up would pay for on every command; none of them is needed to start
+UNLOADED = ("numpy.random", "concurrent.futures", "decimal")
 
 
 def _tree(path):
@@ -66,3 +71,13 @@ def test_the_check_sees_relative_and_deferred_imports():
             for name in _imported(node)} == {"privmarket.bundle", "privmarket.separate"}
     assert _function_imports(tree) == {("f", "privmarket.separate"), ("f", "privmarket.cli"),
                                        ("g", "privmarket.cli")}
+
+
+def test_cli_import_loads_no_deferred_module():
+    # a fresh interpreter, so no other test has imported them already
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    code = f"import sys, privmarket.cli; print([m for m in {UNLOADED!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ bits of both layers.
 """
 import dataclasses
 import hashlib
+import itertools
 import warnings
 from pathlib import Path
 
@@ -1123,6 +1124,76 @@ def test_a_nan_box_corner_meets_one_of_three_conditions():
                 nan_sets += 1
                 only_third += not (overflow or scaled)
     assert nan_sets > 1000 and only_third > 0
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+def test_exact_solve_scores_corners_and_starts_in_one_call(kind, verify, monkeypatch):
+    # before its first sweep an exact solve makes one profit call: the box's
+    # eight corners, then its three starts, the sweeps starting from the best
+    events = []
+    real_profit, real_sweeps = bundle._profit, bundle._exact_sweeps
+
+    def profit(b, r1, r2, p, mode):
+        values = real_profit(b, r1, r2, p, mode)
+        events.append(("profit", (r1, r2, p), values))
+        return values
+
+    def sweeps(b, start, box):
+        events.append(("sweeps", start, box))
+        return real_sweeps(b, start, box)
+
+    monkeypatch.setattr(bundle, "_profit", profit)
+    monkeypatch.setattr(bundle, "_exact_sweeps", sweeps)
+    for b in (_shipped(kind), _with_wage(_shipped(kind), 0.0), _with_wage(_shipped(kind), 5.0)):
+        events.clear()
+        optimize_bundle(b, demand_mode=EXACT_GEOMETRY, verify=verify, verify_points=12)
+        first_sweep = [e[0] for e in events].index("sweeps")
+        assert [e[0] for e in events[:first_sweep]] == ["profit"]
+        (_, points, values), (_, start, box) = events[0], events[first_sweep]
+        points = np.array(points)
+        assert points.shape == (3, 11)
+        corners = {tuple(point) for point in points[:, :8].T}
+        assert corners == set(itertools.product(*((0.0, hi) for hi in box)))
+        starts = [tuple(point) for point in points[:, 8:].T]
+        assert tuple(start) == starts[int(np.argmax(values[8:]))]
+
+
+def _no_sweep(*args):
+    raise AssertionError("swept a box with a nan corner")
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
+def test_nan_exact_corner_raises_before_any_sweep(kind, verify, monkeypatch):
+    # the call that scores the corners and the starts raises the nan-grid
+    # error, and no sweep runs
+    q = QualityParams(1e-160, 1e-170, 50.0)
+    b = dataclasses.replace(_shipped(kind), s1=ServiceSpec(q, 100, 0.2), s2=ServiceSpec(q, 100, 0.2))
+    monkeypatch.setattr(bundle, "_exact_sweeps", _no_sweep)
+    with pytest.raises(DomainError, match="objective produced NaN on the grid"):
+        optimize_bundle(b, demand_mode=EXACT_GEOMETRY, verify=verify)
+
+
+def test_exact_nan_corners_raise_their_error_first():
+    # the starts are computed before the corner check; on extreme draws a solve
+    # raises the nan-grid error exactly where the corners hold a nan, no other first
+    rng = np.random.default_rng(3)
+    nan_sets = 0
+    for j in range(1500):
+        try:
+            b = _extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[j % 2])
+        except DomainError:
+            continue
+        nan, _ = _corner_nan_conditions(b, EXACT_GEOMETRY)
+        try:
+            optimize_bundle(b, demand_mode=EXACT_GEOMETRY)
+            error = None
+        except (DomainError, RuntimeWarning) as exc:
+            error = str(exc)
+        assert (error == "objective produced NaN on the grid; domain is not valid") == nan, (j, error)
+        nan_sets += nan
+    assert nan_sets > 100
 
 
 def test_unknown_demand_mode_is_rejected_by_the_solver():

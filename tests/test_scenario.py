@@ -204,13 +204,17 @@ def test_repeated_section_rejected(tmp_path, section, body):
 
 
 @pytest.mark.parametrize("old, new, where", [
-    ("M = 1000", "M = 1" + "0" * 160, "section [market], line 1"),
-    ("seed = 21", f"seed = {2**64}", "section [sim], line 23"),
-    ("sigma_z = 0.5", "sigma_z = inf", "section [sim], line 23"),
-], ids=["huge-M", "seed-2^64", "infinite-sigma_z"])
+    ("M = 1000", "M = 1" + "0" * 160, "section [market], key 'M', line 2"),
+    ("seed = 21", f"seed = {2**64}", "section [sim], key 'seed', line 25"),
+    ("sigma_z = 0.5", "sigma_z = inf", "section [sim], key 'sigma_z', line 26"),
+    ("draws = 5000", "draws = 100000000000", "section [sim], key 'draws', line 24"),
+    ("N = 100", "N = 1" + "0" * 400, "section [service.S1], key 'N', line 5"),
+    ("c = 0.2", "c = 1e200", "section [service.S1], key 'c', line 6"),
+], ids=["huge-M", "seed-2^64", "infinite-sigma_z", "huge-draws", "huge-N", "huge-c"])
 def test_spec_errors_name_section_and_line(tmp_path, old, new, where):
     # each value passes the loader's own range rule but not the spec's check,
-    # whose error once had no location
+    # whose error once had no location, then only its section's line; a spec
+    # now takes one key at a time, so the error names that key's own line
     with pytest.raises(ScenarioError) as err:
         load_scenario(_write(tmp_path, GOOD.replace(old, new)))
     assert where in str(err.value)
