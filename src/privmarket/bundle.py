@@ -45,8 +45,10 @@ no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
 `bundle_grid`; _lattice lays the seed, `verify` and `bundle_grid`
 lattices on it) and checks once what else can fail on it (_check_box: a
 nan among its eight corner profits, in exact mode the qualities'
-underflow at the caps; the same call scores the exact starts) before
-its lattices and ascents run on the unchecked `_profit`.
+underflow at the caps) before its lattices and ascents run on the
+unchecked `_profit`.  The exact solve's check scores its starts, and it
+scores the corners with them only where one of the three conditions
+under which a corner can be nan holds (_corners_can_be_nan).
 """
 from __future__ import annotations
 
@@ -68,12 +70,14 @@ from .demand import (
     _buy_bundle,
     _check_contingency,
     _check_fee,
+    _check_kind,
     _check_mode,
     _check_positive_quality,
     _check_privacy,
     _check_scaled_qualities,
     _no_joint_overflow,
     _prob_buy_bundle,
+    _scaled_qualities_vanish,
     _sigma,
 )
 from .errors import DomainError, _as_input
@@ -129,8 +133,7 @@ class BundleSpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in (COMPLEMENT, SUBSTITUTE):
-            raise DomainError(f"bundle kind must be '{COMPLEMENT}' or '{SUBSTITUTE}', got {self.kind!r}")
+        _check_kind(self.kind)
         _check_contingency(self.kind, self.gamma)
         if self.s1.n != self.s2.n:
             raise DomainError(
@@ -381,10 +384,14 @@ def _exact_fee(bundle: BundleSpec, u1, u2, p_hi) -> float:
     return min(y * total, p_hi)
 
 
+# every ordered subset of the names, built once: each result shares one, as separate's ("r",)
+_CLAMPED_NAMES = {flags: tuple(name for name, flag in zip(BundleSpec.point_names, flags) if flag)
+                  for flags in itertools.product((False, True), repeat=3)}
+
+
 def _clamped(r1, r2, p, box) -> tuple[str, ...]:
     """The names among (r1, r2, p_b) on a bound of box: r at 0 or at its cap, the fee at 0."""
-    on_bound = (r1 in (0.0, box[0]), r2 in (0.0, box[1]), p == 0.0)
-    return tuple(name for name, flag in zip(("r1", "r2", "p_b"), on_bound) if flag)
+    return _CLAMPED_NAMES[r1 in (0.0, box[0]), r2 in (0.0, box[1]), p == 0.0]
 
 
 def _paper_ascent(bundle: BundleSpec, sigma, start, box):
@@ -576,11 +583,12 @@ def _exact_ascent(bundle: BundleSpec, box):
     0.5 - gamma^2 for substitutes), by _paper_ascent from the box corner.
     One service, the other's privacy at its cap: its standalone optimum,
     quality scaled by 1 + gamma for complements.  The call that checks the
-    box scores the starts (_check_box), and the sweeps run from the most
-    profitable; ending on a cap below 1, where a service's quality
-    vanishes, they also run from the others and keep the best end.  Far
-    from the paper's services local maxima that no start reaches can
-    exist (README).  Returns the best end (r1, r2, p) and its profit.
+    box scores the starts (_check_box, with the box's corners only where a
+    corner can be nan), and the sweeps run from the most profitable;
+    ending on a cap below 1, where a service's quality vanishes, they also
+    run from the others and keep the best end.  Far from the paper's
+    services local maxima that no start reaches can exist (README).
+    Returns the best end (r1, r2, p) and its profit.
     """
     cap1, cap2, _ = box
     scale = 1.0 + bundle.gamma if bundle.kind == COMPLEMENT else 1.0
@@ -599,6 +607,15 @@ def _exact_ascent(bundle: BundleSpec, box):
     profits = [float(_profit(bundle, *end, EXACT_GEOMETRY)) for end in ends]
     best = max(range(len(ends)), key=profits.__getitem__)  # the first end on a tie
     return (*ends[best], profits[best])
+
+
+def _corners_can_be_nan(bundle: BundleSpec, box) -> bool:
+    """Whether one of _check_box's three conditions, the only ways a corner profit is nan, holds.
+
+    p_hi*p_hi overflows, or _check_scaled_qualities' rule fails at the caps.
+    """
+    u1, u2 = (_quality(cap, svc.quality) for svc, cap in zip(bundle.services, box))
+    return box[2] * box[2] == math.inf or _scaled_qualities_vanish(u1, u2, bundle.gamma)
 
 
 def _check_box(bundle: BundleSpec, box, demand_mode: str, points=()):
@@ -633,18 +650,30 @@ def _check_box(bundle: BundleSpec, box, demand_mode: str, points=()):
     derandomized test over extreme magnitudes, both kinds and both modes,
     finds no nan corner set outside them; the first two alone miss the
     exact complements of the third (gamma of 1e10 or more), which would
-    then raise _check_scaled_qualities' text instead of this one.  The
-    corners are evaluated with invalid and divide ignored: their nan
-    raises here, and an inf from a division by 0 changes no check or score.
+    then raise _check_scaled_qualities' text instead of this one.
+
+    So in exact mode the corners are scored only where one of the three
+    holds (_corners_can_be_nan): elsewhere no corner is nan and the caps
+    pass the underflow rule, and the call scores the points alone.  Its
+    corner at p_hi lies off interior geometry, which would send the whole
+    call through _nonbuy_area.  Where one holds, the corners and the points
+    are scored in one call, the nan raises first, then the underflow rule.
+    Paper mode always scores the corners.  The call runs with invalid and
+    divide ignored: a corner's nan raises here, and an inf from a division
+    by 0 changes no check or score.
     """
-    corners = itertools.product(*((0.0, hi) for hi in box))
+    if demand_mode == EXACT_GEOMETRY and not _corners_can_be_nan(bundle, box):
+        corners = []
+    else:
+        corners = [*itertools.product(*((0.0, hi) for hi in box))]
     with np.errstate(invalid="ignore", divide="ignore"):
         values = _profit(bundle, *np.array([*corners, *points]).T, demand_mode)
-    oracles._check_no_nan(values[:8])
-    if demand_mode == EXACT_GEOMETRY:  # the third condition below
-        _check_scaled_qualities(*(_quality(cap, svc.quality)
-                                  for svc, cap in zip(bundle.services, box)), bundle.gamma)
-    return values[8:]
+    if corners:
+        oracles._check_no_nan(values[:8])
+        if demand_mode == EXACT_GEOMETRY:  # the third condition above
+            _check_scaled_qualities(*(_quality(cap, svc.quality)
+                                      for svc, cap in zip(bundle.services, box)), bundle.gamma)
+    return values[len(corners):]
 
 
 def optimize_bundle(
@@ -668,8 +697,9 @@ def optimize_bundle(
     ascents run on the unchecked `_profit` in one box (_box), checked once
     by `_check_box` (of the rules of a validating `gross_profit_bundle` call
     on its eight corners, the three that can fail there; the exact ascent's
-    call also scores its starts); a closed-form complement without ``verify``
-    skips it.
+    call scores its starts, and the corners too only where a condition
+    under which one can be nan holds); a closed-form complement without
+    ``verify`` skips it.
     Whichever path ran, `clamped_variables` names the returned point's
     variables on a bound of the box (_clamped); `interior` means none is.
     """

@@ -27,9 +27,10 @@ profit kernels call those directly on points the solvers built in the box.
 
 The input rules of every model live here, once each: _check_privacy
 (finite, in [0, 1]), _check_fee (finite, >= 0), _check_positive_quality
-(finite, > 0) and _check_contingency (the window of a bundle kind).  The
-buy rules, the profit functions of `separate` and `bundle`, `BundleSpec`
-and the Monte-Carlo `DemandRegion` and `simulate_market` all use them;
+(finite, > 0), _check_kind (complement or substitute) and
+_check_contingency (the window of a bundle kind).  The buy rules, the
+profit functions of `separate` and `bundle`, `BundleSpec` and the
+Monte-Carlo `DemandRegion` and `simulate_market` all use them;
 `MarketSpec` and `ServiceSpec` share _check_count (an integer in [1, 1e100]).
 The public bundle buy rules and `gross_profit_bundle` also apply
 _check_scaled_qualities (neither (1+gamma)^2*u1*u2 nor u1*u2 may underflow
@@ -159,6 +160,11 @@ def _check_fee(fee):
     return hi
 
 
+def _check_kind(kind):
+    if kind not in (COMPLEMENT, SUBSTITUTE):
+        raise DomainError(f"bundle kind must be '{COMPLEMENT}' or '{SUBSTITUTE}', got {kind!r}")
+
+
 def _check_contingency(kind, gamma):
     """gamma in [0, MAX_MAGNITUDE] for complements, in (-0.5, 0) for substitutes.
 
@@ -221,8 +227,8 @@ def _linear_form(fee, u1, u2, gamma, factor):
     return _one_minus(area / scale)
 
 
-def _check_scaled_qualities(u1, u2, gamma):
-    """Neither (1+gamma)^2*u1*u2 nor u1*u2 may underflow to 0.
+def _scaled_qualities_vanish(u1, u2, gamma) -> bool:
+    """Whether (1+gamma)^2*u1*u2 or u1*u2 underflows to 0 somewhere.
 
     The one rule for tiny qualities of both bundle kinds and both modes: a
     float would divide by 0 (ZeroDivisionError), an array would warn.  The
@@ -231,7 +237,12 @@ def _check_scaled_qualities(u1, u2, gamma):
     """
     with np.errstate(over="ignore"):  # a product past float range is no underflow
         lo, _ = _extremes(np.minimum((1.0 + gamma) * (1.0 + gamma) * u1 * u2, u1 * u2))
-    if not lo > 0.0:
+    return not lo > 0.0
+
+
+def _check_scaled_qualities(u1, u2, gamma):
+    """Neither (1+gamma)^2*u1*u2 nor u1*u2 may underflow to 0 (_scaled_qualities_vanish)."""
+    if _scaled_qualities_vanish(u1, u2, gamma):
         raise DomainError(
             "service qualities too small: (1+gamma)^2*u1*u2 or u1*u2 underflows to 0"
         )
@@ -295,8 +306,10 @@ def _buy_bundle(fee, u1, u2, gamma, kind, mode):
     inside = fee <= ((1.0 + gamma) * low if kind == COMPLEMENT else low)
     if inside.all():
         return _linear_form(fee, u1, u2, gamma, factor)
+    # min(1, fee/u) as fee/max(fee, u): bit for bit, and no ratio past 1 that can
+    # overflow (a fee near 1e62 over a quality near 1e-263)
     width, height = ((1.0, 1.0) if kind == COMPLEMENT else
-                     (np.minimum(1.0, fee / u1), np.minimum(1.0, fee / u2)))
+                     (fee / np.maximum(fee, u1), fee / np.maximum(fee, u2)))
     area = _nonbuy_area(fee / (1.0 + gamma), u1, u2, width, height)
     if inside.any():
         np.divide(*_linear_terms(np.where(inside, fee, 0.0), u1, u2, gamma, factor),

@@ -38,6 +38,16 @@ __all__ = [
 MAX_MAGNITUDE = 1e100
 
 
+def _check_curve_parameter(name, v):
+    """A curve parameter's own rule: finite and > 0, alpha1 and alpha3 at most MAX_MAGNITUDE."""
+    if not _is_finite(v, (int, float)):
+        raise DomainError(f"{name} must be a finite number, got {v!r}")
+    if v <= 0:
+        raise DomainError(f"{name} must be positive, got {v}")
+    if name != "alpha2" and v > MAX_MAGNITUDE:
+        raise DomainError(f"{name} must lie in (0, {MAX_MAGNITUDE:g}], got {v}")
+
+
 @dataclass(frozen=True)
 class QualityParams:
     """Parameters of the quality curve u(r) = alpha1 - alpha2*exp(alpha3*r).
@@ -53,13 +63,7 @@ class QualityParams:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "alpha3"):
-            v = getattr(self, name)
-            if not _is_finite(v, (int, float)):
-                raise DomainError(f"{name} must be a finite number, got {v!r}")
-            if v <= 0:
-                raise DomainError(f"{name} must be positive, got {v}")
-            if name != "alpha2" and v > MAX_MAGNITUDE:
-                raise DomainError(f"{name} must lie in (0, {MAX_MAGNITUDE:g}], got {v}")
+            _check_curve_parameter(name, getattr(self, name))
         if float(self.alpha1) <= float(self.alpha2):  # u(0) is computed in floats
             raise DomainError(
                 f"alpha1 must exceed alpha2 so u(0) > 0, got "

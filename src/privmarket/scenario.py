@@ -38,10 +38,11 @@ import os
 from dataclasses import dataclass, field, replace
 
 from .bundle import BundleSpec
-from .demand import MarketSpec, _check_count
+from .demand import MarketSpec, _check_count, _check_kind
 from .errors import DomainError, ScenarioError, _is_finite, _is_number, _read_text
 from .oracles import SimulationSpec
-from .quality import FitResult, QualityParams, fit_quality_curve, load_samples
+from .quality import (FitResult, QualityParams, _check_curve_parameter, fit_quality_curve,
+                      load_samples)
 from .separate import SeparateScenario, ServiceSpec
 
 __all__ = ["LoadedScenario", "SweepSpec", "load_scenario", "sweep_values"]
@@ -185,6 +186,8 @@ def _quality(name, line_no, entries, values, base_dir):
             f"missing key '{missing[0]}'; give alpha1..alpha3 or a samples path",
             section=name, line=line_no,
         )
+    for k in _ALPHAS:  # each parameter's own rule at its line; alpha1 > alpha2 at the section's
+        _make(name, entries[k][1], _check_curve_parameter, k, values[k], key=k)
     return _make(name, line_no, QualityParams, **{k: values[k] for k in _ALPHAS}), None
 
 
@@ -218,7 +221,7 @@ def load_scenario(path: str) -> LoadedScenario:
             for key, value in values.items():
                 sim = _make(name, entries[key][1], replace, sim, key=key, **{key: value})
         elif kind == "bundle":  # built once every service is known
-            bundle_section = (line_no, values, entries["members"][1])
+            bundle_section = (line_no, values, entries)
         else:
             quality, fit = _quality(name, line_no, entries, values, base_dir)
             if fit is not None:
@@ -233,7 +236,8 @@ def load_scenario(path: str) -> LoadedScenario:
 
     bundle = members = None
     if bundle_section is not None:
-        line_no, values, members_line = bundle_section
+        line_no, values, entries = bundle_section
+        members_line = entries["members"][1]
         members = tuple(sname.strip() for sname in values["members"].split(","))
         if len(members) != 2 or members[0] == members[1]:
             raise ScenarioError("members must name two distinct services",
@@ -242,6 +246,9 @@ def load_scenario(path: str) -> LoadedScenario:
             if sname not in services:
                 raise ScenarioError(f"bundle references unknown service {sname!r}",
                                     section="bundle", key="members", line=members_line)
+        # the kind's own rule at its line; the contingency window and the crowd size
+        # span keys, so BundleSpec's errors name the section's line
+        _make("bundle", entries["kind"][1], _check_kind, values["kind"], key="kind")
         bundle = _make("bundle", line_no, BundleSpec, s1=services[members[0]],
                        s2=services[members[1]], market=market,
                        gamma=values["gamma"], kind=values["kind"])

@@ -800,7 +800,10 @@ _APPENDED = S1_ONLY.count("\n") + 2  # the line of a section appended after a bl
     (S1_ONLY + "\n[sim]\ndraws = 10\n", f"section [sim], line {_APPENDED}"),
     (S1_ONLY.replace("M = 1000", "M = 1" + "0" * 160), "section [market], key 'M', line 2"),
     (S1_ONLY.replace("seed = 7", f"seed = {2**64}"), "section [sim], key 'seed', line 13"),
-], ids=["service", "market.x", "repeated-sim", "huge-M", "seed-2^64"])
+    (S1_ONLY.replace("alpha3 = 2.813", "alpha3 = -1"), "section [service.S1], key 'alpha3', line 9"),
+    (SB1.replace("kind = complement", "kind = bogus"), "section [bundle], key 'kind', line 21"),
+], ids=["service", "market.x", "repeated-sim", "huge-M", "seed-2^64", "negative-alpha3",
+        "bogus-kind"])
 def test_scenario_section_errors_exit_two_with_location(tmp_path, capsys, text, where):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

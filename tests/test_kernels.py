@@ -880,6 +880,20 @@ def test_exact_rule_gives_each_point_of_a_mixed_block_its_own_bits(kind):
         assert kernel(p, float(u1[i]), u2, gamma, EXACT_GEOMETRY).hex() == float(row[i]).hex()
 
 
+def test_exact_substitute_box_sides_do_not_overflow():
+    # a box side min(1, fee/u) once divided a fee near 1e62 by a quality near
+    # 1e-263 and warned "overflow encountered in divide", though the clamp made
+    # the side 1; rng 2026's extreme draw 51 met it in an exact solve
+    fee = np.array([0.0, 1e-300, 0.5, 1.0, 3.0, 1e62])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        buy = prob_buy_substitute(fee, 1.0, 2e-263, -0.1, mode=EXACT_GEOMETRY)
+        opt = optimize_bundle(_extreme_draw(2026, 51), demand_mode=EXACT_GEOMETRY)
+    assert buy.tolist() == [1.0, 1.0, 0.5, 0.0, 0.0, 0.0]
+    assert (opt.r1_star, opt.r2_star, opt.p_b_star.hex(), opt.profit.hex()) == (
+        0.0, 0.0, "0x1.0039aaa979e25p+207", "0x1.72f931486c2dcp+470")
+
+
 def _nonbuy_area_reference(q, u1, u2, width, height):
     """demand._nonbuy_area as it was before it finished its result in place."""
     a = u1 * width
@@ -1126,11 +1140,24 @@ def test_a_nan_box_corner_meets_one_of_three_conditions():
     assert nan_sets > 1000 and only_third > 0
 
 
+def _extreme_draw(seed, j):
+    """Draw j of _extreme_bundle's sequence from default_rng(seed), kinds alternating."""
+    rng = np.random.default_rng(seed)
+    for i in range(j + 1):
+        try:
+            b = _extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[i % 2])
+        except DomainError:
+            b = None
+    return b
+
+
 @pytest.mark.parametrize("verify", [False, True])
 @pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
-def test_exact_solve_scores_corners_and_starts_in_one_call(kind, verify, monkeypatch):
-    # before its first sweep an exact solve makes one profit call: the box's
-    # eight corners, then its three starts, the sweeps starting from the best
+def test_exact_solve_makes_one_profit_call_before_its_sweeps(kind, verify, monkeypatch):
+    # before its first sweep an exact solve makes one profit call: its three
+    # starts alone, or, where a corner can be nan, the box's eight corners
+    # and then the starts (the extreme complement's p_hi*p_hi overflows); the
+    # sweeps start from the best start
     events = []
     real_profit, real_sweeps = bundle._profit, bundle._exact_sweeps
 
@@ -1143,20 +1170,73 @@ def test_exact_solve_scores_corners_and_starts_in_one_call(kind, verify, monkeyp
         events.append(("sweeps", start, box))
         return real_sweeps(b, start, box)
 
+    bundles = [_shipped(kind), _with_wage(_shipped(kind), 0.0), _with_wage(_shipped(kind), 5.0)]
+    if kind == COMPLEMENT:
+        bundles.append(_extreme_draw(2026, 14))
+    conditions = [any(_corner_nan_conditions(b, EXACT_GEOMETRY)[1]) for b in bundles]
+    assert conditions == [False, False, False, True][:len(bundles)]
     monkeypatch.setattr(bundle, "_profit", profit)
     monkeypatch.setattr(bundle, "_exact_sweeps", sweeps)
-    for b in (_shipped(kind), _with_wage(_shipped(kind), 0.0), _with_wage(_shipped(kind), 5.0)):
+    for b, condition in zip(bundles, conditions):
         events.clear()
         optimize_bundle(b, demand_mode=EXACT_GEOMETRY, verify=verify, verify_points=12)
         first_sweep = [e[0] for e in events].index("sweeps")
         assert [e[0] for e in events[:first_sweep]] == ["profit"]
         (_, points, values), (_, start, box) = events[0], events[first_sweep]
         points = np.array(points)
-        assert points.shape == (3, 11)
-        corners = {tuple(point) for point in points[:, :8].T}
-        assert corners == set(itertools.product(*((0.0, hi) for hi in box)))
-        starts = [tuple(point) for point in points[:, 8:].T]
-        assert tuple(start) == starts[int(np.argmax(values[8:]))]
+        corners = 8 if condition else 0
+        assert points.shape == (3, corners + 3)
+        if condition:
+            assert ({tuple(point) for point in points[:, :8].T}
+                    == set(itertools.product(*((0.0, hi) for hi in box))))
+        starts = [tuple(point) for point in points[:, corners:].T]
+        assert tuple(start) == starts[int(np.argmax(values[corners:]))]
+
+
+def _exact_outcome(b, verify):
+    """Every field of an exact solve, floats as float.hex, or its error's type and text."""
+    try:
+        opt = optimize_bundle(b, demand_mode=EXACT_GEOMETRY, verify=verify, verify_points=9)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    fields = [getattr(opt, f.name) for f in dataclasses.fields(opt)]
+    return tuple(v.hex() if isinstance(v, float) else v for v in fields)
+
+
+def test_exact_corners_are_scored_only_where_a_condition_holds(monkeypatch):
+    # on extreme draws, both kinds, an exact solve scores the box's corners
+    # exactly where one of _check_box's three conditions holds, and its
+    # outcome, every field or the error, is the one of a solve that always
+    # scores them; no warning is raised
+    first_calls = []
+    real_profit = bundle._profit
+
+    def profit(b, r1, r2, p, mode):
+        if first_calls[-1] is None:
+            first_calls[-1] = np.size(p)
+        return real_profit(b, r1, r2, p, mode)
+
+    rng = np.random.default_rng(31)
+    draws, held = 0, {True: 0, False: 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in range(400):
+            try:
+                b = _extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[j % 2])
+            except DomainError:
+                continue
+            draws += 1
+            _, conditions = _corner_nan_conditions(b, EXACT_GEOMETRY)
+            with monkeypatch.context() as patch:
+                patch.setattr(bundle, "_profit", profit)
+                first_calls.append(None)
+                outcome = _exact_outcome(b, j % 7 == 0)
+            with monkeypatch.context() as patch:
+                patch.setattr(bundle, "_corners_can_be_nan", lambda *args: True)
+                assert outcome == _exact_outcome(b, j % 7 == 0), j
+            assert first_calls[-1] == (11 if any(conditions) else 3), j
+            held[any(conditions)] += 1
+    assert draws > 300 and held[True] > 50 and held[False] > 200
 
 
 def _no_sweep(*args):

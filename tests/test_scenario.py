@@ -210,11 +210,20 @@ def test_repeated_section_rejected(tmp_path, section, body):
     ("draws = 5000", "draws = 100000000000", "section [sim], key 'draws', line 24"),
     ("N = 100", "N = 1" + "0" * 400, "section [service.S1], key 'N', line 5"),
     ("c = 0.2", "c = 1e200", "section [service.S1], key 'c', line 6"),
-], ids=["huge-M", "seed-2^64", "infinite-sigma_z", "huge-draws", "huge-N", "huge-c"])
+    ("alpha3 = 2.813", "alpha3 = -1", "section [service.S1], key 'alpha3', line 9"),
+    ("alpha1 = 0.822", "alpha1 = 1e101", "section [service.S1], key 'alpha1', line 7"),
+    ("kind = complement", "kind = bogus", "section [bundle], key 'kind', line 21"),
+    ("alpha2 = 0.004", "alpha2 = 0.9", "section [service.S1], line 4"),
+    ("gamma = 0.1", "gamma = -0.1", "section [bundle], line 18"),
+], ids=["huge-M", "seed-2^64", "infinite-sigma_z", "huge-draws", "huge-N", "huge-c",
+        "negative-alpha3", "huge-alpha1", "bogus-kind", "alpha2-over-alpha1", "gamma-outside-kind"])
 def test_spec_errors_name_section_and_line(tmp_path, old, new, where):
     # each value passes the loader's own range rule but not the spec's check,
     # whose error once had no location, then only its section's line; a spec
-    # now takes one key at a time, so the error names that key's own line
+    # now takes one key at a time, or checks a key's own rule at its line
+    # first (alpha3 and kind once named the section's line), so the error
+    # names that key's own line.  A rule of two keys (alpha1 > alpha2, the
+    # kind's contingency window) names the section's line
     with pytest.raises(ScenarioError) as err:
         load_scenario(_write(tmp_path, GOOD.replace(old, new)))
     assert where in str(err.value)
