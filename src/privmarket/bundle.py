@@ -43,12 +43,12 @@ A `verify` grid only certifies: it is attached to the result and changes
 no returned value.  A solve builds its box [0, cap1] x [0, cap2] x
 [0, p_hi] once (_box, which checks the demand mode, shared with
 `bundle_grid`; _lattice lays the seed, `verify` and `bundle_grid`
-lattices on it) and checks once what else can fail on it (_check_box: a
-nan among its eight corner profits, in exact mode the qualities'
-underflow at the caps) before its lattices and ascents run on the
-unchecked `_profit`.  The exact solve's check scores its starts, and it
-scores the corners with them only where one of the three conditions
-under which a corner can be nan holds (_corners_can_be_nan).
+lattices on it) and checks once, before any path runs, what else can
+fail on it (_check_box: a nan among its eight corner profits, in exact
+mode the qualities' underflow at the caps).  One rule serves both demand
+modes: the corners are scored only where one of the three conditions
+under which a corner can be nan holds (_corners_can_be_nan).  The closed
+form, lattices and ascents then run on the unchecked `_profit`.
 """
 from __future__ import annotations
 
@@ -582,12 +582,12 @@ def _exact_ascent(bundle: BundleSpec, box):
     Both services: P's maximum at the exact interior factor sigma (0.5, or
     0.5 - gamma^2 for substitutes), by _paper_ascent from the box corner.
     One service, the other's privacy at its cap: its standalone optimum,
-    quality scaled by 1 + gamma for complements.  The call that checks the
-    box scores the starts (_check_box, with the box's corners only where a
-    corner can be nan), and the sweeps run from the most profitable;
-    ending on a cap below 1, where a service's quality vanishes, they also
-    run from the others and keep the best end.  Far from the paper's
-    services local maxima that no start reaches can exist (README).
+    quality scaled by 1 + gamma for complements.  One _profit call scores
+    the starts in the checked box, and the sweeps run from the most
+    profitable; ending on a cap below 1, where a service's quality
+    vanishes, they also run from the others and keep the best end.  Far
+    from the paper's services local maxima that no start reaches can exist
+    (README).
     Returns the best end (r1, r2, p) and its profit.
     """
     cap1, cap2, _ = box
@@ -599,7 +599,7 @@ def _exact_ascent(bundle: BundleSpec, box):
     starts = [_paper_ascent(bundle, sigma, (0.0, 0.0, 0.0), box),
               (r1, cap2, 0.5 * scale * _quality(r1, bundle.s1.quality)),
               (cap1, r2, 0.5 * scale * _quality(r2, bundle.s2.quality))]
-    order = np.argsort(-_check_box(bundle, box, EXACT_GEOMETRY, starts), kind="stable")
+    order = np.argsort(-_profit(bundle, *np.array(starts).T, EXACT_GEOMETRY), kind="stable")
     first, *others = [starts[i] for i in order]
     ends = [_exact_sweeps(bundle, first, box)]
     if any(r == cap < 1.0 for r, cap in zip(ends[0], (cap1, cap2))):
@@ -610,70 +610,45 @@ def _exact_ascent(bundle: BundleSpec, box):
 
 
 def _corners_can_be_nan(bundle: BundleSpec, box) -> bool:
-    """Whether one of _check_box's three conditions, the only ways a corner profit is nan, holds.
+    """Whether a corner profit of the box can be nan: one of three conditions holds.
 
-    p_hi*p_hi overflows, or _check_scaled_qualities' rule fails at the caps.
+    With every input in range, m*p*buy - n*c1*(1 - r1) - n*c2*(1 - r2) is
+    nan only by a 0/0, inf/inf or inf*0 inside buy:
+    - p_hi*p_hi overflows: fee^2/((1+gamma)^2*u1*u2) is inf/inf, or m*p*0
+      is inf*0 where buy clamps to 0;
+    - (1+gamma)^2*u1*u2 underflows to 0 at the caps: 0/0 at fee 0;
+    - exact mode only: u1*u2 underflows to 0 at the caps, a large gamma
+      keeping (1+gamma)^2*u1*u2 in range, and so does _nonbuy_area's
+      h*(2q - h) (0/0).
+    The last two are _check_scaled_qualities' rule at the caps.  Without
+    the third, exact complements with gamma of 1e10 or more would raise
+    that rule's text instead of the nan one.
     """
     u1, u2 = (_quality(cap, svc.quality) for svc, cap in zip(bundle.services, box))
     return box[2] * box[2] == math.inf or _scaled_qualities_vanish(u1, u2, bundle.gamma)
 
 
-def _check_box(bundle: BundleSpec, box, demand_mode: str, points=()):
-    """The rules of gross_profit_bundle on the box's eight corners that can fail there.
+def _check_box(bundle: BundleSpec, box, demand_mode: str):
+    """Raise the errors that the rules of gross_profit_bundle meet on the box's eight corners.
 
-    Returns the profits at points, a sequence of (r1, r2, p_b) in the box
-    that the same _profit call scores (the exact solve's starts).  There
-    are two rules beyond the demand mode, which _box applies: a nan among
-    the eight corner profits, and in exact mode the public exact buy
-    rules' underflow rule (_check_scaled_qualities) at the caps.  The
-    other rules of that call hold on every box _box builds, so none is
-    applied: privacy_cap gives caps in [0, 1] with u(cap) > 0;
-    QualityParams gives u(0) = alpha1 - alpha2 > 0 (alpha1 > alpha2 as
-    floats, so the difference does not round to 0), and u(cap) <= u(0) <
-    alpha1 <= 1e100 is finite; and with alpha1 and gamma at most 1e100,
-    p_hi, (1+gamma)*sqrt(u1*u2/sigma) or (1+gamma)*(u1 + u2) at r = 0, is
-    finite (below 3e200) and >= 0.  The extreme-magnitude test named below
-    asserts them on every box it draws.
-
-    With every input in range, a corner profit m*p*buy - n*c1*(1 - r1) -
-    n*c2*(1 - r2) is nan under one of three conditions, each a 0/0, inf/inf
-    or inf*0 inside buy:
-    - p_hi*p_hi overflows: the linear form's fee^2/((1+gamma)^2*u1*u2) is
-      inf/inf where the quality scale overflows too, or m*p*0 is inf*0
-      where buy clamps to 0 and m*p_hi leaves float range;
-    - (1+gamma)^2*u1*u2 underflows to 0 at a pair of corner qualities (the
-      least at the caps): the linear form is 0/0 at fee 0;
-    - exact mode only: u1*u2 underflows to 0 at the caps while
-      (1+gamma)^2*u1*u2 does not, a large gamma keeping it in range, and
-      _nonbuy_area's h*(2q - h) underflows to 0 with it (0/0).
-    The last two are _check_scaled_qualities' rule at the caps.  A
-    derandomized test over extreme magnitudes, both kinds and both modes,
-    finds no nan corner set outside them; the first two alone miss the
-    exact complements of the third (gamma of 1e10 or more), which would
-    then raise _check_scaled_qualities' text instead of this one.
-
-    So in exact mode the corners are scored only where one of the three
-    holds (_corners_can_be_nan): elsewhere no corner is nan and the caps
-    pass the underflow rule, and the call scores the points alone.  Its
-    corner at p_hi lies off interior geometry, which would send the whole
-    call through _nonbuy_area.  Where one holds, the corners and the points
-    are scored in one call, the nan raises first, then the underflow rule.
-    Paper mode always scores the corners.  The call runs with invalid and
-    divide ignored: a corner's nan raises here, and an inf from a division
-    by 0 changes no check or score.
+    Two rules can fail there: a nan corner profit, and in exact mode the
+    exact buy rules' underflow rule (_check_scaled_qualities) at the caps.
+    The others hold on every box _box builds: privacy_cap gives caps in
+    [0, 1] with u(cap) > 0; QualityParams gives u(0) = alpha1 - alpha2 > 0
+    as floats and u(cap) <= u(0) < alpha1 <= 1e100; with alpha1 and gamma at
+    most 1e100, p_hi is finite (below 3e200) and >= 0; and _box checks the
+    mode.  Both rules can fail only where _corners_can_be_nan holds, so the
+    corners are scored only there (invalid and divide ignored), and a nan
+    raises first.  The extreme-magnitude tests assert all of this.
     """
-    if demand_mode == EXACT_GEOMETRY and not _corners_can_be_nan(bundle, box):
-        corners = []
-    else:
-        corners = [*itertools.product(*((0.0, hi) for hi in box))]
+    if not _corners_can_be_nan(bundle, box):
+        return
+    corners = np.array([*itertools.product(*((0.0, hi) for hi in box))]).T
     with np.errstate(invalid="ignore", divide="ignore"):
-        values = _profit(bundle, *np.array([*corners, *points]).T, demand_mode)
-    if corners:
-        oracles._check_no_nan(values[:8])
-        if demand_mode == EXACT_GEOMETRY:  # the third condition above
-            _check_scaled_qualities(*(_quality(cap, svc.quality)
-                                      for svc, cap in zip(bundle.services, box)), bundle.gamma)
-    return values[len(corners):]
+        oracles._check_no_nan(_profit(bundle, *corners, demand_mode))
+    if demand_mode == EXACT_GEOMETRY:
+        _check_scaled_qualities(*(_quality(cap, svc.quality)
+                                  for svc, cap in zip(bundle.services, box)), bundle.gamma)
 
 
 def optimize_bundle(
@@ -693,13 +668,10 @@ def optimize_bundle(
     point; the exact mode ascends from the same ascent's box maximum at the
     exact factor, or from a one-service closed form (_exact_ascent).  With
     ``verify`` an independent verify_points^3 grid maximum is attached as the
-    result's certificate; it changes no returned value.  Lattices and
-    ascents run on the unchecked `_profit` in one box (_box), checked once
-    by `_check_box` (of the rules of a validating `gross_profit_bundle` call
-    on its eight corners, the three that can fail there; the exact ascent's
-    call scores its starts, and the corners too only where a condition
-    under which one can be nan holds); a closed-form complement without
-    ``verify`` skips it.
+    result's certificate; it changes no returned value.  Every solve builds
+    one box (_box) and checks it once, before any path runs (_check_box:
+    the corners are scored only where one can be nan); the closed form,
+    lattices and ascents then run on the unchecked `_profit`.
     Whichever path ran, `clamped_variables` names the returned point's
     variables on a bound of the box (_clamped); `interior` means none is.
     """
@@ -719,8 +691,7 @@ def optimize_bundle(
     # overflow together to inf/inf; its nan raises below, with no warnings first
     overflows = box[2] * box[2] == math.inf
     with np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext():
-        if (verify or fallback) and demand_mode == PAPER_FORM:  # _exact_ascent checks its own
-            _check_box(bundle, box, demand_mode)
+        _check_box(bundle, box, demand_mode)
         if not fallback:
             profit = float(_profit(bundle, r1, r2, p, demand_mode))
         elif demand_mode == PAPER_FORM:

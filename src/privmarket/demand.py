@@ -321,9 +321,10 @@ def _buy_bundle(fee, u1, u2, gamma, kind, mode):
 def _no_joint_overflow(what, fee_hi, kernel, *args):
     """_output(kernel(*args)), a DomainError where the result is nan: no warning.
 
-    On inputs in range the bundle kernels give nan only where the fee's
-    square overflows, with (1+gamma)^2*u1*u2 (inf/inf) or with m*p_b (inf*0);
-    fee_hi, the largest fee, rules the check out everywhere else.
+    On inputs in range the profit kernels give nan only where the fee's
+    square overflows: with a bundle's (1+gamma)^2*u1*u2 (inf/inf), or with
+    m*p where nothing sells (inf*0; m <= 1e100 keeps m*p finite wherever
+    p*p is); fee_hi, the largest fee, rules the check out everywhere else.
     """
     if fee_hi * fee_hi < math.inf:
         return _output(kernel(*args))

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import oracles
 from .demand import (PAPER_FORM, MarketSpec, _buy_separate, _check_count, _check_fee, _check_mode,
-                     _check_positive_quality, _check_privacy, _output, prob_buy_separate)
+                     _check_positive_quality, _check_privacy, _no_joint_overflow,
+                     prob_buy_separate)
 from .errors import DomainError, _as_input, _is_finite
 from .hessians import ConcavityReport, _out_of_range, alternating_minor_verdict
 from .quality import MAX_MAGNITUDE, QualityParams, _quality, evaluate_quality, max_privacy
@@ -143,13 +144,14 @@ def _profit(scenario: SeparateScenario, r, p_s):
 def gross_profit_separate(scenario: SeparateScenario, r, p_s):
     """Subscription revenue minus realized data cost; accepts arrays.
 
-    Validates its inputs once, then evaluates the unchecked `_profit`.
+    Validates its inputs once, then evaluates the unchecked `_profit`; where
+    m*p_s overflows and nothing sells (inf*0) the nan is a DomainError.
     """
     r, p_s = _as_input(r), _as_input(p_s)
     _check_privacy(r)
-    _check_fee(p_s)
+    fee_hi = _check_fee(p_s)
     _check_positive_quality(_quality(r, scenario.service.quality))
-    return _output(_profit(scenario, r, p_s))
+    return _no_joint_overflow("separate profit", fee_hi, _profit, scenario, r, p_s)
 
 
 def separate_objective(scenario):

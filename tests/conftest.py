@@ -4,6 +4,7 @@ import pytest
 from privmarket import (
     BundleSpec,
     COMPLEMENT,
+    DomainError,
     MarketSpec,
     QualityParams,
     SUBSTITUTE,
@@ -88,6 +89,32 @@ def random_bundle(rng, kind) -> BundleSpec:
     return BundleSpec(
         s1=s1, s2=s2, market=MarketSpec(m=int(rng.integers(100, 5001))), gamma=gamma, kind=kind
     )
+
+
+def extreme_bundle(rng, kind):
+    """A bundle whose magnitudes are drawn log-uniformly up to the ceilings; DomainError
+    where the draw is no valid bundle."""
+    def magnitude(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    services = []
+    for _ in range(2):
+        alpha1 = magnitude(-300, 100)
+        q = QualityParams(alpha1, alpha1 * magnitude(-20, -0.01), magnitude(-3, 100))
+        services.append(ServiceSpec(q, 100, 0.0 if rng.random() < 0.1 else magnitude(-5, 100)))
+    gamma = magnitude(-5, 100) if kind == COMPLEMENT else float(rng.uniform(-0.49, -0.01))
+    return BundleSpec(*services, MarketSpec(m=int(magnitude(0, 100))), gamma, kind)
+
+
+def extreme_draw(seed, j):
+    """Draw j of extreme_bundle's sequence from default_rng(seed), kinds alternating."""
+    rng = np.random.default_rng(seed)
+    for i in range(j + 1):
+        try:
+            b = extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[i % 2])
+        except DomainError:
+            b = None
+    return b
 
 
 def fd_gradient(fn, x, h=1e-6):

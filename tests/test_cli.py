@@ -511,7 +511,7 @@ def test_participant_count_past_float_range_is_a_validation_error(tmp_path, caps
     # OverflowError traceback (exit 1); every README command that loads a
     # scenario now names its section and line and exits 2
     examples = [argv for argv in _readme_cli_examples() if any(a.endswith(".cfg") for a in argv)]
-    assert len(examples) == 9
+    assert len(examples) == 10
     for argv in examples:
         cfg = tmp_path / "crowd.cfg"
         name = next(a for a in argv if a.endswith(".cfg"))
@@ -768,7 +768,7 @@ def test_readme_cli_examples_parse():
     from privmarket.cli import _build_parser
 
     examples = _readme_cli_examples()
-    assert len(examples) == 11
+    assert len(examples) == 12
     for argv in examples:
         args = _build_parser().parse_args(argv)  # a usage error exits
         assert args.command == argv[0]
@@ -1017,6 +1017,17 @@ def test_profit_at_a_fee_overflowing_with_the_quality_scale_exits_two_without_wa
         assert _main_without_warnings(argv) == (2, []), mode
         assert capsys.readouterr().err == ("error: bundle profit is NaN at fee 1e+200; "
                                            "the inputs' magnitudes overflow together\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_separate_profit_at_a_fee_overflowing_with_m_exits_two_without_warnings(
+        tmp_path, capsys):
+    # m*p_s overflows where nothing buys: the analytic profit was inf*0 = nan after
+    # an invalid-value RuntimeWarning, before the Monte-Carlo error
+    argv = ["simulate", str(SHIPPED / "s1.cfg"), "--at", "0.5,1e306", "--out", str(tmp_path / "run")]
+    assert _main_without_warnings(argv) == (2, [])
+    assert capsys.readouterr().err == ("error: separate profit is NaN at fee 1e+306; "
+                                       "the inputs' magnitudes overflow together\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -42,7 +42,7 @@ from privmarket import (
 )
 from privmarket import bundle_grid, bundle_objective
 
-from conftest import random_bundle
+from conftest import extreme_bundle, extreme_draw, random_bundle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -888,7 +888,7 @@ def test_exact_substitute_box_sides_do_not_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         buy = prob_buy_substitute(fee, 1.0, 2e-263, -0.1, mode=EXACT_GEOMETRY)
-        opt = optimize_bundle(_extreme_draw(2026, 51), demand_mode=EXACT_GEOMETRY)
+        opt = optimize_bundle(extreme_draw(2026, 51), demand_mode=EXACT_GEOMETRY)
     assert buy.tolist() == [1.0, 1.0, 0.5, 0.0, 0.0, 0.0]
     assert (opt.r1_star, opt.r2_star, opt.p_b_star.hex(), opt.profit.hex()) == (
         0.0, 0.0, "0x1.0039aaa979e25p+207", "0x1.72f931486c2dcp+470")
@@ -1045,9 +1045,9 @@ def _count_validated_calls(monkeypatch):
       for variant in ("shipped", "c=0", "c=5") for verify in (False, True)),
 ])
 def test_solve_validates_once(kind, variant, mode, verify, monkeypatch):
-    # a solve that runs a grid or an ascent checks its box once, on floats;
-    # the grids and the ascent's slices run on the kernel, and nothing derives
-    # the box again; a closed-form complement builds no box
+    # every solve, the closed-form complement included, checks its box once,
+    # on floats; the grids and the ascent's slices run on the kernel, and
+    # nothing derives the box again
     b = _shipped(kind) if variant == "shipped" else _with_wage(_shipped(kind), float(variant[2:]))
     checks = _spy(monkeypatch, (bundle, "_check_box"))
     caps = _spy(monkeypatch, (bundle, "privacy_cap"), (separate, "privacy_cap"))
@@ -1056,7 +1056,7 @@ def test_solve_validates_once(kind, variant, mode, verify, monkeypatch):
     opt = optimize_bundle(b, demand_mode=mode, verify=verify, verify_points=48)
     closed_form = (kind, variant, mode, verify) == (COMPLEMENT, "shipped", PAPER_FORM, False)
     assert (opt.fallback or verify) != closed_form
-    assert len(checks) == (0 if closed_form else 1)
+    assert len(checks) == 1
     assert len(caps) == 2
     assert others == []
 
@@ -1080,24 +1080,10 @@ def test_nan_box_corner_raises_before_any_grid(kind, mode, monkeypatch):
     assert grids == []
 
 
-def _extreme_bundle(rng, kind):
-    """A bundle whose magnitudes are drawn log-uniformly up to the ceilings; DomainError
-    where the draw is no valid bundle."""
-    def magnitude(lo, hi):
-        return float(10.0 ** rng.uniform(lo, hi))
-
-    services = []
-    for _ in range(2):
-        alpha1 = magnitude(-300, 100)
-        q = QualityParams(alpha1, alpha1 * magnitude(-20, -0.01), magnitude(-3, 100))
-        services.append(ServiceSpec(q, 100, 0.0 if rng.random() < 0.1 else magnitude(-5, 100)))
-    gamma = magnitude(-5, 100) if kind == COMPLEMENT else float(rng.uniform(-0.49, -0.01))
-    return BundleSpec(*services, MarketSpec(m=int(magnitude(0, 100))), gamma, kind)
-
-
 def _corner_nan_conditions(b, mode):
-    """Whether the box's corner profits hold a nan, and the three conditions of _check_box's
-    docstring; first, that the rules _check_box leaves out hold on the box."""
+    """Whether the box's corner profits hold a nan, and the three conditions of
+    bundle._corners_can_be_nan, the last, u1*u2 underflowing at the caps, in both
+    modes; first, that the rules _check_box leaves out hold on the box."""
     with np.errstate(all="ignore"):
         box = bundle._box(b, mode)
     demand._check_privacy(*box[:2])
@@ -1111,12 +1097,12 @@ def _corner_nan_conditions(b, mode):
         nan = bool(np.isnan(bundle._profit(b, *corners, mode)).any())
         return nan, (box[2] * box[2] == np.inf,
                      (1.0 + b.gamma) * (1.0 + b.gamma) * u[1] * u[3] == 0.0,
-                     mode == EXACT_GEOMETRY and u[1] * u[3] == 0.0)
+                     u[1] * u[3] == 0.0)
 
 
 def test_a_nan_box_corner_meets_one_of_three_conditions():
     # the fee's square overflowing, (1+gamma)^2*u1*u2 underflowing at the caps,
-    # or, in exact mode, u1*u2 underflowing there alone (_check_box); tiny's
+    # or, in exact mode, u1*u2 underflowing there alone (_corners_can_be_nan); tiny's
     # exact corner is 0/0 in _nonbuy_area under the third alone.  The rules
     # _check_box leaves out (caps in [0, 1], p_hi finite, u(0) and u(cap) > 0)
     # hold on every box
@@ -1128,35 +1114,24 @@ def test_a_nan_box_corner_meets_one_of_three_conditions():
     nan_sets = only_third = 0
     for j in range(6000):
         try:
-            b = _extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[j % 2])
+            b = extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[j % 2])
         except DomainError:
             continue
         for mode in (PAPER_FORM, EXACT_GEOMETRY):
             nan, (overflow, scaled, unscaled) = _corner_nan_conditions(b, mode)
             if nan:
-                assert overflow or scaled or unscaled, (j, mode)
+                assert overflow or scaled or (unscaled and mode == EXACT_GEOMETRY), (j, mode)
                 nan_sets += 1
                 only_third += not (overflow or scaled)
     assert nan_sets > 1000 and only_third > 0
 
 
-def _extreme_draw(seed, j):
-    """Draw j of _extreme_bundle's sequence from default_rng(seed), kinds alternating."""
-    rng = np.random.default_rng(seed)
-    for i in range(j + 1):
-        try:
-            b = _extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[i % 2])
-        except DomainError:
-            b = None
-    return b
-
-
 @pytest.mark.parametrize("verify", [False, True])
 @pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
-def test_exact_solve_makes_one_profit_call_before_its_sweeps(kind, verify, monkeypatch):
-    # before its first sweep an exact solve makes one profit call: its three
-    # starts alone, or, where a corner can be nan, the box's eight corners
-    # and then the starts (the extreme complement's p_hi*p_hi overflows); the
+def test_exact_solve_scores_its_starts_in_one_call_before_its_sweeps(kind, verify, monkeypatch):
+    # before its first sweep an exact solve makes one profit call on its
+    # three starts, and before it one on the box's eight corners only where a
+    # corner can be nan (the extreme complement's p_hi*p_hi overflows); the
     # sweeps start from the best start
     events = []
     real_profit, real_sweeps = bundle._profit, bundle._exact_sweeps
@@ -1172,7 +1147,7 @@ def test_exact_solve_makes_one_profit_call_before_its_sweeps(kind, verify, monke
 
     bundles = [_shipped(kind), _with_wage(_shipped(kind), 0.0), _with_wage(_shipped(kind), 5.0)]
     if kind == COMPLEMENT:
-        bundles.append(_extreme_draw(2026, 14))
+        bundles.append(extreme_draw(2026, 14))
     conditions = [any(_corner_nan_conditions(b, EXACT_GEOMETRY)[1]) for b in bundles]
     assert conditions == [False, False, False, True][:len(bundles)]
     monkeypatch.setattr(bundle, "_profit", profit)
@@ -1181,62 +1156,73 @@ def test_exact_solve_makes_one_profit_call_before_its_sweeps(kind, verify, monke
         events.clear()
         optimize_bundle(b, demand_mode=EXACT_GEOMETRY, verify=verify, verify_points=12)
         first_sweep = [e[0] for e in events].index("sweeps")
-        assert [e[0] for e in events[:first_sweep]] == ["profit"]
-        (_, points, values), (_, start, box) = events[0], events[first_sweep]
-        points = np.array(points)
-        corners = 8 if condition else 0
-        assert points.shape == (3, corners + 3)
+        calls, (_, start, box) = events[:first_sweep], events[first_sweep]
+        assert [e[0] for e in calls] == ["profit"] * (2 if condition else 1)
         if condition:
-            assert ({tuple(point) for point in points[:, :8].T}
+            corners = np.array(calls[0][1])
+            assert corners.shape == (3, 8)
+            assert ({tuple(point) for point in corners.T}
                     == set(itertools.product(*((0.0, hi) for hi in box))))
-        starts = [tuple(point) for point in points[:, corners:].T]
-        assert tuple(start) == starts[int(np.argmax(values[corners:]))]
+        _, points, values = calls[-1]
+        points = np.array(points)
+        assert points.shape == (3, 3)
+        starts = [tuple(point) for point in points.T]
+        assert tuple(start) == starts[int(np.argmax(values))]
 
 
-def _exact_outcome(b, verify):
-    """Every field of an exact solve, floats as float.hex, or its error's type and text."""
+def _outcome(b, mode, verify):
+    """Every field of a solve, floats as float.hex, or its error's type and text."""
     try:
-        opt = optimize_bundle(b, demand_mode=EXACT_GEOMETRY, verify=verify, verify_points=9)
+        opt = optimize_bundle(b, demand_mode=mode, verify=verify, verify_points=9)
     except DomainError as exc:
         return type(exc), str(exc)
     fields = [getattr(opt, f.name) for f in dataclasses.fields(opt)]
     return tuple(v.hex() if isinstance(v, float) else v for v in fields)
 
 
-def test_exact_corners_are_scored_only_where_a_condition_holds(monkeypatch):
-    # on extreme draws, both kinds, an exact solve scores the box's corners
-    # exactly where one of _check_box's three conditions holds, and its
-    # outcome, every field or the error, is the one of a solve that always
-    # scores them; no warning is raised
-    first_calls = []
-    real_profit = bundle._profit
+def test_box_corners_are_scored_only_where_a_condition_holds(monkeypatch):
+    # on extreme draws, both kinds and both demand modes, a solve's box check
+    # scores the eight corners in one profit call exactly where one of
+    # _corners_can_be_nan's three conditions holds, and the solve's outcome,
+    # every field or the error, is the one of a solve that always scores
+    # them; no warning is raised
+    calls, scored = [], []
+    real_profit, real_check = bundle._profit, bundle._check_box
 
     def profit(b, r1, r2, p, mode):
-        if first_calls[-1] is None:
-            first_calls[-1] = np.size(p)
+        calls.append(np.size(p))
         return real_profit(b, r1, r2, p, mode)
 
+    def check(b, box, mode):
+        before = len(calls)
+        try:
+            real_check(b, box, mode)
+        finally:
+            scored.append(calls[before:])
+
     rng = np.random.default_rng(31)
-    draws, held = 0, {True: 0, False: 0}
+    draws, held = 0, {(mode, c): 0 for mode in (PAPER_FORM, EXACT_GEOMETRY) for c in (True, False)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for j in range(400):
             try:
-                b = _extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[j % 2])
+                b = extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[j % 2])
             except DomainError:
                 continue
             draws += 1
-            _, conditions = _corner_nan_conditions(b, EXACT_GEOMETRY)
-            with monkeypatch.context() as patch:
-                patch.setattr(bundle, "_profit", profit)
-                first_calls.append(None)
-                outcome = _exact_outcome(b, j % 7 == 0)
-            with monkeypatch.context() as patch:
-                patch.setattr(bundle, "_corners_can_be_nan", lambda *args: True)
-                assert outcome == _exact_outcome(b, j % 7 == 0), j
-            assert first_calls[-1] == (11 if any(conditions) else 3), j
-            held[any(conditions)] += 1
-    assert draws > 300 and held[True] > 50 and held[False] > 200
+            for mode in (PAPER_FORM, EXACT_GEOMETRY):
+                condition = any(_corner_nan_conditions(b, mode)[1])
+                scored.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(bundle, "_profit", profit)
+                    patch.setattr(bundle, "_check_box", check)
+                    outcome = _outcome(b, mode, j % 7 == 0)
+                with monkeypatch.context() as patch:
+                    patch.setattr(bundle, "_corners_can_be_nan", lambda *args: True)
+                    assert outcome == _outcome(b, mode, j % 7 == 0), (j, mode)
+                assert scored == [[8] if condition else []], (j, mode)
+                held[mode, condition] += 1
+    assert draws > 300 and min(held.values()) > 50, held
 
 
 def _no_sweep(*args):
@@ -1246,8 +1232,8 @@ def _no_sweep(*args):
 @pytest.mark.parametrize("verify", [False, True])
 @pytest.mark.parametrize("kind", [COMPLEMENT, SUBSTITUTE])
 def test_nan_exact_corner_raises_before_any_sweep(kind, verify, monkeypatch):
-    # the call that scores the corners and the starts raises the nan-grid
-    # error, and no sweep runs
+    # the box check raises the nan-grid error before the starts are scored,
+    # and no sweep runs
     q = QualityParams(1e-160, 1e-170, 50.0)
     b = dataclasses.replace(_shipped(kind), s1=ServiceSpec(q, 100, 0.2), s2=ServiceSpec(q, 100, 0.2))
     monkeypatch.setattr(bundle, "_exact_sweeps", _no_sweep)
@@ -1256,13 +1242,13 @@ def test_nan_exact_corner_raises_before_any_sweep(kind, verify, monkeypatch):
 
 
 def test_exact_nan_corners_raise_their_error_first():
-    # the starts are computed before the corner check; on extreme draws a solve
-    # raises the nan-grid error exactly where the corners hold a nan, no other first
+    # the box is checked before any path runs; on extreme draws a solve raises
+    # the nan-grid error exactly where the corners hold a nan, no other first
     rng = np.random.default_rng(3)
     nan_sets = 0
     for j in range(1500):
         try:
-            b = _extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[j % 2])
+            b = extreme_bundle(rng, (COMPLEMENT, SUBSTITUTE)[j % 2])
         except DomainError:
             continue
         nan, _ = _corner_nan_conditions(b, EXACT_GEOMETRY)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,18 @@ class TestGrossProfit:
         scenario = SeparateScenario(service=svc, market=market)
         with pytest.raises(DomainError):
             gross_profit_separate(scenario, 0.9, 0.1)  # u(0.9) < 0
+
+
+    def test_fee_overflowing_with_m_where_nothing_sells_is_a_domain_error(self, s1_scenario):
+        # m*p_s past float range times a buy probability of 0 was inf*0 = nan,
+        # after an invalid-value RuntimeWarning; one decade lower it is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fee in (1e306, np.array([0.3, 1e306])):
+                with pytest.raises(DomainError, match="separate profit is NaN at fee 1e\\+306"):
+                    gross_profit_separate(s1_scenario, 0.5, fee)
+            assert gross_profit_separate(s1_scenario, 0.5, 1e305) == -10.0
+            assert gross_profit_separate(s1_scenario, 0.5, np.array([1e305])).tolist() == [-10.0]
 
 
 class TestOptimize:
